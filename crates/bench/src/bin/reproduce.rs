@@ -16,25 +16,26 @@
 //! * `run` — run the study and print tables/figures. With no IDS,
 //!   everything is regenerated; IDS are case-insensitive names (`table1
 //!   table2 table3 table4 tableA1 fig3 .. fig14 figA1 .. figA5 figB1 ..
-//!   figB10 comparison observability`). `--quick` runs a scaled-down study
-//!   (seconds instead of minutes); `--audit` prints the invariant-audit
+//!   figB10 comparison observability`, from
+//!   [`fx8_core::report::SECTIONS`]); an unknown ID exits 2 with
+//!   `error[request/unknown-id]` before the study runs. `--quick` runs a
+//!   scaled-down study (seconds instead of minutes); `--audit` prints the invariant-audit
 //!   report and exits nonzero on violations; `--out DIR` additionally
 //!   writes `report.txt`, `comparison.md` and `study.json` under DIR.
-//! * `bench` — measure simulation throughput and update
-//!   `BENCH_throughput.json` at the repo root (`current` key;
-//!   `--as-baseline` rewrites `baseline` too; a binary built with
-//!   `--features audit` records under the `audited` key instead).
-//!   The harness is CoV-adaptive: each mounted state is re-timed until the
-//!   windows' rates agree to within `--cov-threshold` (default 0.03, i.e.
-//!   3%) or `--max-windows` (default 12) windows have run; the JSON gains
-//!   per-kernel `*_cov` fields and a total `bench_windows` count alongside
-//!   the rates, so every committed number carries its own noise bound.
+//! * `bench` — measure every bench row (see [`fx8_bench::throughput`])
+//!   and upsert them by name into `BENCH_throughput.json` at the repo root
+//!   (`current` rows; `--as-baseline` rewrites `baseline` rows too; a
+//!   binary built with `--features audit` records under `audited`
+//!   instead). The harness is CoV-adaptive: each measurement is re-timed
+//!   until the windows' rates agree to within `--cov-threshold` (default
+//!   0.03, i.e. 3%) or `--max-windows` (default 12) windows have run, and
+//!   every row carries its own CoV and window count.
 //!   `--check-regression` measures but does **not** rewrite the file: it
-//!   exits nonzero if a mounted-state rate fell below its tolerance,
-//!   skipping (with a warning) any state whose fresh measurement never
-//!   settled under the CoV threshold — a noisy runner must not fail the
-//!   canary spuriously. CI's `bench-smoke` job runs this to catch
-//!   throughput regressions.
+//!   exits nonzero if a gated row (the engine cycles/s rates) fell below
+//!   its tolerance, skipping (with a warning) any row whose fresh
+//!   measurement never settled under the CoV threshold — a noisy runner
+//!   must not fail the canary spuriously. CI's `bench-smoke` job runs this
+//!   to catch throughput regressions.
 //! * `scale` — the scaling study the paper couldn't run: one complete
 //!   study per cluster width (default widths 2 4 8 16 32 64, override with
 //!   `--widths 2,8,64`), printed as C_w/P_c/missrate/bus-utilization
@@ -52,8 +53,9 @@
 //! * `hammer` — load-test an in-process server: one cold job to populate
 //!   the cache, then `--concurrency` clients × `--requests` warm requests
 //!   each; prints p50 latency and req/s and (unless `--no-record`) records
-//!   them into `BENCH_throughput.json`. Exits nonzero if the warm-hit rate
-//!   falls below 90% or any 5xx was served — CI's serve-smoke gate.
+//!   them as `serve.*` rows in `BENCH_throughput.json`. Exits nonzero if
+//!   the warm-hit rate falls below 90% or any 5xx was served — CI's
+//!   serve-smoke gate.
 //!
 //! `run` and `scale` memoize session results in a content-addressed cache
 //! (the simulator is bit-deterministic, so a session result is a pure
@@ -76,20 +78,15 @@
 //!
 //! Invalid configurations (e.g. `--event-capacity 0`) exit with code 2 and
 //! a one-line diagnostic naming the offending field.
-//!
-//! The pre-subcommand spelling (`reproduce --quick --audit`, `reproduce
-//! --bench-json --check-regression`, ...) still works as a hidden alias
-//! for one release and prints a deprecation note on stderr.
 
 use fx8_bench::hammer;
 use fx8_bench::throughput;
-use fx8_core::api::{self, ApiError, JobRequest, JobResult};
+use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult};
 use fx8_core::cache::{CacheStats, SessionCache};
 use fx8_core::observability::StudyObservability;
-use fx8_core::report::StudyReport;
+use fx8_core::report::{self, StudyReport};
 use fx8_core::scale::ScaleConfig;
 use fx8_core::study::{Study, StudyConfig, StudyConfigBuilder};
-use fx8_core::{figures, report, tables};
 use fx8_serve::{ServeConfig, Server};
 use fx8_sim::{ConfigError, MachineConfig, TraceConfig};
 use std::collections::BTreeSet;
@@ -444,92 +441,6 @@ fn parse_hammer(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
     Ok(Cmd::Hammer { opts, record })
 }
 
-/// The pre-subcommand flag spelling, kept as a hidden alias for one
-/// release: `--bench-json [--as-baseline|--check-regression]` maps to
-/// `bench`, everything else maps to `run`.
-fn parse_legacy(argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut quick = false;
-    let mut audit = false;
-    let mut out = None;
-    let mut bench_json = false;
-    let mut as_baseline = false;
-    let mut check_regression = false;
-    let mut ids = BTreeSet::new();
-    let mut argv = argv.peekable();
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--audit" => audit = true,
-            "--out" => {
-                out = Some(argv.next().ok_or("--out requires a directory")?);
-            }
-            "--bench-json" => bench_json = true,
-            "--as-baseline" => as_baseline = true,
-            "--check-regression" => check_regression = true,
-            "--help" | "-h" => return Err(usage().to_string()),
-            id if !id.starts_with('-') => {
-                ids.insert(id.to_ascii_lowercase());
-            }
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
-    }
-    if as_baseline && !bench_json {
-        return Err(format!("--as-baseline requires --bench-json\n{}", usage()));
-    }
-    if check_regression && !bench_json {
-        return Err(format!(
-            "--check-regression requires --bench-json\n{}",
-            usage()
-        ));
-    }
-    if check_regression && as_baseline {
-        return Err(format!(
-            "--check-regression and --as-baseline are mutually exclusive\n{}",
-            usage()
-        ));
-    }
-    let (new_form, cmd) = if bench_json {
-        let mut form = String::from("reproduce bench");
-        if as_baseline {
-            form.push_str(" --as-baseline");
-        }
-        if check_regression {
-            form.push_str(" --check-regression");
-        }
-        (
-            form,
-            Cmd::Bench {
-                as_baseline,
-                check_regression,
-                opts: throughput::BenchOptions::default(),
-            },
-        )
-    } else {
-        let mut form = String::from("reproduce run");
-        if quick {
-            form.push_str(" --quick");
-        }
-        if audit {
-            form.push_str(" --audit");
-        }
-        (
-            form,
-            Cmd::Run(RunArgs {
-                quick,
-                audit,
-                out,
-                cache: CacheOpts::default(),
-                ids,
-            }),
-        )
-    };
-    eprintln!(
-        "note: bare flags are deprecated and will be removed next release; \
-         use `{new_form}` instead"
-    );
-    Ok(cmd)
-}
-
 fn parse_cmd() -> Result<Cmd, String> {
     let mut argv = std::env::args().skip(1);
     match argv.next() {
@@ -550,22 +461,19 @@ fn parse_cmd() -> Result<Cmd, String> {
             "metrics" => parse_metrics(argv),
             "trace" => parse_trace(argv),
             "--help" | "-h" => Err(usage().to_string()),
-            _ => parse_legacy(std::iter::once(first).chain(argv)),
+            other => Err(format!("unknown subcommand {other}\n{}", usage())),
         },
     }
 }
 
-/// Measure throughput against the committed `current` entry without
-/// rewriting the file. Fails if any mounted-state rate dropped below its
-/// tolerance: the loop rate guards the dense stepper, the idle / serial /
-/// join-wait rates guard the fast-forward engine. The verdicts come from
-/// [`throughput::regression_outcomes`]; this function only narrates them.
-/// Two kinds of state are reported but never gated: a fresh measurement
-/// that never settled under the CoV threshold (windows disagree too much
-/// for an 8% comparison to mean anything), and a committed rate that is
-/// zero or non-finite (a file written before that kernel's engine existed
-/// carries no baseline — gating against a 0.0 floor would vacuously pass
-/// everything and hide the missing number).
+/// Measure every row against the committed `current` rows without
+/// rewriting the file. Fails if a gated row (the engine cycles/s rates:
+/// the loop rate guards the dense stepper, the idle / serial / join-wait
+/// rates guard the fast-forward engine) dropped below its tolerance. The
+/// verdicts come from [`throughput::regression_outcomes`]; this function
+/// only narrates them. Rows whose fresh windows never settled under the
+/// CoV threshold, and rows with no usable committed value, are reported
+/// but never gated; ungated layers are printed in the tables only.
 fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode {
     let committed = match throughput::load(path) {
         Ok(f) => f.current,
@@ -574,47 +482,46 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("measuring simulation throughput for regression check...");
-    let fresh = throughput::measure_with(1.0, StudyConfig::quick(), opts);
+    eprintln!("measuring bench rows for regression check...");
+    let fresh = throughput::measure(1.0, StudyConfig::quick(), opts);
     print!("{}", throughput::render("committed", &committed));
     print!("{}", throughput::render("fresh", &fresh));
-    let tol_pct = (throughput::REGRESSION_TOLERANCE * 100.0) as u32;
     let mut regressed = false;
     for o in throughput::regression_outcomes(&committed, &fresh, opts.cov_threshold) {
-        let name = o.kernel;
+        let (name, unit) = (&o.name, &o.unit);
+        let tol_pct = o.tolerance.unwrap_or(0.0) * 100.0;
+        let committed = o.committed.unwrap_or(f64::NAN);
+        let cov_pct = o.fresh_cov.map_or(f64::NAN, |c| c * 100.0);
         match o.verdict {
+            throughput::GateVerdict::Ungated => {}
             throughput::GateVerdict::SkippedNoBaseline => {
                 eprintln!(
-                    "NOTE: no regression gate for {name}: committed rate is {} — \
-                     the committed file predates this kernel's measurement; \
-                     re-run `reproduce bench` to record a baseline",
-                    o.committed_rate,
+                    "NOTE: no regression gate for {name}: no usable committed row \
+                     ({committed}); re-run `reproduce bench` to record a baseline",
                 );
             }
             throughput::GateVerdict::SkippedNoisy => {
                 eprintln!(
                     "WARNING: skipping {name} regression gate: windows never settled \
-                     (CoV {:.1}% >= threshold {:.1}%) — runner too noisy for a {tol_pct}% \
-                     comparison",
-                    o.fresh_cov * 100.0,
+                     (CoV {cov_pct:.1}% >= threshold {:.1}%) — runner too noisy for a \
+                     {tol_pct:.0}% comparison",
                     opts.cov_threshold * 100.0,
                 );
             }
             throughput::GateVerdict::Regressed => {
                 eprintln!(
-                    "REGRESSION: {name} throughput {:.0} cycles/s fell below \
-                     {:.0} ({tol_pct}% under the committed {:.0})",
-                    o.fresh_rate, o.floor, o.committed_rate,
+                    "REGRESSION: {name} {:.0} {unit} fell below {:.0} ({tol_pct:.0}% under \
+                     the committed {committed:.0})",
+                    o.fresh,
+                    o.floor.unwrap_or(f64::NAN),
                 );
                 regressed = true;
             }
             throughput::GateVerdict::Ok => {
                 eprintln!(
-                    "ok: {name} throughput {:.0} cycles/s within {tol_pct}% of \
-                     committed {:.0} (CoV {:.1}%)",
-                    o.fresh_rate,
-                    o.committed_rate,
-                    o.fresh_cov * 100.0,
+                    "ok: {name} {:.0} {unit} within {tol_pct:.0}% of committed \
+                     {committed:.0} (CoV {cov_pct:.1}%)",
+                    o.fresh,
                 );
             }
         }
@@ -625,23 +532,35 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
     ExitCode::SUCCESS
 }
 
-/// Measure throughput and merge into `BENCH_throughput.json` at the repo root.
+/// Measure every row and merge it into `BENCH_throughput.json` at the
+/// repo root. A missing file starts fresh; an unreadable, invalid or
+/// flat-schema file is reported and left untouched.
 fn run_bench_json(as_baseline: bool, opts: &throughput::BenchOptions) -> ExitCode {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    eprintln!("measuring simulation throughput (idle / serial / loop / ff loop / quick study)...");
-    let current = throughput::measure_with(1.0, StudyConfig::quick(), opts);
-    let previous = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<throughput::BenchFile>(&s).ok());
+    let previous = match throughput::load(path) {
+        Ok(f) => Some(f),
+        Err(throughput::BenchLoadError::Io { source, .. })
+            if source.kind() == std::io::ErrorKind::NotFound =>
+        {
+            None
+        }
+        Err(e) => {
+            eprintln!("reproduce: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    eprintln!("measuring bench rows (engine / monitor / study / analysis)...");
+    let current = throughput::measure(1.0, StudyConfig::quick(), opts);
     let file = throughput::merge(previous, current, as_baseline, cfg!(feature = "audit"));
     print!("{}", throughput::render("baseline", &file.baseline));
     print!("{}", throughput::render("current", &file.current));
-    if let Some(aud) = &file.audited {
-        print!("{}", throughput::render("audited", aud));
+    if !file.audited.is_empty() {
+        print!("{}", throughput::render("audited", &file.audited));
     }
-    println!("loop speedup over baseline: {:.2}x", file.loop_speedup);
-    let json = serde_json::to_string(&file).expect("bench file serializes");
-    if let Err(e) = std::fs::write(path, json + "\n") {
+    if let Some(speedup) = throughput::loop_speedup(&file) {
+        println!("loop speedup over baseline: {speedup:.2}x");
+    }
+    if let Err(e) = throughput::save(path, &file) {
         eprintln!("failed to write {path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -734,7 +653,31 @@ fn print_audit(study: &Study) -> bool {
     true
 }
 
+/// The `run` IDs beyond the tables and figures of [`report::SECTIONS`].
+const REPORT_IDS: [&str; 2] = ["comparison", "observability"];
+
+/// Reject any requested ID that names no section, before the study runs.
+fn check_ids(ids: &BTreeSet<String>) -> Result<(), ApiError> {
+    let known = |id: &str| {
+        report::SECTIONS
+            .iter()
+            .map(|(s, _)| *s)
+            .chain(REPORT_IDS)
+            .any(|s| s.eq_ignore_ascii_case(id))
+    };
+    match ids.iter().find(|id| !known(id)) {
+        Some(id) => Err(ApiError::new(
+            codes::UNKNOWN_ID,
+            format!("unknown experiment id {id:?}; see `reproduce --help` for the IDs"),
+        )),
+        None => Ok(()),
+    }
+}
+
 fn cmd_run(args: RunArgs) -> ExitCode {
+    if let Err(e) = check_ids(&args.ids) {
+        return api_error(e);
+    }
     let cfg = match study_cfg(args.quick, TraceConfig::metrics_only()) {
         Ok(c) => c,
         Err(e) => return config_error(e),
@@ -762,45 +705,11 @@ fn cmd_run(args: RunArgs) -> ExitCode {
         printed.push('\n');
     };
 
-    emit("table1", tables::table1());
-    emit("table2", tables::table2(&study).render());
-    emit("table3", tables::table3(&study).render());
-    emit("table4", tables::table4(&study).render());
-    emit(
-        "tableA1",
-        tables::render_table_a1(&tables::table_a1(&study)),
-    );
-    emit("fig3", figures::fig3(&study));
-    emit("fig4", figures::fig4(&study));
-    emit("fig5", figures::fig5(&study));
-    emit("fig6", figures::fig6(&study));
-    emit("fig7", figures::fig7(&study));
-    emit("fig8", figures::fig8(&study));
-    emit("fig9", figures::fig9(&study));
-    emit("fig10", figures::fig10(&study));
-    emit("fig11", figures::fig11(&study));
-    emit("fig12", figures::fig12(&study));
-    emit("fig13", figures::fig13(&study));
-    emit("fig14", figures::fig14(&study));
-    emit("figA1", figures::fig_a1_a2(&study, 0));
-    emit(
-        "figA2",
-        figures::fig_a1_a2(&study, study.random_sessions.len() - 1),
-    );
-    emit("figA3", figures::fig_a3(&study));
-    emit("figA4", figures::fig_a4(&study));
-    emit("figA5", figures::fig_a5(&study));
-    emit("figB1", figures::fig_b1(&study));
-    emit("figB2", figures::fig_b2(&study));
-    emit("figB3", figures::fig_b3(&study));
-    emit("figB4", figures::fig_b4(&study));
-    emit("figB5", figures::fig_b5(&study));
-    emit("figB6", figures::fig_b6(&study));
-    emit("figB7", figures::fig_b7(&study));
-    emit("figB8", figures::fig_b8(&study));
-    emit("figB9", figures::fig_b9(&study));
-    emit("figB10", figures::fig_b10(&study));
-
+    for (id, render) in report::SECTIONS {
+        if let Some(text) = render(&study) {
+            emit(id, text);
+        }
+    }
     let study_report = StudyReport::new(&study, obs);
     emit(
         "comparison",

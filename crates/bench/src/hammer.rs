@@ -9,7 +9,7 @@
 //! 5xx count). CI's serve-smoke job runs this and fails on a cold-path
 //! regression dressed up as a cache.
 
-use crate::throughput;
+use crate::throughput::{self, Layer, Row};
 use fx8_core::api::{JobState, JobStatus};
 use fx8_core::cache::SessionCache;
 use fx8_serve::{client, ServeConfig, Server};
@@ -45,6 +45,8 @@ pub struct HammerReport {
     pub cold_wall_s: f64,
     /// Client-observed median warm round-trip (POST + long-poll), ms.
     pub warm_p50_ms: f64,
+    /// Coefficient of variation of the warm round-trip latencies.
+    pub warm_latency_cov: f64,
     /// Warm requests completed per second across all clients.
     pub req_per_s: f64,
     /// Cache hits / cache lookups over the whole run.
@@ -73,6 +75,17 @@ impl HammerReport {
             ));
         }
         failures
+    }
+
+    /// The serve-layer bench rows: warm p50 over every warm request (with
+    /// the latencies' CoV) and the whole warm phase's request rate.
+    pub fn rows(&self) -> Vec<Row> {
+        let n = u32::try_from(self.warm_requests).unwrap_or(u32::MAX);
+        vec![
+            Row::new(Layer::Serve, "warm_p50_ms", "ms", self.warm_p50_ms)
+                .noise(Some(self.warm_latency_cov), n),
+            Row::new(Layer::Serve, "req_per_s", "req/s", self.req_per_s).noise(None, 1),
+        ]
     }
 
     /// Render the human summary.
@@ -213,6 +226,7 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     Ok(HammerReport {
         cold_wall_s: cold.wall_s,
         warm_p50_ms,
+        warm_latency_cov: throughput::cov_of(&latencies),
         req_per_s: total as f64 / wall.max(1e-9),
         warm_hit_rate,
         responses_5xx,
@@ -220,18 +234,15 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     })
 }
 
-/// Record the hammer's serve numbers into `BENCH_throughput.json` at
-/// `path`, preserving everything else in the file. Requires an existing
-/// bench file (run `reproduce bench` first) so the serve numbers never
-/// ride alone on zeroed kernel rates.
+/// Upsert the hammer's serve rows into the `current` rows of the bench
+/// file at `path`, carrying every other row forward. Requires an existing
+/// bench file (run `reproduce bench` first).
 pub fn record(path: &str, report: &HammerReport) -> Result<(), String> {
     let mut file = throughput::load(path).map_err(|e| {
         format!("{e}; run `reproduce bench` first so the hammer has a file to update")
     })?;
-    file.current.serve_warm_p50_ms = report.warm_p50_ms;
-    file.current.serve_req_per_s = report.req_per_s;
-    let json = serde_json::to_string(&file).expect("bench file serializes");
-    std::fs::write(path, json + "\n").map_err(|e| format!("failed to write {path}: {e}"))
+    throughput::upsert(&mut file.current, report.rows());
+    throughput::save(path, &file).map_err(|e| format!("failed to write {path}: {e}"))
 }
 
 #[cfg(test)]
@@ -243,6 +254,7 @@ mod tests {
         let good = HammerReport {
             cold_wall_s: 1.0,
             warm_p50_ms: 2.0,
+            warm_latency_cov: 0.1,
             req_per_s: 100.0,
             warm_hit_rate: 0.98,
             responses_5xx: 0,
@@ -276,5 +288,34 @@ mod tests {
         assert_eq!(report.responses_5xx, 0);
         assert!(report.warm_p50_ms > 0.0);
         assert!(report.gate_failures().is_empty());
+    }
+
+    #[test]
+    fn record_upserts_the_serve_rows_and_keeps_the_rest() {
+        let report = HammerReport {
+            cold_wall_s: 1.0,
+            warm_p50_ms: 3.5,
+            warm_latency_cov: 0.2,
+            req_per_s: 250.0,
+            warm_hit_rate: 1.0,
+            responses_5xx: 0,
+            warm_requests: 40,
+        };
+        let engine = Row::new(Layer::Engine, "loop_cycles_per_s", "cycles/s", 9.0);
+        let stale = Row::new(Layer::Serve, "warm_p50_ms", "ms", 99.0);
+        let file = throughput::BenchFile {
+            current: vec![engine.clone(), stale],
+            ..Default::default()
+        };
+        let path = std::env::temp_dir().join(format!("fx8_hammer_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        throughput::save(path, &file).unwrap();
+        record(path, &report).unwrap();
+        let back = throughput::load(path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(back.current[0], engine);
+        assert_eq!(back.current[1..], report.rows()[..]);
+        assert_eq!(back.current[1].name, "serve.warm_p50_ms");
+        assert_eq!(back.current[2].name, "serve.req_per_s");
     }
 }

@@ -1,9 +1,10 @@
-//! # fx8-bench — benchmark fixtures and the reproduce harness
+//! # fx8-bench — the reproduce harness and the one measurement harness
 //!
-//! The Criterion benches under `benches/` regenerate (and time) the data
-//! pipeline behind every table and figure; the `reproduce` binary prints
-//! them at paper scale. [`helpers`] holds the shared fixtures.
+//! The `reproduce` binary regenerates every table and figure at paper
+//! scale and serves the study over HTTP. [`throughput`] is the single
+//! CoV-adaptive timing harness and keyed bench schema behind
+//! `BENCH_throughput.json`; [`hammer`] load-tests the job server and
+//! records its serve-layer rows through the same schema.
 
 pub mod hammer;
-pub mod helpers;
 pub mod throughput;

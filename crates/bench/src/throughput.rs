@@ -1,181 +1,204 @@
-//! Simulation-throughput measurement: cycles simulated per wall-clock
-//! second for the machine states the workload alternates between (plus a
-//! skip-heavy join-wait loop that showcases event-horizon fast-forward),
-//! each state's `cycles_skipped / cycles_total` skip ratio, and the wall
-//! time of a full quick study.
+//! The one in-tree measurement harness and the one bench schema.
 //!
-//! This is the perf trajectory of the repository: `reproduce --bench-json`
-//! writes the numbers to `BENCH_throughput.json` at the repo root under a
-//! `current` key, preserving the committed `baseline` so speedups and
-//! regressions stay visible across PRs (`--as-baseline` rewrites the
-//! baseline too). The `throughput` bench prints the same measurements.
+//! Every timed number this repository records comes out of
+//! [`measure_adaptive`]: a CoV-adaptive window loop that re-runs until the
+//! windows agree. Simulation throughput (cycles simulated per wall second
+//! for the machine states the workload alternates between, plus a
+//! skip-heavy join-wait loop that showcases event-horizon fast-forward),
+//! DAS acquisition and reduction, a loop drain, and the analysis layer
+//! over the quick study all go through it; study walls are timed once.
+//!
+//! Each number is a [`Row`] `{name, layer, unit, value, cov, windows}` —
+//! a per-subsystem claim carrying its own noise bound. `reproduce bench`
+//! writes the rows to `BENCH_throughput.json` at the repo root under
+//! `current`, keeping the committed `baseline` so speedups and regressions
+//! stay visible across changes (`--as-baseline` rewrites the baseline
+//! too). A missing row means "not measured"; [`merge`] replaces rows by
+//! name and carries every other row forward, and [`regression_outcomes`]
+//! gates rows generically through the per-layer [`GATES`] table.
 
 use fx8_core::cache::SessionCache;
+use fx8_core::report;
 use fx8_core::scale::{ScaleConfig, ScaleStudy};
 use fx8_core::study::{Study, StudyConfig};
+use fx8_monitor::{DasConfig, DasMonitor, EventCounts, Trigger};
+use fx8_sim::cluster::LoadKind;
 use fx8_sim::{Cluster, ConfigError, MachineConfig};
 use fx8_workload::{kernels, WorkloadMix};
-use serde::Serialize;
+use serde::{Deserialize, Serialize, Value};
+use std::hint::black_box;
 use std::time::Instant;
 
-/// One set of throughput measurements.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ThroughputNumbers {
-    /// Cycles/sec with no process mounted (IP background traffic only).
-    pub idle_cycles_per_sec: f64,
-    /// Cycles/sec with a serial process on CE 0.
-    pub serial_cycles_per_sec: f64,
-    /// Cycles/sec with a full-width concurrent loop running.
-    pub loop_cycles_per_sec: f64,
-    /// Cycles/sec with the dependence-bound join-wait loop running — the
-    /// fast-forward engine's best case among mounted workloads, where one
-    /// CE computes the critical section while seven wait on the CCB.
-    pub ff_loop_cycles_per_sec: f64,
-    /// `cycles_skipped / cycles_total` for the idle measurement.
-    pub idle_skip_ratio: f64,
-    /// `cycles_skipped / cycles_total` for the serial measurement.
-    pub serial_skip_ratio: f64,
-    /// `cycles_skipped / cycles_total` for the full-width loop measurement.
-    pub loop_skip_ratio: f64,
-    /// `cycles_skipped / cycles_total` for the join-wait loop measurement.
-    pub ff_loop_skip_ratio: f64,
-    /// `cycles_dense / cycles_total` for the full-width loop measurement:
-    /// the fraction of the busy loop regime that ran through the dense SoA
-    /// batch stepper instead of the scalar per-cycle stepper.
-    pub dense_ratio: f64,
-    /// Coefficient of variation (stddev/mean) across the idle timing
-    /// windows — how noisy the runner was while this number was taken.
-    /// `0.0` in files written before the CoV-adaptive harness.
-    pub idle_cov: f64,
-    /// CoV across the serial timing windows.
-    pub serial_cov: f64,
-    /// CoV across the full-width loop timing windows.
-    pub loop_cov: f64,
-    /// CoV across the join-wait loop timing windows.
-    pub ff_loop_cov: f64,
-    /// Total timing windows the adaptive harness ran across the four
-    /// mounted states (minimum [`MIN_WINDOWS`] each; more when the rates
-    /// would not settle under the CoV threshold). `0` in older files.
-    pub bench_windows: u64,
-    /// Wall time of `Study::run(StudyConfig::quick())`, seconds.
-    pub quick_study_wall_s: f64,
-    /// Wall time of an *identical* quick study rerun against a warm
-    /// session result cache, seconds: every session hits, so this is the
-    /// cache's assembly-and-lookup floor. `0.0` in files from before the
-    /// session cache.
-    pub quick_study_warm_wall_s: f64,
-    /// Wall time of an incremental width sweep ({2, base width}) against
-    /// the same warm cache, seconds: the base width's sessions all hit and
-    /// only width 2 computes, so this approximates the cost of *adding one
-    /// width* to an already-swept grid. `0.0` in older files.
-    pub scale_sweep_wall_s: f64,
-    /// Median client-observed latency (ms) of a warm-cache job round-trip
-    /// (POST + long-poll) against the `fx8-serve` HTTP server, as measured
-    /// by `reproduce hammer`. `0.0` means "not measured": `reproduce
-    /// bench` doesn't run the hammer, and [`merge`] carries the previous
-    /// value forward instead of zeroing it.
-    pub serve_warm_p50_ms: f64,
-    /// Warm-cache job requests completed per second across the hammer's
-    /// concurrent clients. `0.0` means "not measured", same rules.
-    pub serve_req_per_s: f64,
+/// The subsystem a [`Row`] measures. Serialized as its lowercase name,
+/// which is also the prefix of every row name in the layer
+/// (`engine.loop_cycles_per_s`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// The cycle stepper: scalar, fast-forward and dense engines.
+    Engine,
+    /// DAS 9100 acquisition and event-count reduction.
+    Monitor,
+    /// Whole studies and sweeps, end to end.
+    Study,
+    /// Tables, figures and the paper comparison over a finished study.
+    Analysis,
+    /// The HTTP job service, measured by `reproduce hammer`.
+    Serve,
 }
 
-// Hand-written so files from before the fast-forward engine still load:
-// the vendored serde errors on any missing field, so the fields this PR
-// added deserialize as 0.0 ("not measured") when a stored file lacks them.
-impl serde::Deserialize for ThroughputNumbers {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let req = |name: &str| -> Result<f64, serde::Error> {
-            serde::Deserialize::from_value(
-                v.get(name)
-                    .ok_or_else(|| serde::Error::missing_field(name))?,
-            )
-        };
-        let opt = |name: &str| -> Result<f64, serde::Error> {
-            match v.get(name) {
-                Some(x) => serde::Deserialize::from_value(x),
-                None => Ok(0.0),
-            }
-        };
-        Ok(ThroughputNumbers {
-            idle_cycles_per_sec: req("idle_cycles_per_sec")?,
-            serial_cycles_per_sec: req("serial_cycles_per_sec")?,
-            loop_cycles_per_sec: req("loop_cycles_per_sec")?,
-            ff_loop_cycles_per_sec: opt("ff_loop_cycles_per_sec")?,
-            idle_skip_ratio: opt("idle_skip_ratio")?,
-            serial_skip_ratio: opt("serial_skip_ratio")?,
-            loop_skip_ratio: opt("loop_skip_ratio")?,
-            ff_loop_skip_ratio: opt("ff_loop_skip_ratio")?,
-            dense_ratio: opt("dense_ratio")?,
-            idle_cov: opt("idle_cov")?,
-            serial_cov: opt("serial_cov")?,
-            loop_cov: opt("loop_cov")?,
-            ff_loop_cov: opt("ff_loop_cov")?,
-            bench_windows: match v.get("bench_windows") {
-                Some(x) => serde::Deserialize::from_value(x)?,
-                None => 0,
-            },
-            quick_study_wall_s: req("quick_study_wall_s")?,
-            quick_study_warm_wall_s: opt("quick_study_warm_wall_s")?,
-            scale_sweep_wall_s: opt("scale_sweep_wall_s")?,
-            serve_warm_p50_ms: opt("serve_warm_p50_ms")?,
-            serve_req_per_s: opt("serve_req_per_s")?,
-        })
+impl Layer {
+    /// Every layer, in report order.
+    const ALL: [Layer; 5] = [
+        Layer::Engine,
+        Layer::Monitor,
+        Layer::Study,
+        Layer::Analysis,
+        Layer::Serve,
+    ];
+
+    /// The serialized name and row-name prefix.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Layer::Engine => "engine",
+            Layer::Monitor => "monitor",
+            Layer::Study => "study",
+            Layer::Analysis => "analysis",
+            Layer::Serve => "serve",
+        }
     }
 }
 
-/// The persisted `BENCH_throughput.json` contents.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+impl Serialize for Layer {
+    fn to_value(&self) -> Value {
+        Value::Str(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for Layer {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let Value::Str(s) = v else {
+            return Err(serde::Error::invalid_type("layer name", v));
+        };
+        Layer::ALL
+            .into_iter()
+            .find(|l| l.as_str() == s)
+            .ok_or_else(|| serde::Error::unknown_variant(s))
+    }
+}
+
+/// One recorded number.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Row {
+    /// Unique key, `<layer>.<quantity>` (`engine.loop_cycles_per_s`).
+    pub name: String,
+    /// The subsystem measured; selects the regression gate in [`GATES`].
+    pub layer: Layer,
+    /// Unit of `value` (`cycles/s`, `ratio`, `s`, `ms`, `req/s`).
+    pub unit: String,
+    /// The measurement: the best window for timed rows (see
+    /// [`MIN_WINDOWS`]), the observed value otherwise.
+    pub value: f64,
+    /// Coefficient of variation (population stddev / mean) across the
+    /// windows or samples behind `value`; `None` when there was no spread
+    /// to measure (a single timing, a derived ratio) or none was recorded.
+    pub cov: Option<f64>,
+    /// Timing windows or samples behind `value`; `None` for derived
+    /// ratios and for rows whose count was never recorded.
+    pub windows: Option<u32>,
+}
+
+impl Row {
+    /// A row with no recorded noise bound.
+    pub fn new(layer: Layer, name: &str, unit: &str, value: f64) -> Row {
+        Row {
+            name: format!("{}.{name}", layer.as_str()),
+            layer,
+            unit: unit.to_string(),
+            value,
+            cov: None,
+            windows: None,
+        }
+    }
+
+    /// Attach the CoV and window count of the measurement behind the row.
+    pub fn noise(self, cov: Option<f64>, windows: u32) -> Row {
+        Row {
+            cov,
+            windows: Some(windows),
+            ..self
+        }
+    }
+
+    /// Milliseconds per operation from an operations-per-second
+    /// measurement.
+    fn ms_per_op(layer: Layer, name: &str, m: RunMeasurement) -> Row {
+        Row::new(layer, name, "ms", 1e3 / m.rate).noise(Some(m.cov), m.windows)
+    }
+}
+
+/// The row named `name`, if it was measured.
+fn find<'a>(rows: &'a [Row], name: &str) -> Option<&'a Row> {
+    rows.iter().find(|r| r.name == name)
+}
+
+/// Fresh rows replace rows with the same name in place; new names append.
+pub fn upsert(rows: &mut Vec<Row>, fresh: Vec<Row>) {
+    for row in fresh {
+        match rows.iter_mut().find(|r| r.name == row.name) {
+            Some(slot) => *slot = row,
+            None => rows.push(row),
+        }
+    }
+}
+
+/// The persisted `BENCH_throughput.json` contents. An empty list means
+/// nothing was measured under that key.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BenchFile {
-    /// Measurement taken before the zero-allocation stepper landed.
-    pub baseline: ThroughputNumbers,
-    /// Measurement for the current tree.
-    pub current: ThroughputNumbers,
-    /// `current.loop_cycles_per_sec / baseline.loop_cycles_per_sec`.
-    pub loop_speedup: f64,
-    /// Measurement with the `audit` feature compiled in, if one has been
-    /// taken — the overhead record that shows feature-off throughput is
-    /// untouched by the invariant auditor.
-    pub audited: Option<ThroughputNumbers>,
+    /// Rows taken before the zero-allocation stepper landed (or at the
+    /// last `--as-baseline`).
+    pub baseline: Vec<Row>,
+    /// Rows for the current tree.
+    pub current: Vec<Row>,
+    /// Rows measured with the `audit` feature compiled in — the overhead
+    /// record that shows feature-off throughput is untouched by the
+    /// invariant auditor.
+    pub audited: Vec<Row>,
 }
 
-// Hand-written so files from before the `audited` field still load: the
-// vendored serde errors on any missing field, and it has no `default`
-// attribute to say otherwise.
-impl serde::Deserialize for BenchFile {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| v.get(name).ok_or_else(|| serde::Error::missing_field(name));
-        Ok(BenchFile {
-            baseline: serde::Deserialize::from_value(field("baseline")?)?,
-            current: serde::Deserialize::from_value(field("current")?)?,
-            loop_speedup: serde::Deserialize::from_value(field("loop_speedup")?)?,
-            audited: match v.get("audited") {
-                Some(a) => serde::Deserialize::from_value(a)?,
-                None => None,
-            },
-        })
-    }
+/// Name of the row [`loop_speedup`] compares.
+const LOOP_RATE: &str = "engine.loop_cycles_per_s";
+
+/// `current / baseline` of the full-width loop rate, when both were
+/// measured and the baseline is a usable rate.
+pub fn loop_speedup(file: &BenchFile) -> Option<f64> {
+    let base = find(&file.baseline, LOOP_RATE)?.value;
+    let cur = find(&file.current, LOOP_RATE)?.value;
+    (base > 0.0).then(|| cur / base)
 }
 
-/// Why a committed `BENCH_throughput.json` could not be loaded: the file
-/// is absent/unreadable, or it read fine but does not parse as a bench
-/// file (malformed JSON, or a kernel entry missing — the deserializer
-/// names the absent field). The regression gate reports these as ordinary
-/// diagnostics instead of panicking.
+/// Why a committed `BENCH_throughput.json` could not be loaded. The
+/// regression gate and the hammer report these as ordinary diagnostics
+/// instead of panicking.
 #[derive(Debug)]
 pub enum BenchLoadError {
     /// The file could not be read at all.
     Io {
-        /// Path the gate tried to read.
+        /// Path the loader tried to read.
         path: String,
         /// The underlying filesystem error.
         source: std::io::Error,
     },
+    /// The file uses the flat per-field schema that keyed rows replaced.
+    FlatFormat {
+        /// Path the loader read.
+        path: String,
+    },
     /// The file read but is not a valid bench file.
     Parse {
-        /// Path the gate read.
+        /// Path the loader read.
         path: String,
-        /// What the parser rejected (e.g. `missing field loop_cycles_per_sec`).
+        /// What the parser or row validation rejected.
         detail: String,
     },
 }
@@ -186,6 +209,11 @@ impl std::fmt::Display for BenchLoadError {
             BenchLoadError::Io { path, source } => {
                 write!(f, "cannot read {path}: {source}")
             }
+            BenchLoadError::FlatFormat { path } => write!(
+                f,
+                "{path} uses the flat pre-row bench schema; convert it to keyed rows \
+                 or delete it and re-run `reproduce bench`"
+            ),
             BenchLoadError::Parse { path, detail } => {
                 write!(f, "{path} is not a valid bench file: {detail}")
             }
@@ -197,22 +225,68 @@ impl std::error::Error for BenchLoadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BenchLoadError::Io { source, .. } => Some(source),
-            BenchLoadError::Parse { .. } => None,
+            _ => None,
         }
     }
 }
 
-/// Load a committed bench file, distinguishing a missing/unreadable file
-/// from one that is present but malformed or lacks a kernel entry.
+/// Load a bench file, distinguishing an unreadable file, a file in the
+/// retired flat schema, and one that is malformed or carries an invalid
+/// row (non-finite value, negative CoV, a name outside its layer, a
+/// duplicate name).
 pub fn load(path: &str) -> Result<BenchFile, BenchLoadError> {
-    let text = std::fs::read_to_string(path).map_err(|source| BenchLoadError::Io {
+    let bytes = std::fs::read(path).map_err(|source| BenchLoadError::Io {
         path: path.to_string(),
         source,
     })?;
-    serde_json::from_str::<BenchFile>(&text).map_err(|e| BenchLoadError::Parse {
+    let parse_err = |detail: String| BenchLoadError::Parse {
         path: path.to_string(),
-        detail: e.to_string(),
-    })
+        detail,
+    };
+    let text = std::str::from_utf8(&bytes).map_err(|e| parse_err(format!("not UTF-8: {e}")))?;
+    let v: Value = serde_json::from_str(text).map_err(|e| parse_err(e.to_string()))?;
+    if matches!(v.get("current"), Some(Value::Object(_))) {
+        return Err(BenchLoadError::FlatFormat {
+            path: path.to_string(),
+        });
+    }
+    let file = BenchFile::from_value(&v).map_err(|e| parse_err(e.to_string()))?;
+    for (key, rows) in [
+        ("baseline", &file.baseline),
+        ("current", &file.current),
+        ("audited", &file.audited),
+    ] {
+        validate_rows(rows).map_err(|e| parse_err(format!("{key}: {e}")))?;
+    }
+    Ok(file)
+}
+
+fn validate_rows(rows: &[Row]) -> Result<(), String> {
+    for (i, r) in rows.iter().enumerate() {
+        let name = &r.name;
+        let in_layer = name
+            .strip_prefix(r.layer.as_str())
+            .is_some_and(|rest| rest.len() > 1 && rest.starts_with('.'));
+        if !in_layer {
+            return Err(format!("row {name:?} is not named under its layer"));
+        }
+        if !r.value.is_finite() {
+            return Err(format!("row {name:?} has a non-finite value"));
+        }
+        if r.cov.is_some_and(|c| !(c.is_finite() && c >= 0.0)) {
+            return Err(format!("row {name:?} has an invalid cov"));
+        }
+        if rows[..i].iter().any(|p| p.name == *name) {
+            return Err(format!("row {name:?} appears twice"));
+        }
+    }
+    Ok(())
+}
+
+/// Write `file` to `path` as one line of JSON.
+pub fn save(path: &str, file: &BenchFile) -> std::io::Result<()> {
+    let json = serde_json::to_string(file).expect("bench file serializes");
+    std::fs::write(path, json + "\n")
 }
 
 /// A cluster with only IP background traffic.
@@ -294,12 +368,12 @@ pub fn dense_ratio(cluster: &Cluster) -> f64 {
     }
 }
 
-/// Minimum timing windows per mounted state. The rate reported is the
+/// Minimum timing windows per measurement. The rate reported is the
 /// **maximum** over the windows: on a shared (single-vCPU CI) machine any
 /// window can lose an arbitrary slice of wall clock to preemption, which
 /// only ever *lowers* a measured rate, so the fastest window is the
-/// least-contaminated estimate of the simulator's actual speed. Windows
-/// of `min_wall_s / MIN_WINDOWS` keep the quiet-machine bench time at the
+/// least-contaminated estimate of the code's actual speed. Windows of
+/// `min_wall_s / MIN_WINDOWS` keep the quiet-machine bench time at the
 /// pre-adaptive cost; the harness only runs longer when the windows
 /// disagree.
 pub const MIN_WINDOWS: u32 = 3;
@@ -310,7 +384,7 @@ pub const MIN_WINDOWS: u32 = 3;
 /// hoping three windows happened to land in quiet time.
 pub const DEFAULT_COV_THRESHOLD: f64 = 0.03;
 
-/// Default cap on timing windows per mounted state: 4x the minimum bench
+/// Default cap on timing windows per measurement: 4x the minimum bench
 /// time bounds the worst case on a hopelessly noisy runner, where the
 /// recorded CoV (still above threshold) tells the consumer not to trust a
 /// tight comparison.
@@ -323,7 +397,7 @@ pub const DEFAULT_MAX_WINDOWS: u32 = 12;
 /// skip/step blend each timing window happens to sample — stepping is
 /// ~30-60x slower per cycle than fast-forwarding, so a few percent of
 /// blend drift moves the window rate by double digits (the committed
-/// `serial_cov` sat at ~15% for two PRs without ever reflecting host
+/// serial CoV sat at ~15% for two revisions without ever reflecting host
 /// noise). Mixed-regime kernels are therefore timed on their **stepped**
 /// cycles per wall second — the quantity host speed actually governs —
 /// and the best stepped rate is rescaled once by the overall skip mix of
@@ -344,7 +418,7 @@ pub const SKIP_MIX_WINDOW_SCALE: f64 = 4.0;
 pub struct BenchOptions {
     /// Stop re-running windows once their rates' CoV falls below this.
     pub cov_threshold: f64,
-    /// Hard cap on windows per mounted state.
+    /// Hard cap on windows per measurement.
     pub max_windows: u32,
 }
 
@@ -383,7 +457,7 @@ impl BenchOptions {
 /// the windows were and how many it took to get there.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunMeasurement {
-    /// Best window's cycles/sec.
+    /// Best window's work units per second.
     pub rate: f64,
     /// Coefficient of variation (population stddev / mean) of all windows.
     pub cov: f64,
@@ -391,28 +465,72 @@ pub struct RunMeasurement {
     pub windows: u32,
 }
 
-/// Coefficient of variation of a window-rate sample; 0 for degenerate
-/// inputs (fewer than two windows, or a zero mean).
-fn cov_of(rates: &[f64]) -> f64 {
-    if rates.len() < 2 {
+/// Coefficient of variation of a sample; 0 for degenerate inputs (fewer
+/// than two values, or a zero mean).
+pub(crate) fn cov_of(samples: &[f64]) -> f64 {
+    if samples.len() < 2 {
         return 0.0;
     }
-    let n = rates.len() as f64;
-    let mean = rates.iter().sum::<f64>() / n;
+    let n = samples.len() as f64;
+    let mean = samples.iter().sum::<f64>() / n;
     if mean == 0.0 {
         return 0.0;
     }
-    let var = rates.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / n;
+    let var = samples.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / n;
     var.sqrt() / mean
 }
 
-/// Cycles/sec of `Cluster::run` on `cluster`, CoV-adaptive: at least
-/// [`MIN_WINDOWS`] timing windows of `min_wall_s / MIN_WINDOWS` seconds
-/// each (stepped in `chunk`-cycle slices), re-running until the windows'
-/// rates agree to within `opts.cov_threshold` or `opts.max_windows` is
-/// reached. Reports the best rate (see [`MIN_WINDOWS`] for why max, not
-/// mean) alongside the achieved CoV and window count.
-pub fn measure_run_adaptive(
+/// The harness loop. Calls `op` back to back in timing windows of
+/// `window_s` seconds; `op` returns the work units it just did (cycles,
+/// or `1.0` for one operation), and a window's rate is its units per
+/// second. Runs at least [`MIN_WINDOWS`] windows, more until the rates'
+/// CoV falls below `opts.cov_threshold` or `opts.max_windows` is reached,
+/// and reports the best rate (see [`MIN_WINDOWS`] for why max, not mean)
+/// with the achieved CoV and window count.
+pub fn measure_adaptive(
+    window_s: f64,
+    opts: &BenchOptions,
+    mut op: impl FnMut() -> f64,
+) -> RunMeasurement {
+    let mut rates: Vec<f64> = Vec::new();
+    loop {
+        let start = Instant::now();
+        let mut units = 0.0;
+        let rate = loop {
+            units += op();
+            let elapsed = start.elapsed().as_secs_f64();
+            if elapsed >= window_s {
+                break units / elapsed;
+            }
+        };
+        rates.push(rate);
+        let n = rates.len() as u32;
+        if n >= opts.max_windows || (n >= MIN_WINDOWS && cov_of(&rates) < opts.cov_threshold) {
+            break;
+        }
+    }
+    RunMeasurement {
+        rate: rates.iter().cloned().fold(0.0, f64::max),
+        cov: cov_of(&rates),
+        windows: rates.len() as u32,
+    }
+}
+
+/// Operations per second of `op` through [`measure_adaptive`], after one
+/// untimed warm-up call.
+fn ops_per_s(window_s: f64, opts: &BenchOptions, mut op: impl FnMut()) -> RunMeasurement {
+    op();
+    measure_adaptive(window_s, opts, || {
+        op();
+        1.0
+    })
+}
+
+/// Cycles/sec of `Cluster::run` on `cluster` through [`measure_adaptive`]
+/// with windows of `min_wall_s / MIN_WINDOWS` seconds, stepped in
+/// `chunk`-cycle slices. An untimed warm-up window first decides whether
+/// the kernel is mixed-regime (see [`SKIP_MIX_LO`]).
+fn measure_run_adaptive(
     cluster: &mut Cluster,
     chunk: u64,
     min_wall_s: f64,
@@ -433,98 +551,101 @@ pub fn measure_run_adaptive(
     }
     let (skip_after, total_after) = cluster.skip_counters();
     let warm_skip = (skip_after - skip_before) as f64 / (total_after - total_before).max(1) as f64;
-    // Mixed-regime kernels: longer windows, and rates taken over stepped
-    // cycles only; see SKIP_MIX_LO for why direct blended rates cannot be
-    // timed stably.
     let mixed = warm_skip > SKIP_MIX_LO && warm_skip < SKIP_MIX_HI;
-    let window_s = if mixed {
-        base_window_s * SKIP_MIX_WINDOW_SCALE
-    } else {
-        base_window_s
-    };
-    let mut rates: Vec<f64> = Vec::new();
-    let (timed_skip_0, timed_total_0) = cluster.skip_counters();
-    loop {
-        let (skip_0, total_0) = cluster.skip_counters();
-        let start = Instant::now();
-        let mut cycles = 0u64;
-        let rate = loop {
+    if !mixed {
+        return measure_adaptive(base_window_s, opts, || {
             cluster.run(chunk);
-            cycles += chunk;
-            let elapsed = start.elapsed().as_secs_f64();
-            if elapsed >= window_s {
-                break if mixed {
-                    let (skip_1, total_1) = cluster.skip_counters();
-                    let stepped = (total_1 - total_0) - (skip_1 - skip_0);
-                    stepped as f64 / elapsed
-                } else {
-                    cycles as f64 / elapsed
-                };
-            }
-        };
-        rates.push(rate);
-        let n = rates.len() as u32;
-        if n >= opts.max_windows || (n >= MIN_WINDOWS && cov_of(&rates) < opts.cov_threshold) {
-            break;
-        }
+            chunk as f64
+        });
     }
+    // Mixed-regime kernels: longer windows, rates over stepped cycles only.
+    let (timed_skip_0, timed_total_0) = cluster.skip_counters();
+    let m = measure_adaptive(base_window_s * SKIP_MIX_WINDOW_SCALE, opts, || {
+        let (skip_0, total_0) = cluster.skip_counters();
+        cluster.run(chunk);
+        let (skip_1, total_1) = cluster.skip_counters();
+        ((total_1 - total_0) - (skip_1 - skip_0)) as f64
+    });
     // Rescale the best stepped rate by the skip mix of the whole timed run
     // (the mix is common to every window, so it shifts the level, not the
     // CoV): stepped / (1 - skip) = blended cycles per stepped-second, and
     // skipped cycles cost ~no wall clock next to stepped ones.
-    let best = rates.iter().cloned().fold(0.0, f64::max);
-    let rate = if mixed {
-        let (timed_skip_1, timed_total_1) = cluster.skip_counters();
-        let skipped = timed_skip_1 - timed_skip_0;
-        let total = (timed_total_1 - timed_total_0).max(1);
-        let stepped_frac = (total - skipped) as f64 / total as f64;
-        best / stepped_frac.max(f64::EPSILON)
-    } else {
-        best
-    };
+    let (timed_skip_1, timed_total_1) = cluster.skip_counters();
+    let skipped = timed_skip_1 - timed_skip_0;
+    let total = (timed_total_1 - timed_total_0).max(1);
+    let stepped_frac = (total - skipped) as f64 / total as f64;
     RunMeasurement {
-        rate,
-        cov: cov_of(&rates),
-        windows: rates.len() as u32,
+        rate: m.rate / stepped_frac.max(f64::EPSILON),
+        ..m
     }
 }
 
-/// Cycles/sec of `Cluster::run` on `cluster` under the default
-/// [`BenchOptions`] — the rate alone, for callers that don't need the
-/// noise bound.
-pub fn measure_run(cluster: &mut Cluster, chunk: u64, min_wall_s: f64) -> f64 {
-    measure_run_adaptive(cluster, chunk, min_wall_s, &BenchOptions::default()).rate
-}
-
-/// Measure every throughput number, including each mounted state's
-/// fast-forward skip ratio. `min_wall_s` bounds the timing window per
-/// machine state; `study_cfg` is the study timed for the last number
-/// (`StudyConfig::quick()` for the persisted measurements — smoke tests
-/// pass something smaller).
-pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> ThroughputNumbers {
-    measure_with(min_wall_s, study_cfg, &BenchOptions::default())
-}
-
-/// [`measure`] with explicit CoV-harness knobs (`reproduce bench
-/// --cov-threshold / --max-windows` end up here).
-pub fn measure_with(
-    min_wall_s: f64,
-    study_cfg: StudyConfig,
-    opts: &BenchOptions,
-) -> ThroughputNumbers {
+/// Measure every row: the four mounted-state engine rates (gated) with
+/// their skip ratios and the loop's dense ratio, a loop drain, DAS
+/// acquisition and reduction, the cold and warm `study_cfg` study and an
+/// incremental sweep, and the analysis layer over that study.
+/// `min_wall_s` bounds the timing per measured kernel;
+/// `StudyConfig::quick()` is the persisted study (smoke tests pass
+/// something smaller).
+pub fn measure(min_wall_s: f64, study_cfg: StudyConfig, opts: &BenchOptions) -> Vec<Row> {
     const CHUNK: u64 = 100_000;
-    let mut idle = idle_cluster(1);
-    let mut serial = serial_cluster(2);
-    let mut looped = loop_cluster(3);
-    let mut ff_loop = join_wait_cluster(4);
-    let idle_m = measure_run_adaptive(&mut idle, CHUNK, min_wall_s, opts);
-    let serial_m = measure_run_adaptive(&mut serial, CHUNK, min_wall_s, opts);
-    let loop_m = measure_run_adaptive(&mut looped, CHUNK, min_wall_s, opts);
-    let ff_loop_m = measure_run_adaptive(&mut ff_loop, CHUNK, min_wall_s, opts);
+    let window_s = min_wall_s / MIN_WINDOWS as f64;
+    let mut rows = Vec::new();
+    let states = [
+        ("idle", idle_cluster(1)),
+        ("serial", serial_cluster(2)),
+        ("loop", loop_cluster(3)),
+        ("ff_loop", join_wait_cluster(4)),
+    ];
+    for (state, mut cluster) in states {
+        let m = measure_run_adaptive(&mut cluster, CHUNK, min_wall_s, opts);
+        let rate = format!("{state}_cycles_per_s");
+        rows.push(Row::new(Layer::Engine, &rate, "cycles/s", m.rate).noise(Some(m.cov), m.windows));
+        let (skip_name, skip) = (format!("{state}_skip_ratio"), skip_ratio(&cluster));
+        rows.push(Row::new(Layer::Engine, &skip_name, "ratio", skip));
+        if state == "loop" {
+            let dense = dense_ratio(&cluster);
+            rows.push(Row::new(Layer::Engine, "loop_dense_ratio", "ratio", dense));
+        }
+    }
+    // Mount a 64-iteration loop tail on a fresh cluster and step it until
+    // every CE has drained: loop start-up and the CCB's drain protocol.
+    let drain = ops_per_s(window_s, opts, || {
+        let mut c = Cluster::new(MachineConfig::fx8(), 4);
+        c.set_ip_intensity(0.0);
+        c.mount_loop(
+            kernels::sor_sweep(258).instantiate(1),
+            194,
+            258,
+            kernels::glue_serial().instantiate(1),
+            1,
+        );
+        let mut steps = 0u64;
+        while c.load_kind() != LoadKind::Drained && steps < 500_000 {
+            c.step();
+            steps += 1;
+        }
+        black_box(steps);
+    });
+    rows.push(Row::ms_per_op(Layer::Engine, "loop_drain_ms", drain));
+
+    let mut warm = loop_cluster(5);
+    let das = DasMonitor::new(DasConfig::das9100(Trigger::Immediate));
+    let acquire = ops_per_s(window_s, opts, || {
+        black_box(das.acquire(&mut warm).expect("an immediate trigger fires"));
+    });
+    rows.push(Row::ms_per_op(Layer::Monitor, "acquire_512_ms", acquire));
+    let words = warm.capture(512);
+    let reduce = ops_per_s(window_s, opts, || {
+        black_box(EventCounts::reduce(black_box(&words), 8));
+    });
+    rows.push(Row::ms_per_op(Layer::Monitor, "reduce_512_ms", reduce));
+
     let t0 = Instant::now();
     let study = Study::run(study_cfg.clone());
     let quick_wall = t0.elapsed().as_secs_f64();
     assert!(study.pooled_counts().records > 0, "study produced no data");
+    rows.push(Row::new(Layer::Study, "quick_wall_s", "s", quick_wall).noise(None, 1));
 
     // Cold vs warm against the session result cache: populate a fresh
     // in-memory cache (untimed), then time the all-hits rerun. Both runs
@@ -535,13 +656,14 @@ pub fn measure_with(
     let (populated, _) = Study::run_cached(study_cfg.clone(), &cache);
     assert_eq!(populated, study, "cache-populating run diverged");
     let t1 = Instant::now();
-    let (warm, warm_obs) = Study::run_cached(study_cfg.clone(), &cache);
+    let (warm_study, warm_obs) = Study::run_cached(study_cfg.clone(), &cache);
     let warm_wall = t1.elapsed().as_secs_f64();
-    assert_eq!(warm, study, "warm-cache run diverged");
+    assert_eq!(warm_study, study, "warm-cache run diverged");
     assert_eq!(
         warm_obs.cache.misses, 0,
         "an identical study must hit on every session"
     );
+    rows.push(Row::new(Layer::Study, "quick_warm_wall_s", "s", warm_wall).noise(None, 1));
 
     // Incremental sweep against the same warm cache: the base width's
     // sessions all hit (when the study runs the stock scaled geometry),
@@ -557,244 +679,166 @@ pub fn measure_with(
         widths,
     };
     let t2 = Instant::now();
-    let (_sweep, _stats) =
-        ScaleStudy::run_cached(&sweep_cfg, Some(&cache)).expect("sweep of a validated study");
+    ScaleStudy::run_cached(&sweep_cfg, Some(&cache)).expect("sweep of a validated study");
     let sweep_wall = t2.elapsed().as_secs_f64();
+    rows.push(Row::new(Layer::Study, "scale_sweep_wall_s", "s", sweep_wall).noise(None, 1));
 
-    ThroughputNumbers {
-        idle_cycles_per_sec: idle_m.rate,
-        serial_cycles_per_sec: serial_m.rate,
-        loop_cycles_per_sec: loop_m.rate,
-        ff_loop_cycles_per_sec: ff_loop_m.rate,
-        idle_skip_ratio: skip_ratio(&idle),
-        serial_skip_ratio: skip_ratio(&serial),
-        loop_skip_ratio: skip_ratio(&looped),
-        ff_loop_skip_ratio: skip_ratio(&ff_loop),
-        dense_ratio: dense_ratio(&looped),
-        idle_cov: idle_m.cov,
-        serial_cov: serial_m.cov,
-        loop_cov: loop_m.cov,
-        ff_loop_cov: ff_loop_m.cov,
-        bench_windows: u64::from(
-            idle_m.windows + serial_m.windows + loop_m.windows + ff_loop_m.windows,
-        ),
-        quick_study_wall_s: quick_wall,
-        quick_study_warm_wall_s: warm_wall,
-        scale_sweep_wall_s: sweep_wall,
-        // The serve numbers come from `reproduce hammer`, not from this
-        // measurement; merge() keeps any previously recorded values.
-        serve_warm_p50_ms: 0.0,
-        serve_req_per_s: 0.0,
-    }
+    let full = ops_per_s(window_s, opts, || {
+        black_box(report::render_full_report(&study));
+    });
+    rows.push(Row::ms_per_op(Layer::Analysis, "full_report_ms", full));
+    let comparison = ops_per_s(window_s, opts, || {
+        black_box(report::comparison(&study));
+    });
+    rows.push(Row::ms_per_op(Layer::Analysis, "comparison_ms", comparison));
+    rows
 }
 
-/// Render one measurement as an aligned text block.
-pub fn render(label: &str, n: &ThroughputNumbers) -> String {
-    let mut windows = if n.bench_windows > 0 {
-        format!("  windows: {}\n", n.bench_windows)
-    } else {
-        String::new()
-    };
-    if n.quick_study_warm_wall_s > 0.0 {
-        let _ = std::fmt::Write::write_fmt(
-            &mut windows,
-            format_args!(
-                "  warm study (cache): {:.3} s\n  incr sweep (cache): {:.2} s\n",
-                n.quick_study_warm_wall_s, n.scale_sweep_wall_s
-            ),
-        );
+/// Render rows as an aligned text block, one row per line.
+pub fn render(label: &str, rows: &[Row]) -> String {
+    let mut s = format!("{label}:\n");
+    for r in rows {
+        let value = if r.value.abs() >= 100.0 {
+            format!("{:.0}", r.value)
+        } else {
+            format!("{:.4}", r.value)
+        };
+        let cov = r
+            .cov
+            .map_or(String::new(), |c| format!("  cov {:.1}%", c * 100.0));
+        let windows = r.windows.map_or(String::new(), |n| format!("  n={n}"));
+        s.push_str(&format!(
+            "  {:<32} {value:>12} {:<8}{cov}{windows}\n",
+            r.name, r.unit
+        ));
     }
-    if n.serve_warm_p50_ms > 0.0 {
-        let _ = std::fmt::Write::write_fmt(
-            &mut windows,
-            format_args!(
-                "  serve warm p50: {:.2} ms  ({:.0} req/s)\n",
-                n.serve_warm_p50_ms, n.serve_req_per_s
-            ),
-        );
-    }
-    format!(
-        "{label}:\n  idle:    {:>12.0} cycles/s  (skip {:.1}%, cov {:.1}%)\n  serial:  {:>12.0} cycles/s  (skip {:.1}%, cov {:.1}%)\n  loop:    {:>12.0} cycles/s  (skip {:.1}%, dense {:.1}%, cov {:.1}%)\n  ff loop: {:>12.0} cycles/s  (skip {:.1}%, cov {:.1}%)\n{windows}  quick study: {:.2} s\n",
-        n.idle_cycles_per_sec,
-        n.idle_skip_ratio * 100.0,
-        n.idle_cov * 100.0,
-        n.serial_cycles_per_sec,
-        n.serial_skip_ratio * 100.0,
-        n.serial_cov * 100.0,
-        n.loop_cycles_per_sec,
-        n.loop_skip_ratio * 100.0,
-        n.dense_ratio * 100.0,
-        n.loop_cov * 100.0,
-        n.ff_loop_cycles_per_sec,
-        n.ff_loop_skip_ratio * 100.0,
-        n.ff_loop_cov * 100.0,
-        n.quick_study_wall_s
-    )
+    s
 }
 
-/// Merge a fresh measurement into the bench file: keep the stored baseline
-/// unless `as_baseline` (or no previous file) makes this run the baseline.
-///
-/// An `audited_run` (built with the `audit` feature) records under the
-/// `audited` key and leaves the feature-off trajectory untouched, so the
-/// committed baseline/current numbers always describe the unaudited
-/// stepper; conversely a feature-off run preserves any stored `audited`
-/// measurement.
+/// Merge fresh rows into the bench file: fresh rows replace rows with the
+/// same name, all other rows carry forward. A feature-off run updates
+/// `current` — and `baseline` too under `as_baseline`, or when there is
+/// no baseline yet. An `audited_run` (built with the `audit` feature)
+/// updates only `audited`, so the committed baseline/current rows always
+/// describe the unaudited stepper.
 pub fn merge(
     previous: Option<BenchFile>,
-    measured: ThroughputNumbers,
+    measured: Vec<Row>,
     as_baseline: bool,
     audited_run: bool,
 ) -> BenchFile {
+    let mut file = previous.unwrap_or_default();
     if audited_run {
-        return match previous {
-            Some(prev) => BenchFile {
-                audited: Some(measured),
-                ..prev
-            },
-            // Nothing to preserve: the audited numbers stand in everywhere
-            // until a feature-off run replaces baseline/current.
-            None => BenchFile {
-                baseline: measured.clone(),
-                current: measured.clone(),
-                loop_speedup: 1.0,
-                audited: Some(measured),
-            },
-        };
+        upsert(&mut file.audited, measured);
+        return file;
     }
-    let audited = previous.as_ref().and_then(|p| p.audited.clone());
-    // The hammer's serve numbers ride in a bench file that `reproduce
-    // bench` rewrites without re-measuring them; a fresh 0.0 ("not
-    // measured") must not erase a recorded value.
-    let mut measured = measured;
-    if let Some(prev) = &previous {
-        if measured.serve_warm_p50_ms == 0.0 {
-            measured.serve_warm_p50_ms = prev.current.serve_warm_p50_ms;
-        }
-        if measured.serve_req_per_s == 0.0 {
-            measured.serve_req_per_s = prev.current.serve_req_per_s;
-        }
+    if as_baseline || file.baseline.is_empty() {
+        upsert(&mut file.baseline, measured.clone());
     }
-    let baseline = match previous {
-        Some(prev) if !as_baseline => prev.baseline,
-        _ => measured.clone(),
-    };
-    // A zero/absent baseline loop rate (a hand-edited or pre-loop-kernel
-    // file) has no meaningful ratio; record 1.0 instead of inf/NaN.
-    let loop_speedup = if baseline.loop_cycles_per_sec > 0.0 {
-        measured.loop_cycles_per_sec / baseline.loop_cycles_per_sec
-    } else {
-        1.0
-    };
-    BenchFile {
-        baseline,
-        current: measured,
-        loop_speedup,
-        audited,
-    }
+    upsert(&mut file.current, measured);
+    file
 }
 
-/// Allowed shortfall of a fresh measurement against the committed rate
-/// before the regression gate fails. Uniform across mounted states and
-/// much tighter than the old 15%/35% split: the CoV-adaptive harness
-/// re-times each state until its windows agree (and skips the gate
+/// Allowed shortfall of a fresh engine rate against the committed rate
+/// before the regression gate fails. The CoV-adaptive harness re-times
+/// each state until its windows agree (and the gate skips a state
 /// entirely when they won't), so the tolerance only has to absorb
 /// sub-threshold jitter, not worst-case scheduler noise.
 pub const REGRESSION_TOLERANCE: f64 = 0.08;
 
-/// What the regression gate decided about one mounted state.
+/// The regression gates, per layer: a row is gated when its layer and
+/// unit match an entry, at that entry's tolerance. Every other row is
+/// recorded without a gate. Only the engine rates are stable enough on a
+/// shared runner to arbitrate a tight comparison.
+pub const GATES: &[(Layer, &str, f64)] = &[(Layer::Engine, "cycles/s", REGRESSION_TOLERANCE)];
+
+/// The tolerance gating `row`, if any.
+fn tolerance(row: &Row) -> Option<f64> {
+    GATES
+        .iter()
+        .find(|(layer, unit, _)| *layer == row.layer && *unit == row.unit)
+        .map(|&(_, _, tol)| tol)
+}
+
+/// What the regression gate decided about one fresh row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateVerdict {
-    /// The fresh rate is within tolerance of the committed rate.
+    /// The fresh value is within tolerance of the committed value.
     Ok,
-    /// The fresh rate fell below the tolerance floor.
+    /// The fresh value fell below the tolerance floor.
     Regressed,
     /// Fresh windows never settled under the CoV threshold: the runner is
     /// too noisy for the comparison to mean anything, so no gate applies.
     SkippedNoisy,
-    /// The committed rate is zero or non-finite — nothing to gate
-    /// against. A pre-fast-forward file, for example, carries
-    /// `ff_loop_cycles_per_sec: 0.0` ("not measured"), which naively
-    /// divides/anchors the gate at zero; an absent baseline must read as
-    /// "no gate", not "any rate passes/fails".
+    /// No usable committed row — absent, zero or non-finite — so there is
+    /// nothing to gate against. An absent baseline must read as "no gate",
+    /// not "any value passes/fails".
     SkippedNoBaseline,
+    /// The row's layer and unit have no entry in [`GATES`]: recorded,
+    /// never failed.
+    Ungated,
 }
 
-/// One mounted state's gate decision, with everything a caller needs to
-/// print or assert on it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One fresh row's gate decision, with everything a caller needs to print
+/// or assert on it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GateOutcome {
-    /// Mounted-state name ("loop", "idle", "serial", "ff_loop").
-    pub kernel: &'static str,
-    /// Committed `current` rate from `BENCH_throughput.json`.
-    pub committed_rate: f64,
-    /// Freshly measured rate.
-    pub fresh_rate: f64,
-    /// CoV of the fresh measurement's windows.
-    pub fresh_cov: f64,
-    /// The failure floor, `committed * (1 - REGRESSION_TOLERANCE)`
-    /// (0 when the gate was skipped).
-    pub floor: f64,
+    /// Row name.
+    pub name: String,
+    /// Row unit.
+    pub unit: String,
+    /// The committed `current` value, if that row was recorded.
+    pub committed: Option<f64>,
+    /// The fresh value.
+    pub fresh: f64,
+    /// CoV of the fresh measurement's windows, if it has one.
+    pub fresh_cov: Option<f64>,
+    /// The gate's tolerance ([`GATES`]), if the row is gated.
+    pub tolerance: Option<f64>,
+    /// The failure floor, `committed * (1 - tolerance)`, when compared.
+    pub floor: Option<f64>,
     /// The decision.
     pub verdict: GateVerdict,
 }
 
-/// Gate every mounted state's fresh rate against the committed entry.
-/// Pure and typed so the zero-baseline and noisy-runner paths are unit
+/// Gate every fresh row against the committed row of the same name.
+/// Pure and typed so the missing-baseline and noisy-runner paths are unit
 /// testable without timing anything; `reproduce bench --check-regression`
 /// renders the outcomes and maps any [`GateVerdict::Regressed`] to a
 /// failing exit code.
 pub fn regression_outcomes(
-    committed: &ThroughputNumbers,
-    fresh: &ThroughputNumbers,
+    committed: &[Row],
+    fresh: &[Row],
     cov_threshold: f64,
 ) -> Vec<GateOutcome> {
-    let checks = [
-        (
-            "loop",
-            committed.loop_cycles_per_sec,
-            fresh.loop_cycles_per_sec,
-            fresh.loop_cov,
-        ),
-        (
-            "idle",
-            committed.idle_cycles_per_sec,
-            fresh.idle_cycles_per_sec,
-            fresh.idle_cov,
-        ),
-        (
-            "serial",
-            committed.serial_cycles_per_sec,
-            fresh.serial_cycles_per_sec,
-            fresh.serial_cov,
-        ),
-        (
-            "ff_loop",
-            committed.ff_loop_cycles_per_sec,
-            fresh.ff_loop_cycles_per_sec,
-            fresh.ff_loop_cov,
-        ),
-    ];
-    checks
-        .into_iter()
-        .map(|(kernel, committed_rate, fresh_rate, fresh_cov)| {
-            let (floor, verdict) = if !(committed_rate > 0.0 && committed_rate.is_finite()) {
-                (0.0, GateVerdict::SkippedNoBaseline)
-            } else if fresh_cov >= cov_threshold {
-                (0.0, GateVerdict::SkippedNoisy)
-            } else {
-                let floor = committed_rate * (1.0 - REGRESSION_TOLERANCE);
-                if fresh_rate < floor {
-                    (floor, GateVerdict::Regressed)
-                } else {
-                    (floor, GateVerdict::Ok)
+    fresh
+        .iter()
+        .map(|row| {
+            let tol = tolerance(row);
+            let committed = find(committed, &row.name).map(|c| c.value);
+            let usable = committed.filter(|c| *c > 0.0 && c.is_finite());
+            let mut floor = None;
+            let verdict = match (tol, usable) {
+                (None, _) => GateVerdict::Ungated,
+                (Some(_), None) => GateVerdict::SkippedNoBaseline,
+                _ if row.cov.is_none_or(|c| c >= cov_threshold) => GateVerdict::SkippedNoisy,
+                (Some(tol), Some(c)) => {
+                    let f = c * (1.0 - tol);
+                    floor = Some(f);
+                    if row.value < f {
+                        GateVerdict::Regressed
+                    } else {
+                        GateVerdict::Ok
+                    }
                 }
             };
             GateOutcome {
-                kernel,
-                committed_rate,
-                fresh_rate,
-                fresh_cov,
+                name: row.name.clone(),
+                unit: row.unit.clone(),
+                committed,
+                fresh: row.value,
+                fresh_cov: row.cov,
+                tolerance: tol,
                 floor,
                 verdict,
             }
@@ -806,197 +850,181 @@ pub fn regression_outcomes(
 mod tests {
     use super::*;
 
-    fn numbers(loop_rate: f64) -> ThroughputNumbers {
-        ThroughputNumbers {
-            idle_cycles_per_sec: 1.0,
-            serial_cycles_per_sec: 2.0,
-            loop_cycles_per_sec: loop_rate,
-            ff_loop_cycles_per_sec: 4.0,
-            idle_skip_ratio: 0.9,
-            serial_skip_ratio: 0.5,
-            loop_skip_ratio: 0.1,
-            ff_loop_skip_ratio: 0.8,
-            dense_ratio: 0.7,
-            idle_cov: 0.01,
-            serial_cov: 0.02,
-            loop_cov: 0.015,
-            ff_loop_cov: 0.025,
-            bench_windows: 12,
-            quick_study_wall_s: 3.0,
-            quick_study_warm_wall_s: 0.05,
-            scale_sweep_wall_s: 1.5,
-            serve_warm_p50_ms: 0.0,
-            serve_req_per_s: 0.0,
-        }
-    }
-
-    #[test]
-    fn merge_carries_serve_numbers_past_a_benchless_rewrite() {
-        // The hammer records serve numbers...
-        let mut with_serve = numbers(100.0);
-        with_serve.serve_warm_p50_ms = 4.2;
-        with_serve.serve_req_per_s = 180.0;
-        let file = merge(None, with_serve, false, false);
-        // ...then a plain `reproduce bench` rewrites the file without
-        // measuring them; the recorded values must survive.
-        let rewritten = merge(Some(file), numbers(120.0), false, false);
-        assert_eq!(rewritten.current.serve_warm_p50_ms, 4.2);
-        assert_eq!(rewritten.current.serve_req_per_s, 180.0);
-        // A fresh hammer measurement replaces them.
-        let mut fresh = numbers(120.0);
-        fresh.serve_warm_p50_ms = 2.1;
-        fresh.serve_req_per_s = 300.0;
-        let updated = merge(Some(rewritten), fresh, false, false);
-        assert_eq!(updated.current.serve_warm_p50_ms, 2.1);
-    }
-
-    #[test]
-    fn old_bench_files_without_serve_fields_still_load() {
-        let f = merge(None, numbers(42.0), true, false);
-        let mut json = serde_json::to_string(&f).unwrap();
-        // Simulate a pre-serve file by stripping the new fields.
-        json = json
-            .replace(",\"serve_warm_p50_ms\":0.0", "")
-            .replace(",\"serve_req_per_s\":0.0", "");
-        assert!(!json.contains("serve_warm_p50_ms"));
-        let back: BenchFile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.current.serve_warm_p50_ms, 0.0);
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn zero_baseline_kernel_is_skipped_not_gated() {
-        // The committed file really carried ff_loop_cycles_per_sec: 0.0
-        // (written before the fast-forward engine); the old gate computed
-        // floor = 0 and "passed" every fresh rate against it, and a
-        // speedup ratio against it divides by zero.
-        let mut committed = numbers(100.0);
-        committed.ff_loop_cycles_per_sec = 0.0;
-        let fresh = numbers(100.0);
-        let outcomes = regression_outcomes(&committed, &fresh, 0.03);
-        let ff = outcomes.iter().find(|o| o.kernel == "ff_loop").unwrap();
-        assert_eq!(ff.verdict, GateVerdict::SkippedNoBaseline);
-        assert_eq!(ff.floor, 0.0);
-        // NaN/inf committed rates are equally ungateable.
-        committed.ff_loop_cycles_per_sec = f64::NAN;
-        let outcomes = regression_outcomes(&committed, &fresh, 0.03);
-        assert_eq!(
-            outcomes
-                .iter()
-                .find(|o| o.kernel == "ff_loop")
-                .unwrap()
-                .verdict,
-            GateVerdict::SkippedNoBaseline
-        );
-        // The other kernels still gate normally.
-        assert!(outcomes
-            .iter()
-            .filter(|o| o.kernel != "ff_loop")
-            .all(|o| o.verdict == GateVerdict::Ok));
-    }
-
-    #[test]
-    fn gate_verdicts_cover_regressed_noisy_and_ok() {
-        let committed = numbers(100.0);
-        let mut fresh = numbers(100.0);
-        // 8% tolerance: 91.9 < 92.0 floor fails, 92.1 passes.
-        fresh.loop_cycles_per_sec = 91.9;
-        let o = regression_outcomes(&committed, &fresh, 0.03);
-        let l = o.iter().find(|o| o.kernel == "loop").unwrap();
-        assert_eq!(l.verdict, GateVerdict::Regressed);
-        assert!((l.floor - 92.0).abs() < 1e-9);
-        fresh.loop_cycles_per_sec = 92.1;
-        let o = regression_outcomes(&committed, &fresh, 0.03);
-        assert_eq!(
-            o.iter().find(|o| o.kernel == "loop").unwrap().verdict,
-            GateVerdict::Ok
-        );
-        // A noisy fresh measurement is skipped even if the rate dropped.
-        fresh.loop_cycles_per_sec = 10.0;
-        fresh.loop_cov = 0.25;
-        let o = regression_outcomes(&committed, &fresh, 0.03);
-        assert_eq!(
-            o.iter().find(|o| o.kernel == "loop").unwrap().verdict,
-            GateVerdict::SkippedNoisy
-        );
-    }
-
-    #[test]
-    fn zero_baseline_loop_rate_does_not_poison_speedup() {
-        let mut zeroed = numbers(0.0);
-        zeroed.loop_cycles_per_sec = 0.0;
-        let prev = BenchFile {
-            baseline: zeroed.clone(),
-            current: zeroed,
-            loop_speedup: 1.0,
-            audited: None,
+    /// A keyed row set shaped like a real measurement: the four gated
+    /// engine rates plus ungated rows from other layers.
+    fn rows(loop_rate: f64) -> Vec<Row> {
+        let rate = |name: &str, v: f64, cov: f64| {
+            Row::new(Layer::Engine, name, "cycles/s", v).noise(Some(cov), 4)
         };
-        let f = merge(Some(prev), numbers(50.0), false, false);
-        assert!(f.loop_speedup.is_finite());
-        assert_eq!(f.loop_speedup, 1.0);
+        vec![
+            rate("idle_cycles_per_s", 1.0, 0.01),
+            rate("serial_cycles_per_s", 2.0, 0.02),
+            rate("loop_cycles_per_s", loop_rate, 0.015),
+            rate("ff_loop_cycles_per_s", 4.0, 0.025),
+            Row::new(Layer::Engine, "loop_dense_ratio", "ratio", 0.7),
+            Row::new(Layer::Study, "quick_wall_s", "s", 3.0).noise(None, 1),
+            Row::new(Layer::Analysis, "full_report_ms", "ms", 12.0).noise(Some(0.2), 3),
+        ]
+    }
+
+    fn verdict(outcomes: &[GateOutcome], name: &str) -> GateVerdict {
+        outcomes.iter().find(|o| o.name == name).unwrap().verdict
+    }
+
+    fn value(rows: &[Row], name: &str) -> Option<f64> {
+        find(rows, name).map(|r| r.value)
     }
 
     #[test]
-    fn merge_keeps_previous_baseline() {
-        let first = merge(None, numbers(100.0), false, false);
-        assert_eq!(first.baseline, first.current);
-        assert!((first.loop_speedup - 1.0).abs() < 1e-12);
-        let second = merge(Some(first.clone()), numbers(250.0), false, false);
-        assert_eq!(second.baseline, numbers(100.0));
-        assert_eq!(second.current, numbers(250.0));
-        assert!((second.loop_speedup - 2.5).abs() < 1e-12);
-        let rebased = merge(Some(second), numbers(300.0), true, false);
-        assert_eq!(rebased.baseline, numbers(300.0));
+    fn merge_replaces_by_name_and_carries_every_other_row_forward() {
+        let mut file = merge(None, rows(100.0), false, false);
+        // The hammer records serve rows through the same upsert...
+        upsert(
+            &mut file.current,
+            vec![Row::new(Layer::Serve, "warm_p50_ms", "ms", 4.2).noise(None, 40)],
+        );
+        // ...then a plain `reproduce bench` rewrites the file without
+        // measuring them; the recorded row must survive untouched.
+        let rewritten = merge(Some(file), rows(120.0), false, false);
+        assert_eq!(value(&rewritten.current, "serve.warm_p50_ms"), Some(4.2));
+        assert_eq!(value(&rewritten.current, LOOP_RATE), Some(120.0));
+        assert_eq!(
+            rewritten.current.len(),
+            rows(0.0).len() + 1,
+            "no duplicates"
+        );
+        // Names keep their first position.
+        assert_eq!(rewritten.current[2].name, LOOP_RATE);
+    }
+
+    #[test]
+    fn merge_keeps_previous_baseline_and_derives_the_speedup() {
+        let first = merge(None, rows(100.0), false, false);
+        assert_eq!(
+            first.baseline, first.current,
+            "no baseline yet: this run is it"
+        );
+        assert_eq!(loop_speedup(&first), Some(1.0));
+        let second = merge(Some(first.clone()), rows(250.0), false, false);
+        assert_eq!(second.baseline, rows(100.0));
+        assert_eq!(second.current, rows(250.0));
+        assert_eq!(loop_speedup(&second), Some(2.5));
+        let rebased = merge(Some(second), rows(300.0), true, false);
+        assert_eq!(rebased.baseline, rows(300.0));
+    }
+
+    #[test]
+    fn speedup_is_absent_without_a_usable_baseline_rate() {
+        let mut file = merge(None, rows(50.0), false, false);
+        file.baseline.retain(|r| r.name != LOOP_RATE);
+        assert_eq!(loop_speedup(&file), None);
+        upsert(&mut file.baseline, rows(0.0));
+        assert_eq!(loop_speedup(&file), None, "a zero baseline has no ratio");
     }
 
     #[test]
     fn audited_runs_never_touch_the_unaudited_trajectory() {
-        let base = merge(None, numbers(100.0), false, false);
-        let with_audit = merge(Some(base.clone()), numbers(60.0), false, true);
+        let base = merge(None, rows(100.0), false, false);
+        let with_audit = merge(Some(base.clone()), rows(60.0), false, true);
         assert_eq!(with_audit.baseline, base.baseline);
         assert_eq!(with_audit.current, base.current);
-        assert_eq!(with_audit.loop_speedup, base.loop_speedup);
-        assert_eq!(with_audit.audited, Some(numbers(60.0)));
-        // ...and a later feature-off run preserves the audited record.
-        let later = merge(Some(with_audit), numbers(120.0), false, false);
-        assert_eq!(later.current, numbers(120.0));
-        assert_eq!(later.audited, Some(numbers(60.0)));
+        assert_eq!(with_audit.audited, rows(60.0));
+        // ...and a later feature-off run preserves the audited rows.
+        let later = merge(Some(with_audit), rows(120.0), false, false);
+        assert_eq!(later.current, rows(120.0));
+        assert_eq!(later.audited, rows(60.0));
+    }
+
+    #[test]
+    fn gate_verdicts_cover_regressed_noisy_and_ok() {
+        let committed = rows(100.0);
+        let mut fresh = rows(100.0);
+        let set_loop = |fresh: &mut Vec<Row>, v: f64, cov: Option<f64>| {
+            let r = fresh.iter_mut().find(|r| r.name == LOOP_RATE).unwrap();
+            r.value = v;
+            r.cov = cov;
+        };
+        // Only the four engine rates are gated, at 8%.
+        let o = regression_outcomes(&committed, &fresh, 0.03);
+        let gated: Vec<&str> = o
+            .iter()
+            .filter(|o| o.tolerance.is_some())
+            .map(|o| o.name.as_str())
+            .collect();
+        assert_eq!(
+            gated,
+            [
+                "engine.idle_cycles_per_s",
+                "engine.serial_cycles_per_s",
+                LOOP_RATE,
+                "engine.ff_loop_cycles_per_s"
+            ]
+        );
+        assert!(o
+            .iter()
+            .all(|o| o.tolerance.is_none_or(|t| t == REGRESSION_TOLERANCE)));
+        // An engine row 10% below its committed value regresses; 91.9 <
+        // 92.0 floor fails, 92.1 passes.
+        set_loop(&mut fresh, 90.0, Some(0.01));
+        let o = regression_outcomes(&committed, &fresh, 0.03);
+        assert_eq!(verdict(&o, LOOP_RATE), GateVerdict::Regressed);
+        let l = o.iter().find(|o| o.name == LOOP_RATE).unwrap();
+        assert!((l.floor.unwrap() - 92.0).abs() < 1e-9);
+        set_loop(&mut fresh, 91.9, Some(0.01));
+        let o = regression_outcomes(&committed, &fresh, 0.03);
+        assert_eq!(verdict(&o, LOOP_RATE), GateVerdict::Regressed);
+        set_loop(&mut fresh, 92.1, Some(0.01));
+        let o = regression_outcomes(&committed, &fresh, 0.03);
+        assert_eq!(verdict(&o, LOOP_RATE), GateVerdict::Ok);
+        // A CoV at or above the threshold is skipped even if the rate
+        // dropped; so is a fresh row with no CoV at all.
+        set_loop(&mut fresh, 10.0, Some(0.03));
+        let o = regression_outcomes(&committed, &fresh, 0.03);
+        assert_eq!(verdict(&o, LOOP_RATE), GateVerdict::SkippedNoisy);
+        set_loop(&mut fresh, 10.0, None);
+        let o = regression_outcomes(&committed, &fresh, 0.03);
+        assert_eq!(verdict(&o, LOOP_RATE), GateVerdict::SkippedNoisy);
+        // A missing committed row has no baseline to gate against; neither
+        // does a zero or non-finite one.
+        set_loop(&mut fresh, 10.0, Some(0.01));
+        let without: Vec<Row> = committed
+            .iter()
+            .filter(|r| r.name != LOOP_RATE)
+            .cloned()
+            .collect();
+        let o = regression_outcomes(&without, &fresh, 0.03);
+        assert_eq!(verdict(&o, LOOP_RATE), GateVerdict::SkippedNoBaseline);
+        assert_eq!(o.iter().find(|o| o.name == LOOP_RATE).unwrap().floor, None);
+        for bad in [0.0, f64::NAN] {
+            let o = regression_outcomes(&rows(bad), &fresh, 0.03);
+            assert_eq!(verdict(&o, LOOP_RATE), GateVerdict::SkippedNoBaseline);
+        }
+        // An ungated layer never fails, however far it moves.
+        let mut slow = rows(100.0);
+        for r in slow.iter_mut().filter(|r| r.layer != Layer::Engine) {
+            r.value *= 100.0;
+            r.cov = Some(0.0);
+        }
+        let mut fast = rows(100.0);
+        for r in fast.iter_mut().filter(|r| r.layer != Layer::Engine) {
+            r.value = 1e-9;
+        }
+        for o in regression_outcomes(&fast, &slow, 0.03) {
+            if o.name.starts_with("engine.") && o.unit == "cycles/s" {
+                assert_eq!(o.verdict, GateVerdict::Ok, "{}", o.name);
+            } else {
+                assert_eq!(o.verdict, GateVerdict::Ungated, "{}", o.name);
+            }
+        }
     }
 
     #[test]
     fn bench_file_round_trips_as_json() {
-        let f = merge(None, numbers(42.0), true, false);
-        let json = serde_json::to_string(&f).unwrap();
-        let back: BenchFile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, f);
-        let with_audit = merge(Some(f), numbers(30.0), false, true);
+        let f = merge(None, rows(42.0), true, false);
+        let with_audit = merge(Some(f), rows(30.0), false, true);
         let json = serde_json::to_string(&with_audit).unwrap();
         let back: BenchFile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, with_audit);
-    }
-
-    #[test]
-    fn bench_file_without_audited_key_still_loads() {
-        // Files written before the `audited` field must deserialize: the
-        // vendored serde errors on missing fields unless handled by hand.
-        let f = merge(None, numbers(10.0), true, false);
-        let json = serde_json::to_string(&f).unwrap();
-        let stripped = json
-            .replace(",\"audited\":null", "")
-            .replace("\"audited\":null,", "");
-        assert!(
-            !stripped.contains("audited"),
-            "test strips the new key: {stripped}"
-        );
-        let back: BenchFile = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.baseline, f.baseline);
-        assert_eq!(back.audited, None);
-    }
-
-    #[test]
-    fn measure_run_reports_positive_rate() {
-        let rate = measure_run(&mut idle_cluster(9), 2_000, 0.01);
-        assert!(rate > 0.0);
     }
 
     #[test]
@@ -1015,6 +1043,10 @@ mod tests {
         let m = measure_run_adaptive(&mut idle_cluster(12), 2_000, 0.01, &strict);
         assert_eq!(m.windows, 4, "an unreachable threshold runs to the cap");
         assert!(m.cov >= 0.0);
+        // The same loop times arbitrary operations.
+        let m = measure_adaptive(0.001, &opts, || 1.0);
+        assert_eq!(m.windows, MIN_WINDOWS);
+        assert!(m.rate > 0.0);
     }
 
     #[test]
@@ -1044,49 +1076,132 @@ mod tests {
         assert!((c - 1.0 / 3.0).abs() < 1e-12, "cov {c}");
     }
 
+    /// Every row a measurement produces, in the order it produces them.
+    const MEASURED: [&str; 17] = [
+        "engine.idle_cycles_per_s",
+        "engine.idle_skip_ratio",
+        "engine.serial_cycles_per_s",
+        "engine.serial_skip_ratio",
+        "engine.loop_cycles_per_s",
+        "engine.loop_skip_ratio",
+        "engine.loop_dense_ratio",
+        "engine.ff_loop_cycles_per_s",
+        "engine.ff_loop_skip_ratio",
+        "engine.loop_drain_ms",
+        "monitor.acquire_512_ms",
+        "monitor.reduce_512_ms",
+        "study.quick_wall_s",
+        "study.quick_warm_wall_s",
+        "study.scale_sweep_wall_s",
+        "analysis.full_report_ms",
+        "analysis.comparison_ms",
+    ];
+
     #[test]
-    fn committed_bench_file_parses_with_cov_fields() {
-        // The checked-in BENCH_throughput.json must stay loadable by the
-        // harness that maintains it — this is the regression test for the
-        // hand-written back-compat deserializer against the real artifact.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-        let text = std::fs::read_to_string(path).expect("committed bench file exists");
-        let f: BenchFile = serde_json::from_str(&text).expect("committed bench file parses");
-        assert!(f.current.loop_cycles_per_sec > 0.0);
-        assert!(f.baseline.loop_cycles_per_sec > 0.0);
-        assert!(f.loop_speedup > 0.0);
-        // The current entry is written by the CoV-adaptive harness: its
-        // window count and per-kernel CoV fields must have round-tripped.
-        assert!(f.current.bench_windows >= u64::from(4 * MIN_WINDOWS));
-        for cov in [
-            f.current.idle_cov,
-            f.current.serial_cov,
-            f.current.loop_cov,
-            f.current.ff_loop_cov,
-        ] {
-            assert!((0.0..1.0).contains(&cov), "cov out of range: {cov}");
+    fn a_tiny_measurement_produces_every_row() {
+        let cfg = StudyConfig {
+            n_random: 1,
+            session_hours: vec![0.05],
+            n_triggered: 1,
+            captures_per_triggered: 1,
+            n_transition: 1,
+            captures_per_transition: 1,
+            ..StudyConfig::quick()
+        };
+        let rows = measure(0.02, cfg, &BenchOptions::default());
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, MEASURED);
+        validate_rows(&rows).expect("measured rows are valid");
+        for r in &rows {
+            assert!(r.value >= 0.0, "{}: {}", r.name, r.value);
+            if r.unit != "ratio" {
+                assert!(r.value > 0.0, "{} measured nothing", r.name);
+            }
         }
+        let text = render("tiny", &rows);
+        assert_eq!(text.lines().count(), rows.len() + 1);
     }
 
     #[test]
-    fn numbers_without_fast_forward_fields_still_load() {
-        // BENCH files written before the fast-forward engine carry only the
-        // original four fields; they must load with the new ones at 0.0.
-        let json = r#"{
-            "idle_cycles_per_sec": 5.0,
-            "serial_cycles_per_sec": 6.0,
-            "loop_cycles_per_sec": 7.0,
-            "quick_study_wall_s": 8.0
-        }"#;
-        let n: ThroughputNumbers = serde_json::from_str(json).unwrap();
-        assert_eq!(n.idle_cycles_per_sec, 5.0);
-        assert_eq!(n.quick_study_wall_s, 8.0);
-        assert_eq!(n.ff_loop_cycles_per_sec, 0.0);
-        assert_eq!(n.idle_skip_ratio, 0.0);
-        assert_eq!(n.ff_loop_skip_ratio, 0.0);
-        assert_eq!(n.dense_ratio, 0.0, "pre-dense-stepper files default to 0");
-        assert_eq!(n.loop_cov, 0.0, "pre-CoV-harness files default to 0");
-        assert_eq!(n.bench_windows, 0, "pre-CoV-harness files default to 0");
+    fn committed_bench_file_loads_with_the_gated_rows() {
+        // The checked-in BENCH_throughput.json must stay loadable by the
+        // harness that maintains it.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let f = load(path).expect("committed bench file loads");
+        for (_, unit, _) in GATES {
+            assert!(f.current.iter().any(|r| r.unit == *unit));
+        }
+        for name in [
+            "engine.idle_cycles_per_s",
+            "engine.serial_cycles_per_s",
+            LOOP_RATE,
+            "engine.ff_loop_cycles_per_s",
+        ] {
+            let r = find(&f.current, name).expect("gated row is committed");
+            assert!(r.value > 0.0);
+            let cov = r.cov.expect("gated rows carry their CoV");
+            assert!((0.0..1.0).contains(&cov), "cov out of range: {cov}");
+        }
+        assert!(loop_speedup(&f).is_some_and(|s| s > 1.0));
+    }
+
+    /// The loader must surface "file missing", "flat schema" and "present
+    /// but invalid" as typed, printable errors — not a panic and not one
+    /// indistinguishable `None`.
+    #[test]
+    fn load_distinguishes_missing_flat_and_invalid_files() {
+        let dir = std::env::temp_dir().join(format!("fx8_bench_load_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let load_text = |name: &str, text: &str| {
+            let p = dir.join(name);
+            std::fs::write(&p, text).unwrap();
+            load(p.to_str().unwrap())
+        };
+
+        let missing = dir.join("nonexistent.json");
+        let e = load(missing.to_str().unwrap()).unwrap_err();
+        assert!(matches!(e, BenchLoadError::Io { .. }), "got {e}");
+        assert!(e.to_string().contains("cannot read"));
+
+        let flat = r#"{"baseline":{"loop_cycles_per_sec":1.0},"current":{"loop_cycles_per_sec":2.0},"loop_speedup":2.0}"#;
+        let e = load_text("flat.json", flat).unwrap_err();
+        assert!(matches!(e, BenchLoadError::FlatFormat { .. }), "got {e}");
+
+        let e = load_text("partial.json", r#"{"baseline":[],"current":[]}"#).unwrap_err();
+        match &e {
+            BenchLoadError::Parse { detail, .. } => {
+                assert!(detail.contains("missing field"), "detail: {detail}");
+            }
+            other => panic!("expected Parse error, got {other}"),
+        }
+
+        let row = |name: &str, layer: &str, value: &str| {
+            format!(
+                r#"{{"baseline":[],"current":[{{"name":"{name}","layer":"{layer}","unit":"s","value":{value},"cov":null,"windows":1}}],"audited":[]}}"#
+            )
+        };
+        assert!(load_text("ok.json", &row("study.quick_wall_s", "study", "1.5")).is_ok());
+        for (name, layer, value) in [
+            ("engine.quick_wall_s", "study", "1.5"), // outside its layer
+            ("study.", "study", "1.5"),              // empty quantity
+            ("study.quick_wall_s", "gpu", "1.5"),    // unknown layer
+            ("study.quick_wall_s", "study", "null"), // non-finite value
+            ("study.quick_wall_s", "study", "\"1\""),
+        ] {
+            let e = load_text("bad.json", &row(name, layer, value)).unwrap_err();
+            assert!(matches!(e, BenchLoadError::Parse { .. }), "got {e}");
+        }
+        let dup = r#"{"baseline":[],"audited":[],"current":[
+            {"name":"study.a","layer":"study","unit":"s","value":1,"cov":null,"windows":null},
+            {"name":"study.a","layer":"study","unit":"s","value":2,"cov":null,"windows":null}]}"#;
+        let e = load_text("dup.json", dup).unwrap_err();
+        assert!(e.to_string().contains("twice"), "got {e}");
+
+        assert!(matches!(
+            load_text("garbage.json", "not json at all").unwrap_err(),
+            BenchLoadError::Parse { .. }
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1101,50 +1216,6 @@ mod tests {
         } else {
             assert!(ratio > 0.9, "loop dense ratio too low: {ratio}");
         }
-    }
-
-    #[test]
-    fn numbers_round_trip_with_fast_forward_fields() {
-        let n = numbers(42.0);
-        let json = serde_json::to_string(&n).unwrap();
-        let back: ThroughputNumbers = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, n);
-    }
-
-    /// The regression gate must surface "file missing" and "file present
-    /// but lacking a kernel entry" as typed, printable errors — not a
-    /// panic and not one indistinguishable `None`.
-    #[test]
-    fn load_distinguishes_missing_file_from_missing_kernel_entry() {
-        let dir = std::env::temp_dir().join("fx8_bench_load_test");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let missing = dir.join("nonexistent.json");
-        let e = load(missing.to_str().unwrap()).unwrap_err();
-        assert!(matches!(e, BenchLoadError::Io { .. }), "got {e}");
-        assert!(e.to_string().contains("cannot read"));
-
-        // Valid JSON whose `current` entry lacks the loop kernel rate.
-        let partial = dir.join("partial.json");
-        std::fs::write(
-            &partial,
-            r#"{"baseline": {"idle_cycles_per_sec": 1.0}, "loop_speedup": 1.0}"#,
-        )
-        .unwrap();
-        let e = load(partial.to_str().unwrap()).unwrap_err();
-        match &e {
-            BenchLoadError::Parse { detail, .. } => {
-                assert!(detail.contains("missing field"), "detail: {detail}");
-            }
-            other => panic!("expected Parse error, got {other}"),
-        }
-
-        let garbage = dir.join("garbage.json");
-        std::fs::write(&garbage, "not json at all").unwrap();
-        assert!(matches!(
-            load(garbage.to_str().unwrap()).unwrap_err(),
-            BenchLoadError::Parse { .. }
-        ));
     }
 
     #[test]

@@ -52,3 +52,18 @@ fn unknown_flags_still_print_usage_not_an_envelope() {
     assert!(stderr.contains("usage: reproduce"), "{stderr}");
     assert!(!stderr.contains("error[config/"), "{stderr}");
 }
+
+#[test]
+fn unknown_experiment_id_exits_2_before_the_study_runs() {
+    let (code, stderr) = reproduce(&["run", "--quick", "--no-cache", "table2", "table99"]);
+    assert_eq!(code, Some(2), "documented exit code for a bad request");
+    assert!(
+        stderr.contains("reproduce: error[request/unknown-id]:"),
+        "stderr carries the envelope code: {stderr}"
+    );
+    assert!(stderr.contains("\"table99\""), "names the bad ID: {stderr}");
+    assert!(
+        !stderr.contains("running study"),
+        "rejected before any simulation: {stderr}"
+    );
+}

@@ -59,6 +59,8 @@ pub mod codes {
     pub const NOT_FOUND: &str = "request/not-found";
     /// The route exists but not under this HTTP method.
     pub const BAD_METHOD: &str = "request/bad-method";
+    /// A requested table, figure or report section ID does not exist.
+    pub const UNKNOWN_ID: &str = "request/unknown-id";
     /// The bounded job queue is full; retry after a beat.
     pub const QUEUE_FULL: &str = "server/queue-full";
     /// The server is draining for shutdown and accepts no new jobs.

@@ -305,50 +305,62 @@ pub fn render_comparison(rows: &[CompRow]) -> String {
     s
 }
 
+/// Renders one section for a study; `None` when the study has no data
+/// for it (the per-session figures of a study without random sessions).
+pub type SectionRender = fn(&Study) -> Option<String>;
+
+/// Every table and figure of the evaluation, in report order: the ID
+/// `reproduce run` accepts (matched case-insensitively) and its renderer.
+/// The one list behind both [`render_full_report`] and the CLI.
+pub const SECTIONS: &[(&str, SectionRender)] = &[
+    ("table1", |_| Some(tables::table1())),
+    ("table2", |s| Some(tables::table2(s).render())),
+    ("table3", |s| Some(tables::table3(s).render())),
+    ("table4", |s| Some(tables::table4(s).render())),
+    ("tableA1", |s| {
+        Some(tables::render_table_a1(&tables::table_a1(s)))
+    }),
+    ("fig3", |s| Some(figures::fig3(s))),
+    ("fig4", |s| Some(figures::fig4(s))),
+    ("fig5", |s| Some(figures::fig5(s))),
+    ("fig6", |s| Some(figures::fig6(s))),
+    ("fig7", |s| Some(figures::fig7(s))),
+    ("fig8", |s| Some(figures::fig8(s))),
+    ("fig9", |s| Some(figures::fig9(s))),
+    ("fig10", |s| Some(figures::fig10(s))),
+    ("fig11", |s| Some(figures::fig11(s))),
+    ("fig12", |s| Some(figures::fig12(s))),
+    ("fig13", |s| Some(figures::fig13(s))),
+    ("fig14", |s| Some(figures::fig14(s))),
+    ("figA1", |s| {
+        (!s.random_sessions.is_empty()).then(|| figures::fig_a1_a2(s, 0))
+    }),
+    ("figA2", |s| {
+        let last = s.random_sessions.len().checked_sub(1)?;
+        Some(figures::fig_a1_a2(s, last))
+    }),
+    ("figA3", |s| Some(figures::fig_a3(s))),
+    ("figA4", |s| Some(figures::fig_a4(s))),
+    ("figA5", |s| Some(figures::fig_a5(s))),
+    ("figB1", |s| Some(figures::fig_b1(s))),
+    ("figB2", |s| Some(figures::fig_b2(s))),
+    ("figB3", |s| Some(figures::fig_b3(s))),
+    ("figB4", |s| Some(figures::fig_b4(s))),
+    ("figB5", |s| Some(figures::fig_b5(s))),
+    ("figB6", |s| Some(figures::fig_b6(s))),
+    ("figB7", |s| Some(figures::fig_b7(s))),
+    ("figB8", |s| Some(figures::fig_b8(s))),
+    ("figB9", |s| Some(figures::fig_b9(s))),
+    ("figB10", |s| Some(figures::fig_b10(s))),
+];
+
 /// Regenerate every table and figure as one document.
 pub fn render_full_report(study: &Study) -> String {
     let mut s = String::new();
-    let push = |s: &mut String, block: String| {
+    for block in SECTIONS.iter().filter_map(|(_, render)| render(study)) {
         s.push_str(&block);
         s.push('\n');
-    };
-    push(&mut s, tables::table1());
-    push(&mut s, tables::table2(study).render());
-    push(&mut s, tables::table3(study).render());
-    push(&mut s, tables::table4(study).render());
-    push(&mut s, tables::render_table_a1(&tables::table_a1(study)));
-    push(&mut s, figures::fig3(study));
-    push(&mut s, figures::fig4(study));
-    push(&mut s, figures::fig5(study));
-    push(&mut s, figures::fig6(study));
-    push(&mut s, figures::fig7(study));
-    push(&mut s, figures::fig8(study));
-    push(&mut s, figures::fig9(study));
-    push(&mut s, figures::fig10(study));
-    push(&mut s, figures::fig11(study));
-    push(&mut s, figures::fig12(study));
-    push(&mut s, figures::fig13(study));
-    push(&mut s, figures::fig14(study));
-    if !study.random_sessions.is_empty() {
-        push(&mut s, figures::fig_a1_a2(study, 0));
-        push(
-            &mut s,
-            figures::fig_a1_a2(study, study.random_sessions.len() - 1),
-        );
     }
-    push(&mut s, figures::fig_a3(study));
-    push(&mut s, figures::fig_a4(study));
-    push(&mut s, figures::fig_a5(study));
-    push(&mut s, figures::fig_b1(study));
-    push(&mut s, figures::fig_b2(study));
-    push(&mut s, figures::fig_b3(study));
-    push(&mut s, figures::fig_b4(study));
-    push(&mut s, figures::fig_b5(study));
-    push(&mut s, figures::fig_b6(study));
-    push(&mut s, figures::fig_b7(study));
-    push(&mut s, figures::fig_b8(study));
-    push(&mut s, figures::fig_b9(study));
-    push(&mut s, figures::fig_b10(study));
     s
 }
 
@@ -400,6 +412,18 @@ mod tests {
         let md = render_comparison(&rows);
         assert!(md.starts_with("| id |"));
         assert_eq!(md.lines().count(), rows.len() + 2);
+    }
+
+    #[test]
+    fn section_ids_are_unique_and_cover_the_evaluation() {
+        let ids: Vec<String> = SECTIONS
+            .iter()
+            .map(|(id, _)| id.to_ascii_lowercase())
+            .collect();
+        let unique: std::collections::BTreeSet<&String> = ids.iter().collect();
+        assert_eq!(unique.len(), ids.len(), "IDs must be unique ignoring case");
+        // Tables 1-4 and A.1, Figures 3-14, A.1-A.5 and B.1-B.10.
+        assert_eq!(SECTIONS.len(), 5 + 12 + 5 + 10);
     }
 
     #[test]

@@ -1,28 +1,27 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablations of the design choices DESIGN.md § 8 calls out.
 //!
 //! Each ablation runs the affected experiment under the default and the
-//! ablated configuration, prints the resulting statistic (the scientific
-//! payload), and times the default path. The printed comparisons document
-//! *why* the machine model is wired the way it is:
+//! ablated configuration and prints the resulting statistic. The printed
+//! comparisons document *why* the machine model is wired the way it is:
 //!
-//! * `ablation_priority` — CCB grant daisy chain: ends-first vs fair
-//!   round-robin. Ends-first reproduces Figure 7's CE0/CE7-heavy
-//!   transition activity; round-robin flattens it.
-//! * `ablation_locality` — cross-CE panel sharing on vs off. Shared panels
-//!   make Missrate insensitive to the number of active CEs (§ 5.1); private
+//! * priority — CCB grant daisy chain: ends-first vs fair round-robin.
+//!   Ends-first reproduces Figure 7's CE0/CE7-heavy transition activity;
+//!   round-robin flattens it.
+//! * locality — cross-CE panel sharing on vs off. Shared panels make
+//!   Missrate insensitive to the number of active CEs (§ 5.1); private
 //!   panels make it grow with width.
-//! * `ablation_variance` — per-iteration body variance on vs off. Variance
-//!   stretches the intermediate (3..7-active) transition states.
-//! * `ablation_iters` — iteration counts ≡ 2 (mod 8) vs multiples of 8.
-//!   The residue drives Figure 6's 2-active dominance.
+//! * variance — per-iteration body variance on vs off. Variance stretches
+//!   the intermediate (3..7-active) transition states.
+//! * iters — iteration counts ≡ 2 (mod 8) vs multiples of 8. The residue
+//!   drives Figure 6's 2-active dominance.
+//!
+//! Run with: `cargo run --release --example ablations`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fx8_monitor::{DasConfig, DasMonitor, EventCounts, Trigger};
-use fx8_sim::config::Arbitration;
-use fx8_sim::stream::{CodeRegion, LoopBody, Op, SerialCode};
-use fx8_sim::{CeId, Cluster, MachineConfig};
-use fx8_workload::kernels::{self, LoopKernel};
-use std::hint::black_box;
+use fx8_study::monitor::{DasConfig, DasMonitor, EventCounts, Trigger};
+use fx8_study::sim::config::Arbitration;
+use fx8_study::sim::stream::{CodeRegion, LoopBody, Op, SerialCode};
+use fx8_study::sim::{CeId, Cluster, MachineConfig};
+use fx8_study::workload::kernels::{self, LoopKernel};
 
 /// A detached placeholder that occupies a CE without bus traffic.
 struct QuietSerial(CodeRegion);
@@ -122,18 +121,15 @@ fn middle_state_share(counts: &EventCounts) -> f64 {
     (3..8).map(|j| counts.num[j]).sum::<u64>() as f64 / transition.max(1) as f64
 }
 
-fn ablation_priority(c: &mut Criterion) {
+fn ablation_priority() {
     let kernel = kernels::sor_sweep(258);
     let ends = transition_counts(Arbitration::EndsFirst, &kernel, 258, 8);
     let fair = transition_counts(Arbitration::RoundRobin, &kernel, 258, 8);
-    eprintln!(
+    println!(
         "ablation_priority: ends/middle activity ratio — ends-first {:.2}, round-robin {:.2}",
         ends_to_middle_ratio(&ends),
         ends_to_middle_ratio(&fair)
     );
-    c.bench_function("ablation_priority_endsfirst_capture", |b| {
-        b.iter(|| black_box(transition_counts(Arbitration::EndsFirst, &kernel, 258, 1)))
-    });
 }
 
 /// Missrate of a width-limited run (detached quiet jobs pin down CEs).
@@ -156,7 +152,7 @@ fn missrate_at_width(kernel_body: Box<dyn LoopBody>, width: usize, seed: u64) ->
     EventCounts::reduce(&words, 8).missrate() / width as f64
 }
 
-fn ablation_locality(c: &mut Criterion) {
+fn ablation_locality() {
     let kernel = kernels::matmul(258);
     let shared_wide = missrate_at_width(kernel.instantiate(1), 8, 1) * 8.0;
     let shared_narrow = missrate_at_width(kernel.instantiate(1), 2, 1) * 2.0;
@@ -174,50 +170,41 @@ fn ablation_locality(c: &mut Criterion) {
         2,
         1,
     ) * 2.0;
-    eprintln!(
+    println!(
         "ablation_locality: missrate growth 2->8 CEs — shared panels {:.2}x, private panels {:.2}x",
         shared_wide / shared_narrow.max(1e-9),
         private_wide / private_narrow.max(1e-9),
     );
-    c.bench_function("ablation_locality_shared_capture", |b| {
-        b.iter(|| black_box(missrate_at_width(kernel.instantiate(1), 8, 2)))
-    });
 }
 
-fn ablation_variance(c: &mut Criterion) {
+fn ablation_variance() {
     let mut smooth = kernels::sor_sweep(258);
     smooth.variance = 0.0;
     let mut jittery = kernels::sor_sweep(258);
     jittery.variance = 0.30;
     let s = transition_counts(Arbitration::EndsFirst, &smooth, 258, 8);
     let j = transition_counts(Arbitration::EndsFirst, &jittery, 258, 8);
-    eprintln!(
+    println!(
         "ablation_variance: middle (3..7-active) share of transitions — variance 0.0: {:.2}, 0.3: {:.2}",
         middle_state_share(&s),
         middle_state_share(&j)
     );
-    c.bench_function("ablation_variance_smooth_capture", |b| {
-        b.iter(|| black_box(transition_counts(Arbitration::EndsFirst, &smooth, 258, 1)))
-    });
 }
 
-fn ablation_iters(c: &mut Criterion) {
+fn ablation_iters() {
     let kernel = kernels::sor_sweep(258);
     let residue2 = transition_counts(Arbitration::EndsFirst, &kernel, 258, 8);
     let residue0 = transition_counts(Arbitration::EndsFirst, &kernel, 256, 8);
-    eprintln!(
+    println!(
         "ablation_iters: 2-active share of transition states — n=258 (8k+2): {:.2}, n=256 (8k): {:.2}",
         two_active_share(&residue2),
         two_active_share(&residue0)
     );
-    c.bench_function("ablation_iters_residue2_capture", |b| {
-        b.iter(|| black_box(transition_counts(Arbitration::EndsFirst, &kernel, 258, 1)))
-    });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = ablation_priority, ablation_locality, ablation_variance, ablation_iters
+fn main() {
+    ablation_priority();
+    ablation_locality();
+    ablation_variance();
+    ablation_iters();
 }
-criterion_main!(benches);

@@ -5,29 +5,41 @@
 //! refill scratch buffers reaching their high-water capacity), stepping
 //! must perform zero allocations. The simulator is deterministic, so this
 //! is a stable property, not a flaky timing assertion.
+//!
+//! The counting flag and the counter are per thread: the test harness runs
+//! these tests in parallel, and another thread's cluster warm-up must not
+//! be counted against the window a test is measuring.
 
 use fx8_sim::{Cluster, MachineConfig, TraceConfig};
 use fx8_workload::{kernels, WorkloadMix};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Const-initialized `Cell`s of `Copy` types: reading them never
+    // allocates and they register no destructor, so the allocator may
+    // touch them from any thread at any point of its life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count one allocation if this thread is inside a measured window.
+fn note_allocation() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -39,13 +51,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Count allocations performed by `f`.
+/// Count allocations performed by `f` on the calling thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     let r = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCATIONS.load(Ordering::SeqCst), r)
+    COUNTING.with(|c| c.set(false));
+    (ALLOCATIONS.with(Cell::get), r)
 }
 
 fn cluster(seed: u64) -> Cluster {
