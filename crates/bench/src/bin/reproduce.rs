@@ -86,7 +86,7 @@ use fx8_core::cache::{CacheStats, SessionCache};
 use fx8_core::observability::StudyObservability;
 use fx8_core::report::{self, StudyReport};
 use fx8_core::scale::ScaleConfig;
-use fx8_core::study::{Study, StudyConfig, StudyConfigBuilder};
+use fx8_core::study::{Study, StudyConfig};
 use fx8_serve::{ServeConfig, Server};
 use fx8_sim::{ConfigError, MachineConfig, TraceConfig};
 use std::collections::BTreeSet;
@@ -582,23 +582,17 @@ fn config_error(e: ConfigError) -> ExitCode {
     api_error(ApiError::from(e))
 }
 
-/// Build the study configuration for a subcommand, with the given trace
-/// knobs, through the validated builder.
+/// The study configuration for a subcommand, with the given trace knobs,
+/// validated before anything runs.
 fn study_cfg(quick: bool, trace: TraceConfig) -> Result<StudyConfig, ConfigError> {
-    let builder = if quick {
-        StudyConfigBuilder::quick()
+    let mut cfg = if quick {
+        StudyConfig::quick()
     } else {
-        StudyConfigBuilder::paper()
+        StudyConfig::paper()
     };
-    builder.trace(trace).build()
-}
-
-/// Run the study, narrating scale and timing on stderr.
-fn run_study_observed(
-    cfg: StudyConfig,
-    quick: bool,
-) -> Result<(Study, StudyObservability), ApiError> {
-    run_study_cached(cfg, quick, None)
+    cfg.machine.trace = trace;
+    cfg.validate()?;
+    Ok(cfg)
 }
 
 /// Run the study against an optional result cache, narrating scale and
@@ -606,7 +600,7 @@ fn run_study_observed(
 /// becomes a [`JobRequest`] executed through the same entry point the
 /// HTTP server uses, so both transports validate, cache, and fail
 /// identically.
-fn run_study_cached(
+fn run_study(
     cfg: StudyConfig,
     quick: bool,
     cache: Option<&SessionCache>,
@@ -683,7 +677,7 @@ fn cmd_run(args: RunArgs) -> ExitCode {
         Err(e) => return config_error(e),
     };
     let cache = args.cache.build();
-    let (study, obs) = match run_study_cached(cfg, args.quick, cache.as_ref()) {
+    let (study, obs) = match run_study(cfg, args.quick, cache.as_ref()) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -729,9 +723,13 @@ fn cmd_run(args: RunArgs) -> ExitCode {
 
 fn cmd_audit(quick: bool, width: Option<usize>) -> ExitCode {
     let cfg = match study_cfg(quick, TraceConfig::off()).and_then(|c| match width {
-        Some(w) => StudyConfigBuilder::from_config(c)
-            .machine(MachineConfig::scaled(w))
-            .build(),
+        Some(w) => {
+            let c = StudyConfig {
+                machine: MachineConfig::scaled(w),
+                ..c
+            };
+            c.validate().map(|()| c)
+        }
         None => Ok(c),
     }) {
         Ok(c) => c,
@@ -740,7 +738,7 @@ fn cmd_audit(quick: bool, width: Option<usize>) -> ExitCode {
     if let Some(w) = width {
         eprintln!("auditing a scaled {w}-CE cluster");
     }
-    let (study, _) = match run_study_observed(cfg, quick) {
+    let (study, _) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -804,7 +802,7 @@ fn cmd_metrics(quick: bool, json: Option<String>) -> ExitCode {
         Ok(c) => c,
         Err(e) => return config_error(e),
     };
-    let (_study, obs) = match run_study_observed(cfg, quick) {
+    let (_study, obs) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -831,7 +829,7 @@ fn cmd_trace(quick: bool, out: String, event_capacity: Option<usize>) -> ExitCod
         Err(e) => return config_error(e),
     };
     let ns_per_cycle = cfg.machine.ns_per_cycle;
-    let (_study, obs) = match run_study_observed(cfg, quick) {
+    let (_study, obs) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };

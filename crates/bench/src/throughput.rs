@@ -17,6 +17,7 @@
 //! name and carries every other row forward, and [`regression_outcomes`]
 //! gates rows generically through the per-layer [`GATES`] table.
 
+use fx8_core::api::RunHooks;
 use fx8_core::cache::SessionCache;
 use fx8_core::report;
 use fx8_core::scale::{ScaleConfig, ScaleStudy};
@@ -642,7 +643,8 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig, opts: &BenchOptions) -> 
     rows.push(Row::ms_per_op(Layer::Monitor, "reduce_512_ms", reduce));
 
     let t0 = Instant::now();
-    let study = Study::run(study_cfg.clone());
+    let hooks = RunHooks::default();
+    let (study, _) = Study::run(study_cfg.clone(), None, &hooks).expect("uncancellable");
     let quick_wall = t0.elapsed().as_secs_f64();
     assert!(study.pooled_counts().records > 0, "study produced no data");
     rows.push(Row::new(Layer::Study, "quick_wall_s", "s", quick_wall).noise(None, 1));
@@ -653,10 +655,12 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig, opts: &BenchOptions) -> 
     // the cache's entire correctness argument, so the bench asserts it on
     // every measurement.
     let cache = SessionCache::in_memory();
-    let (populated, _) = Study::run_cached(study_cfg.clone(), &cache);
+    let (populated, _) =
+        Study::run(study_cfg.clone(), Some(&cache), &hooks).expect("uncancellable");
     assert_eq!(populated, study, "cache-populating run diverged");
     let t1 = Instant::now();
-    let (warm_study, warm_obs) = Study::run_cached(study_cfg.clone(), &cache);
+    let (warm_study, warm_obs) =
+        Study::run(study_cfg.clone(), Some(&cache), &hooks).expect("uncancellable");
     let warm_wall = t1.elapsed().as_secs_f64();
     assert_eq!(warm_study, study, "warm-cache run diverged");
     assert_eq!(
@@ -679,7 +683,7 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig, opts: &BenchOptions) -> 
         widths,
     };
     let t2 = Instant::now();
-    ScaleStudy::run_cached(&sweep_cfg, Some(&cache)).expect("sweep of a validated study");
+    ScaleStudy::run(&sweep_cfg, Some(&cache), &hooks).expect("sweep of a validated study");
     let sweep_wall = t2.elapsed().as_secs_f64();
     rows.push(Row::new(Layer::Study, "scale_sweep_wall_s", "s", sweep_wall).noise(None, 1));
 

@@ -1,17 +1,24 @@
 //! Hostile-input tests for the decoders of outside bytes this crate feeds:
-//! the bench-file loader and the job API's request parser.
+//! the bench-file loader, the job API's request parser, and the HTTP
+//! server behind `reproduce serve`.
 //!
 //! Each property mutates a real, valid input — the committed
-//! `BENCH_throughput.json` and the canonical quick-study request — by
-//! truncating it, splicing a slice of it back in elsewhere, flipping
-//! bytes, or inflating it with a long run of one byte (digits lengthen
-//! numbers, brackets deepen nesting, quotes and letters stretch strings).
-//! Every mutant must decode to a typed error or a valid value; a panic or
-//! a stack overflow fails the test.
+//! `BENCH_throughput.json`, the canonical quick-study request, and that
+//! request as a raw `POST /v1/jobs` — by truncating it, splicing a slice
+//! of it back in elsewhere, flipping bytes, or inflating it with a long
+//! run of one byte (digits lengthen numbers, brackets deepen nesting,
+//! quotes and letters stretch strings). Every mutant must decode to a
+//! typed error or a valid value; a panic or a stack overflow fails the
+//! test. Over HTTP, a mutant must also never draw a 5xx or hang.
 
 use fx8_bench::throughput;
-use fx8_core::api::JobRequest;
+use fx8_core::api::{ApiError, JobRequest};
+use fx8_core::cache::SessionCache;
+use fx8_serve::{ServeConfig, Server};
 use proptest::prelude::*;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 const BENCH_FILE: &[u8] = include_bytes!("../../../BENCH_throughput.json");
 const QUICK_REQUEST: &[u8] = br#"{"api":1,"job":{"study":"quick"}}"#;
@@ -51,6 +58,66 @@ fn mutate(doc: &[u8], kind: u8, (a, b, c): (u64, u64, u64), len: usize, byte: u8
 
 fn positions() -> impl Strategy<Value = (u64, u64, u64)> {
     (any::<u64>(), any::<u64>(), any::<u64>())
+}
+
+/// The quick-study request as a raw `POST /v1/jobs`, declaring
+/// `content_length` body bytes.
+fn raw_post(content_length: u128) -> Vec<u8> {
+    let mut req = format!(
+        "POST /v1/jobs HTTP/1.1\r\nhost: localhost\r\nconnection: close\r\n\
+         content-length: {content_length}\r\n\r\n"
+    )
+    .into_bytes();
+    req.extend_from_slice(QUICK_REQUEST);
+    req
+}
+
+/// A mutant of [`raw_post`]: one of [`mutate`]'s byte mutations, or (kind
+/// 4) a `Content-Length` of `2^shift` bytes past the body, which leaves
+/// the server waiting for bytes that never come or over its body limit.
+fn mutate_post(kind: u8, pos: (u64, u64, u64), len: usize, byte: u8, shift: u32) -> Vec<u8> {
+    if kind == 4 {
+        raw_post(QUICK_REQUEST.len() as u128 + (1u128 << shift))
+    } else {
+        mutate(&raw_post(QUICK_REQUEST.len() as u128), kind, pos, len, byte)
+    }
+}
+
+/// Send `bytes` on a fresh loopback connection, leave it open, and read
+/// until the server closes it. A server that neither answers nor hangs up
+/// within 10 s (fifty times its read timeout) fails the test.
+fn exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("loopback connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout sets");
+    // The server may answer and hang up before reading everything (a 413
+    // on an oversized head), so a failed write is an outcome, not an error.
+    let _ = stream.write_all(bytes);
+    let mut out = Vec::new();
+    match stream.read_to_end(&mut out) {
+        Ok(_) => {}
+        // Closing with unread input resets the connection: still a close.
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("server neither answered nor closed: {e}"),
+    }
+    out
+}
+
+/// The first response's status and, for a 4xx, its typed error envelope.
+/// `None` when the server closed without answering.
+fn first_response(raw: &[u8]) -> Option<(u16, Option<ApiError>)> {
+    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = String::from_utf8_lossy(&raw[..head_end]);
+    let status: u16 = head.split(' ').nth(1)?.parse().ok()?;
+    let length: usize = head
+        .split("\r\n")
+        .find_map(|l| l.strip_prefix("content-length: "))?
+        .parse()
+        .ok()?;
+    let body = raw.get(head_end + 4..head_end + 4 + length)?;
+    let envelope = ApiError::from_envelope_json(&String::from_utf8_lossy(body));
+    Some((status, envelope))
 }
 
 proptest! {
@@ -95,6 +162,67 @@ proptest! {
             }
             Err(e) => prop_assert_eq!(e.code, fx8_core::api::codes::BAD_JSON),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Mutated job submissions over real TCP, 32 connections at a time
+    /// against one server that accepts the unmutated request: each ends in
+    /// a 4xx typed envelope, a 2xx (the mutant is still a valid request),
+    /// or a closed connection — never a 5xx, a panic that kills the
+    /// server, or a hang.
+    #[test]
+    fn mutated_http_requests_get_4xx_or_close(
+        mutants in prop::collection::vec(
+            (
+                0u8..5,
+                positions(),
+                1usize..65_536,
+                prop::sample::select(INFLATE.to_vec()),
+                0u32..64,
+            ),
+            32..33,
+        ),
+    ) {
+        let server = Server::bind(
+            ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 1,
+                max_body_bytes: 4096,
+                read_timeout_ms: 200,
+                ..ServeConfig::default()
+            },
+            Some(SessionCache::in_memory()),
+        )
+        .expect("bind on port 0");
+        let (addr, handle) = (server.local_addr(), server.handle());
+        let serving = std::thread::spawn(move || server.run());
+        let valid = exchange(addr, &raw_post(QUICK_REQUEST.len() as u128));
+        prop_assert_eq!(first_response(&valid).map(|(status, _)| status), Some(202));
+        let outcomes: Vec<Vec<u8>> = std::thread::scope(|scope| {
+            let sent: Vec<_> = mutants
+                .iter()
+                .map(|&(kind, pos, len, byte, shift)| {
+                    let bytes = mutate_post(kind, pos, len, byte, shift);
+                    scope.spawn(move || exchange(addr, &bytes))
+                })
+                .collect();
+            sent.into_iter().map(|t| t.join().expect("client thread")).collect()
+        });
+        for raw in &outcomes {
+            let text = String::from_utf8_lossy(raw);
+            prop_assert!(!text.contains("HTTP/1.1 5"), "5xx answer: {}", text);
+            if let Some((status @ 400.., envelope)) = first_response(raw) {
+                prop_assert!(envelope.is_some(), "{} without an envelope: {}", status, text);
+            }
+        }
+        let metrics = fx8_serve::client::request(addr, "GET", "/v1/metrics", None)
+            .expect("the server still answers");
+        prop_assert!(metrics.body_str().contains("\"responses_5xx\":0"));
+        handle.shutdown();
+        serving.join().expect("server thread").expect("server drains");
     }
 }
 

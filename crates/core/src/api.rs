@@ -25,7 +25,7 @@
 use crate::cache::SessionCache;
 use crate::observability::StudyObservability;
 use crate::report::{self, CompRow};
-use crate::scale::{ScaleConfig, ScaleRunError, ScaleStudy, SweepStats};
+use crate::scale::{ScaleConfig, ScaleStudy, SweepStats};
 use crate::study::{Study, StudyConfig};
 use fx8_sim::ConfigError;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -170,12 +170,12 @@ impl From<ConfigError> for ApiError {
 /// `{"api":1,"job":{"study":"quick"}}` is a complete request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
-    /// Run the full study ([`Study::run_with_cache`]).
+    /// Run the full study ([`Study::run`]).
     Study {
         /// The study to run.
         config: StudyConfig,
     },
-    /// Run the width sweep ([`ScaleStudy::run_cached`]).
+    /// Run the width sweep ([`ScaleStudy::run`]).
     Scale {
         /// The sweep to run.
         config: ScaleConfig,
@@ -578,10 +578,6 @@ impl CancelToken {
     }
 }
 
-/// A run stopped because its [`CancelToken`] fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
-
 /// One finished session, as reported to [`RunHooks::on_session`].
 #[derive(Debug, Clone)]
 pub struct SessionDone {
@@ -664,8 +660,7 @@ pub fn execute_with(
     req.validate()?;
     match &req.job {
         JobSpec::Study { config } => {
-            let (study, obs) = Study::run_with_hooks(config.clone(), cache, hooks)
-                .map_err(|Cancelled| ApiError::cancelled())?;
+            let (study, obs) = Study::run(config.clone(), cache, hooks)?;
             let comparison = report::comparison(&study);
             Ok(JobOutcome {
                 result: JobResult::Study { study, comparison },
@@ -674,11 +669,7 @@ pub fn execute_with(
             })
         }
         JobSpec::Scale { config } => {
-            let (study, sweep) =
-                ScaleStudy::run_cached_with_hooks(config, cache, hooks).map_err(|e| match e {
-                    ScaleRunError::Config(c) => ApiError::from(c),
-                    ScaleRunError::Cancelled(Cancelled) => ApiError::cancelled(),
-                })?;
+            let (study, sweep) = ScaleStudy::run(config, cache, hooks)?;
             Ok(JobOutcome {
                 result: JobResult::Scale { study },
                 study_obs: None,
@@ -707,16 +698,14 @@ pub fn execute_with(
                 on_session: Some(&cold_hook),
             };
             let (cold_study, cold_obs) =
-                Study::run_with_hooks(config.clone(), Some(&bench_cache), &cold_hooks)
-                    .map_err(|Cancelled| ApiError::cancelled())?;
+                Study::run(config.clone(), Some(&bench_cache), &cold_hooks)?;
             let warm_hook = offset(per_pass);
             let warm_hooks = RunHooks {
                 cancel: hooks.cancel,
                 on_session: Some(&warm_hook),
             };
             let (warm_study, warm_obs) =
-                Study::run_with_hooks(config.clone(), Some(&bench_cache), &warm_hooks)
-                    .map_err(|Cancelled| ApiError::cancelled())?;
+                Study::run(config.clone(), Some(&bench_cache), &warm_hooks)?;
             debug_assert_eq!(cold_study, warm_study, "cache broke determinism");
             let cold_wall_s = cold_obs.study_wall_s;
             let warm_wall_s = warm_obs.study_wall_s;

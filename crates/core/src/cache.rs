@@ -25,7 +25,7 @@
 use crate::experiment::{Capture, SessionConfig, SessionResult};
 use fx8_sim::audit::AuditReport;
 use fx8_sim::fingerprint::{CacheKeyHasher, Fingerprint, AUDIT_BUILD, ENGINE_VERSION};
-use fx8_sim::TraceConfig;
+use fx8_sim::{MachineConfig, TraceConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -214,9 +214,9 @@ impl SessionCache {
 
     /// The content fingerprint of one session's full input: engine
     /// version, audit-build flag, session kind, the *canonical* session
-    /// config (trace knobs zeroed — tracing is a proven pure observer, so
-    /// traced and untraced runs share results), session index, and
-    /// capture budget.
+    /// config (trace knobs zeroed and engine knobs at their defaults —
+    /// neither steers results, so all such runs share entries), session
+    /// index, and capture budget.
     pub fn key(
         &self,
         kind: SessionKind,
@@ -225,9 +225,15 @@ impl SessionCache {
         captures: usize,
     ) -> Fingerprint {
         let mut canon = cfg.clone();
-        // Trace knobs never steer the simulation (asserted by the PR-5
-        // pure-observer suite), so they are canonicalized out of the key.
+        // Trace knobs never steer the simulation (asserted by the
+        // pure-observer suite), and the fast-forward and dense engines
+        // are bit-identical to the scalar stepper (asserted by the
+        // differential suites), so all three are canonicalized out of
+        // the key.
+        let defaults = MachineConfig::default();
         canon.machine.trace = TraceConfig::off();
+        canon.machine.fast_forward = defaults.fast_forward;
+        canon.machine.dense_stepping = defaults.dense_stepping;
         let json = serde_json::to_string(&canon).expect("session config serializes");
         let mut h = CacheKeyHasher::new();
         h.write_str("fx8-session-cache");
@@ -379,6 +385,14 @@ mod tests {
             c.key(SessionKind::Random, &plain, 0, 0),
             c.key(SessionKind::Random, &traced, 0, 0),
             "tracing is a pure observer and must share cache entries"
+        );
+        let mut scalar = cfg();
+        scalar.machine.fast_forward = false;
+        scalar.machine.dense_stepping = false;
+        assert_eq!(
+            c.key(SessionKind::Random, &plain, 0, 0),
+            c.key(SessionKind::Random, &scalar, 0, 0),
+            "the stepping engines are bit-identical and must share cache entries"
         );
     }
 

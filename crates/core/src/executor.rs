@@ -1,6 +1,6 @@
 //! The study's work-stealing task executor.
 //!
-//! Extracted from `Study::run_observed` so the width sweep
+//! Extracted from `Study::run` so the width sweep
 //! ([`crate::scale`]) can fan its per-width session tasks through the same
 //! pool. Tasks are pulled heaviest-first off a shared cursor by a pool
 //! sized to the host, so total wall time is bounded by the single heaviest

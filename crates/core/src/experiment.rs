@@ -185,15 +185,24 @@ pub struct Capture {
     pub counts: EventCounts,
 }
 
-/// Run one random-sampling session (§ 3.5, first measurement type).
-pub fn run_random_session(cfg: &SessionConfig, session_idx: usize) -> SessionResult {
-    run_random_session_observed(cfg, session_idx).0
+impl Capture {
+    /// Arm `das` on `cluster` and reduce one buffer as it is captured;
+    /// `None` when the trigger timed out.
+    fn acquire(das: &DasMonitor, cluster: &mut Cluster, session: usize) -> Option<Capture> {
+        let mut counts = EventCounts::empty(cluster.config().n_ces);
+        let at_cycle = das.acquire_reduced_into(cluster, &mut counts).ok()?;
+        Some(Capture {
+            session,
+            at_cycle,
+            counts,
+        })
+    }
 }
 
-/// [`run_random_session`], also returning the session's observability
-/// slice (trace metrics, events, wall clock). The simulated trajectory is
-/// bit-identical to the plain runner's: observation never steers.
-pub fn run_random_session_observed(
+/// Run one random-sampling session (§ 3.5, first measurement type),
+/// also returning the session's observability slice (trace metrics,
+/// events, wall clock). Observation never steers the simulated trajectory.
+pub fn run_random_session(
     cfg: &SessionConfig,
     session_idx: usize,
 ) -> (SessionResult, SessionObservability) {
@@ -257,19 +266,9 @@ pub fn run_random_session_observed(
 
 /// Run one all-active-triggered session (§ 3.5, second measurement type).
 /// Returns the reduced counts of each captured buffer, tagged with the
-/// session index and trigger cycle, plus the session's audit report.
+/// session index and trigger cycle, plus the session's audit report and
+/// observability slice.
 pub fn run_triggered_session(
-    cfg: &SessionConfig,
-    session_idx: usize,
-    captures: usize,
-) -> (Vec<Capture>, AuditReport) {
-    let (caps, audit, _) = run_triggered_session_observed(cfg, session_idx, captures);
-    (caps, audit)
-}
-
-/// [`run_triggered_session`], also returning the session's observability
-/// slice.
-pub fn run_triggered_session_observed(
     cfg: &SessionConfig,
     session_idx: usize,
     captures: usize,
@@ -305,13 +304,7 @@ pub fn run_triggered_session_observed(
             continue;
         }
         driver.cluster_mut().run(cfg.warmup_cycles);
-        if let Ok(r) = das.acquire_reduced(driver.cluster_mut()) {
-            out.push(Capture {
-                session: session_idx,
-                at_cycle: r.triggered_at,
-                counts: r.counts,
-            });
-        }
+        out.extend(Capture::acquire(&das, driver.cluster_mut(), session_idx));
     }
     let audit = driver.cluster().audit_report();
     let obs = SessionObservability::capture(
@@ -323,19 +316,9 @@ pub fn run_triggered_session_observed(
 }
 
 /// Run one transition-triggered session (§ 3.5, the 8-to-fewer trigger).
-/// Returns the captures plus the session's audit report.
-pub fn run_transition_session(
-    cfg: &SessionConfig,
-    session_idx: usize,
-    captures: usize,
-) -> (Vec<Capture>, AuditReport) {
-    let (caps, audit, _) = run_transition_session_observed(cfg, session_idx, captures);
-    (caps, audit)
-}
-
-/// [`run_transition_session`], also returning the session's observability
+/// Returns the captures plus the session's audit report and observability
 /// slice.
-pub fn run_transition_session_observed(
+pub fn run_transition_session(
     cfg: &SessionConfig,
     session_idx: usize,
     captures: usize,
@@ -366,13 +349,7 @@ pub fn run_transition_session_observed(
         match driver.seek_transition(tail, deadline) {
             Some(_) => {
                 driver.cluster_mut().run(warmup);
-                if let Ok(r) = das.acquire_reduced(driver.cluster_mut()) {
-                    out.push(Capture {
-                        session: session_idx,
-                        at_cycle: r.triggered_at,
-                        counts: r.counts,
-                    });
-                }
+                out.extend(Capture::acquire(&das, driver.cluster_mut(), session_idx));
             }
             None => break,
         }
@@ -401,7 +378,7 @@ mod tests {
     #[test]
     fn random_session_produces_expected_sample_count() {
         let cfg = tiny_cfg(1);
-        let r = run_random_session(&cfg, 3);
+        let (r, _) = run_random_session(&cfg, 3);
         // 0.12 h = 432 s -> 1 interval of 300 s fits once.
         assert_eq!(r.samples.len(), 1);
         let s = &r.samples[0];
@@ -416,10 +393,10 @@ mod tests {
 
     #[test]
     fn random_session_is_deterministic() {
-        let a = run_random_session(&tiny_cfg(7), 0);
-        let b = run_random_session(&tiny_cfg(7), 0);
+        let a = run_random_session(&tiny_cfg(7), 0).0;
+        let b = run_random_session(&tiny_cfg(7), 0).0;
         assert_eq!(a, b);
-        let c = run_random_session(&tiny_cfg(8), 0);
+        let c = run_random_session(&tiny_cfg(8), 0).0;
         assert_ne!(a.samples[0].counts, c.samples[0].counts);
     }
 
@@ -427,7 +404,7 @@ mod tests {
     fn triggered_session_captures_full_concurrency() {
         let mut cfg = tiny_cfg(2);
         cfg.mix = WorkloadMix::all_concurrent();
-        let (buffers, _audit) = run_triggered_session(&cfg, 7, 3);
+        let (buffers, _, _) = run_triggered_session(&cfg, 7, 3);
         assert!(!buffers.is_empty(), "concurrent mix must trigger");
         let mut last_trigger = 0;
         for b in &buffers {
@@ -447,7 +424,7 @@ mod tests {
     fn transition_session_captures_drains() {
         let mut cfg = tiny_cfg(3);
         cfg.mix = WorkloadMix::all_concurrent();
-        let (buffers, _audit) = run_transition_session(&cfg, 4, 3);
+        let (buffers, _, _) = run_transition_session(&cfg, 4, 3);
         assert!(!buffers.is_empty(), "loops must drain");
         assert!(
             buffers.iter().all(|b| b.session == 4),
@@ -480,7 +457,7 @@ mod tests {
     fn serial_mix_never_triggers_all_active() {
         let mut cfg = tiny_cfg(4);
         cfg.mix = WorkloadMix::all_serial();
-        let (buffers, _audit) = run_triggered_session(&cfg, 0, 2);
+        let (buffers, _, _) = run_triggered_session(&cfg, 0, 2);
         assert!(
             buffers.is_empty(),
             "serial-only workload cannot reach 8-active"
@@ -526,7 +503,7 @@ mod tests {
         cfg.snapshots_per_sample = 1;
         cfg.buffer_depth = 8;
         assert!(cfg.validate().is_err(), "validate flags the rounding");
-        let r = run_random_session(&cfg, 0);
+        let (r, _) = run_random_session(&cfg, 0);
         assert_eq!(r.samples.len(), 1);
     }
 

@@ -517,7 +517,9 @@ mod tests {
                 mix: WorkloadMix::all_concurrent(),
                 ..StudyConfig::paper()
             };
-            Study::run(cfg)
+            Study::run(cfg, None, &crate::api::RunHooks::default())
+                .expect("uncancellable")
+                .0
         })
     }
 

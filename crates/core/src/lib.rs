@@ -44,7 +44,7 @@ pub mod tables;
 pub use api::{ApiError, JobRequest, JobResult, JobSpec, API_VERSION};
 pub use cache::{CacheStats, SessionCache};
 pub use sample::Sample;
-pub use scale::{ScaleConfig, ScalePoint, ScaleRunError, ScaleStudy, SweepStats};
+pub use scale::{ScaleConfig, ScalePoint, ScaleStudy, SweepStats};
 pub use study::{SessionAudit, Study, StudyAuditReport, StudyConfig};
 
 /// The types most programs need, importable in one line:
@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use crate::report::{CompRow, StudyReport};
     pub use crate::sample::Sample;
-    pub use crate::scale::{ScaleConfig, ScalePoint, ScaleRunError, ScaleStudy, SweepStats};
-    pub use crate::study::{Study, StudyAuditReport, StudyConfig, StudyConfigBuilder};
+    pub use crate::scale::{ScaleConfig, ScalePoint, ScaleStudy, SweepStats};
+    pub use crate::study::{Study, StudyAuditReport, StudyConfig};
     pub use fx8_monitor::EventCounts;
-    pub use fx8_sim::{ConfigError, MachineConfig, MachineConfigBuilder, TraceConfig};
+    pub use fx8_sim::{ConfigError, MachineConfig, TraceConfig};
 }

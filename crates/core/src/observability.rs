@@ -3,9 +3,9 @@
 //! The simulator's trace layer ([`fx8_sim::trace`]) collects per-cluster
 //! metrics and events; this module pools them across the sessions of a
 //! [`crate::study::Study`] and adds the third pillar the machine cannot
-//! see: wall-clock self-profiling of `Study::run`. The observed runners in
+//! see: wall-clock self-profiling of `Study::run`. The session runners in
 //! [`crate::experiment`] capture one [`SessionObservability`] per session;
-//! [`crate::study::Study::run_observed`] assembles them into a
+//! [`crate::study::Study::run`] assembles them into a
 //! [`StudyObservability`], which renders as the `observability` section of
 //! [`crate::report::StudyReport`], serializes to the `reproduce metrics`
 //! JSON, and exports the `reproduce trace` Chrome `trace_event` file.

@@ -10,10 +10,9 @@
 //! workload mix, session plan, and base seed, so the curves isolate the
 //! machine's width from everything else.
 
-use crate::api::{Cancelled, RunHooks};
+use crate::api::{ApiError, RunHooks};
 use crate::cache::{CacheStats, SessionCache};
-use crate::executor;
-use crate::study::{Study, StudyConfig, StudyConfigBuilder};
+use crate::study::{run_sessions, Study, StudyConfig};
 use fx8_sim::{ConfigError, MachineConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -62,16 +61,17 @@ impl ScaleConfig {
             ));
         }
         for &w in &self.widths {
-            self.study_for_width(w)?;
+            self.study_for_width(w).validate()?;
         }
         Ok(())
     }
 
     /// The complete per-width study configuration.
-    fn study_for_width(&self, width: usize) -> Result<StudyConfig, ConfigError> {
-        StudyConfigBuilder::from_config(self.base.clone())
-            .machine(MachineConfig::scaled(width))
-            .build()
+    fn study_for_width(&self, width: usize) -> StudyConfig {
+        StudyConfig {
+            machine: MachineConfig::scaled(width),
+            ..self.base.clone()
+        }
     }
 }
 
@@ -132,124 +132,53 @@ pub struct SweepStats {
     pub cache: CacheStats,
 }
 
-/// Why a hook-driven sweep stopped before producing curves.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScaleRunError {
-    /// The configuration failed validation (before any session ran).
-    Config(ConfigError),
-    /// The run's [`crate::api::CancelToken`] fired.
-    Cancelled(Cancelled),
-}
-
-impl From<ConfigError> for ScaleRunError {
-    fn from(e: ConfigError) -> Self {
-        ScaleRunError::Config(e)
-    }
-}
-
-impl std::fmt::Display for ScaleRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScaleRunError::Config(e) => e.fmt(f),
-            ScaleRunError::Cancelled(_) => write!(f, "sweep was cancelled"),
-        }
-    }
-}
-
-impl std::error::Error for ScaleRunError {}
-
 impl ScaleStudy {
-    /// Run the sweep: a complete [`Study`] per width, widths in order.
-    pub fn run(cfg: &ScaleConfig) -> Result<ScaleStudy, ConfigError> {
-        Ok(ScaleStudy::run_cached(cfg, None)?.0)
-    }
-
-    /// Run the sweep as an *incremental* fan-out: every width's session
-    /// tasks are flattened into one longest-first pool (so widths overlap
-    /// on the host instead of running one study at a time), and each task
-    /// consults the result cache before stepping. Re-running a sweep with
-    /// one added width therefore recomputes only that width's sessions —
-    /// every previously-computed (width, session) point loads.
-    pub fn run_cached(
-        cfg: &ScaleConfig,
-        cache: Option<&SessionCache>,
-    ) -> Result<(ScaleStudy, SweepStats), ConfigError> {
-        ScaleStudy::run_cached_with_hooks(cfg, cache, &RunHooks::default()).map_err(|e| match e {
-            ScaleRunError::Config(c) => c,
-            ScaleRunError::Cancelled(_) => {
-                unreachable!("a run without a cancel token cannot be cancelled")
-            }
-        })
-    }
-
-    /// The service-callable sweep: [`ScaleStudy::run_cached`] plus
-    /// [`RunHooks`] — cancellation checked before each session starts and
-    /// a per-session completion callback across the whole flattened pool.
-    pub fn run_cached_with_hooks(
+    /// Run the sweep: a complete [`Study`] per width, widths in order, as
+    /// an *incremental* fan-out. Every width's session tasks are flattened
+    /// into one longest-first pool (so widths overlap on the host instead
+    /// of running one study at a time), and each task consults the result
+    /// cache before stepping. Re-running a sweep with one added width
+    /// therefore recomputes only that width's sessions — every
+    /// previously-computed (width, session) point loads. `hooks` work as
+    /// in [`Study::run`] across the whole pool; progress labels carry the
+    /// width (`"w16 random 0"`). A bad width fails validation before any
+    /// session runs.
+    pub fn run(
         cfg: &ScaleConfig,
         cache: Option<&SessionCache>,
         hooks: &RunHooks<'_>,
-    ) -> Result<(ScaleStudy, SweepStats), ScaleRunError> {
+    ) -> Result<(ScaleStudy, SweepStats), ApiError> {
         cfg.validate()?;
         let started = std::time::Instant::now();
-        let before = cache.map(|c| c.stats());
-        let studies: Vec<StudyConfig> = cfg
-            .widths
+        let studies: Vec<StudyConfig> =
+            cfg.widths.iter().map(|&w| cfg.study_for_width(w)).collect();
+        let tasks: Vec<_> = studies
             .iter()
-            .map(|&w| cfg.study_for_width(w).expect("validated above"))
+            .flat_map(StudyConfig::session_tasks)
             .collect();
-        // Flatten (width slot, session task) pairs so the executor
-        // schedules the whole sweep as one pool.
-        let tasks: Vec<(usize, crate::study::SessionTask)> = studies
-            .iter()
-            .enumerate()
-            .flat_map(|(wi, sc)| sc.session_tasks().into_iter().map(move |t| (wi, t)))
-            .collect();
-        let n_sessions = tasks.len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let outputs = executor::run_longest_first(
+        let (outputs, cache_stats) = run_sessions(
             &tasks,
-            |(_, t)| t.weight(),
-            |(wi, t)| {
-                if hooks.is_cancelled() {
-                    return None;
-                }
-                let out = t.run(cache);
-                let obs = out.obs();
-                let label = format!("w{} {}", cfg.widths[*wi], obs.label);
-                hooks.session_done(&done, n_sessions, &label, obs.cache_hit);
-                Some(out)
-            },
+            |t, l| format!("w{} {l}", t.cfg.machine.n_ces),
             cfg.base.parallel,
-        );
-        let outputs: Option<Vec<crate::study::SessionOut>> = outputs.into_iter().collect();
-        let Some(outputs) = outputs else {
-            return Err(ScaleRunError::Cancelled(Cancelled));
-        };
-        // Regroup outputs per width, preserving task order within each
-        // width (the flattening enumerates widths in order, and the
-        // executor returns outputs in task order).
-        let mut per_width: Vec<Vec<crate::study::SessionOut>> =
-            studies.iter().map(|_| Vec::new()).collect();
-        for ((wi, _), out) in tasks.iter().zip(outputs) {
-            per_width[*wi].push(out);
-        }
+            cache,
+            hooks,
+        )?;
+        // Outputs come back in task order, which enumerates widths in
+        // order with the same session plan at every width.
+        let per_width = tasks.len() / studies.len();
+        let mut outputs = outputs.into_iter();
         let points = studies
             .into_iter()
-            .zip(per_width)
-            .zip(cfg.widths.iter())
-            .map(|((sc, outs), &w)| {
+            .map(|sc| {
+                let outs = outputs.by_ref().take(per_width).collect();
                 let (study, _obs) = Study::assemble(sc, outs);
-                ScalePoint::from_study(w, &study)
+                ScalePoint::from_study(study.config.machine.n_ces, &study)
             })
             .collect();
         let stats = SweepStats {
             sweep_wall_s: started.elapsed().as_secs_f64(),
-            sessions: n_sessions,
-            cache: match (cache, before) {
-                (Some(c), Some(b)) => c.stats().since(&b),
-                _ => CacheStats::default(),
-            },
+            sessions: tasks.len(),
+            cache: cache_stats,
         };
         Ok((ScaleStudy { points }, stats))
     }
@@ -302,7 +231,8 @@ mod tests {
         let mut cfg = ScaleConfig::quick();
         cfg.widths = vec![8, 65];
         assert!(cfg.validate().is_err());
-        assert!(ScaleStudy::run(&cfg).is_err());
+        let err = ScaleStudy::run(&cfg, None, &RunHooks::default()).unwrap_err();
+        assert_eq!(err.code, "config/range-n-ces");
     }
 
     /// A two-point micro sweep end to end: points come back in width
@@ -315,7 +245,7 @@ mod tests {
         cfg.base.n_triggered = 0;
         cfg.base.n_transition = 0;
         cfg.widths = vec![2, 16];
-        let s = ScaleStudy::run(&cfg).unwrap();
+        let (s, _) = ScaleStudy::run(&cfg, None, &RunHooks::default()).unwrap();
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.points[0].n_ces, 2);
         assert_eq!(s.points[1].n_ces, 16);

@@ -6,12 +6,12 @@
 //! seeds), so the study runs them in parallel with scoped threads — the
 //! results are bit-identical to a serial run.
 
-use crate::api::{Cancelled, RunHooks};
+use crate::api::{ApiError, RunHooks};
 use crate::cache::{CacheStats, CachedSession, SessionCache, SessionKind};
 use crate::executor;
 use crate::experiment::{
-    run_random_session_observed, run_transition_session_observed, run_triggered_session_observed,
-    Capture, SessionConfig, SessionResult,
+    run_random_session, run_transition_session, run_triggered_session, Capture, SessionConfig,
+    SessionResult,
 };
 use crate::observability::{SessionObservability, StudyObservability};
 use crate::sample::Sample;
@@ -108,11 +108,6 @@ impl StudyConfig {
             }
         }
         self.session_cfg(0, DEFAULT_SESSION_HOURS).validate()
-    }
-
-    /// Start a builder seeded with the paper-scale configuration.
-    pub fn builder() -> StudyConfigBuilder {
-        StudyConfigBuilder::paper()
     }
 
     fn session_cfg(&self, seed_offset: u64, hours: f64) -> SessionConfig {
@@ -245,7 +240,7 @@ impl SessionTask {
     fn compute(&self) -> SessionOut {
         match self.kind {
             SessionKind::Random => {
-                let (result, obs) = run_random_session_observed(&self.cfg, self.idx);
+                let (result, obs) = run_random_session(&self.cfg, self.idx);
                 SessionOut::Random {
                     idx: self.idx,
                     result,
@@ -254,7 +249,7 @@ impl SessionTask {
             }
             SessionKind::Triggered => {
                 let (captures, audit, obs) =
-                    run_triggered_session_observed(&self.cfg, self.idx, self.captures);
+                    run_triggered_session(&self.cfg, self.idx, self.captures);
                 SessionOut::Triggered {
                     idx: self.idx,
                     captures,
@@ -264,7 +259,7 @@ impl SessionTask {
             }
             SessionKind::Transition => {
                 let (captures, audit, obs) =
-                    run_transition_session_observed(&self.cfg, self.idx, self.captures);
+                    run_transition_session(&self.cfg, self.idx, self.captures);
                 SessionOut::Transition {
                     idx: self.idx,
                     captures,
@@ -332,86 +327,6 @@ impl SessionOut {
     }
 }
 
-/// Builder for [`StudyConfig`].
-///
-/// Starts from a preset ([`StudyConfigBuilder::paper`] or
-/// [`StudyConfigBuilder::quick`]), overrides individual fields, and runs
-/// the full validation chain in [`StudyConfigBuilder::build`], returning
-/// [`ConfigError`] instead of panicking later inside the session runners.
-#[derive(Debug, Clone)]
-pub struct StudyConfigBuilder {
-    cfg: StudyConfig,
-}
-
-macro_rules! study_builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, v: $ty) -> Self {
-                self.cfg.$name = v;
-                self
-            }
-        )*
-    };
-}
-
-impl StudyConfigBuilder {
-    /// Start from the paper-scale study ([`StudyConfig::paper`]).
-    pub fn paper() -> Self {
-        StudyConfigBuilder {
-            cfg: StudyConfig::paper(),
-        }
-    }
-
-    /// Start from the scaled-down test study ([`StudyConfig::quick`]).
-    pub fn quick() -> Self {
-        StudyConfigBuilder {
-            cfg: StudyConfig::quick(),
-        }
-    }
-
-    /// Start from an existing configuration.
-    pub fn from_config(cfg: StudyConfig) -> Self {
-        StudyConfigBuilder { cfg }
-    }
-
-    study_builder_setters! {
-        /// Machine configuration shared by all sessions.
-        machine: MachineConfig,
-        /// Workload mix shared by all sessions.
-        mix: WorkloadMix,
-        /// Number of random-sampling sessions.
-        n_random: usize,
-        /// Random-session lengths in hours, cycled across sessions.
-        session_hours: Vec<f64>,
-        /// Number of all-active-triggered sessions.
-        n_triggered: usize,
-        /// Buffers captured per triggered session.
-        captures_per_triggered: usize,
-        /// Number of transition-triggered sessions.
-        n_transition: usize,
-        /// Buffers captured per transition session.
-        captures_per_transition: usize,
-        /// Base RNG seed; session `i` uses `base_seed + i`.
-        base_seed: u64,
-        /// Run sessions on parallel threads.
-        parallel: bool,
-    }
-
-    /// Set the trace knobs on the shared machine configuration (the
-    /// common case for observability runs: everything else stays preset).
-    pub fn trace(mut self, trace: fx8_sim::TraceConfig) -> Self {
-        self.cfg.machine.trace = trace;
-        self
-    }
-
-    /// Validate and return the finished configuration.
-    pub fn build(self) -> Result<StudyConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 /// The study's complete data set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Study {
@@ -430,87 +345,79 @@ pub struct Study {
     pub transition_audits: Vec<AuditReport>,
 }
 
+/// Run session tasks through the longest-first pool, each consulting
+/// `cache` first when one is given. Cancellation is checked before each
+/// session starts (running sessions are never torn); `hooks` hears about
+/// each finished session under `label(task, session label)`. Returns the
+/// outputs in task order plus this run's cache-counter delta.
+pub(crate) fn run_sessions(
+    tasks: &[SessionTask],
+    label: impl Fn(&SessionTask, &str) -> String + Sync,
+    parallel: bool,
+    cache: Option<&SessionCache>,
+    hooks: &RunHooks<'_>,
+) -> Result<(Vec<SessionOut>, CacheStats), ApiError> {
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    let before = cache.map(SessionCache::stats);
+    // Work queue: a pool sized to the host pulls the heaviest remaining
+    // session first, so total wall time is bounded by the single heaviest
+    // session instead of by thread oversubscription. A cancelled session
+    // leaves `None` in its slot.
+    let outputs = executor::run_longest_first(
+        tasks,
+        SessionTask::weight,
+        |t| {
+            if hooks.is_cancelled() {
+                return None;
+            }
+            let out = t.run(cache);
+            let obs = out.obs();
+            hooks.session_done(&done, tasks.len(), &label(t, &obs.label), obs.cache_hit);
+            Some(out)
+        },
+        parallel,
+    );
+    let outputs = outputs
+        .into_iter()
+        .collect::<Option<Vec<SessionOut>>>()
+        .ok_or_else(ApiError::cancelled)?;
+    let stats = match (cache, before) {
+        (Some(c), Some(b)) => c.stats().since(&b),
+        _ => CacheStats::default(),
+    };
+    Ok((outputs, stats))
+}
+
 impl Study {
-    /// Run the whole study.
-    pub fn run(config: StudyConfig) -> Study {
-        Study::run_observed(config).0
-    }
-
-    /// Run the whole study, also returning its observability: per-session
-    /// trace metrics/events and wall-clock self-profiling. The returned
-    /// [`Study`] is bit-identical to [`Study::run`]'s — observation never
-    /// steers, and wall time lives only in the second tuple element, so
-    /// the determinism suite keeps comparing studies whole.
-    pub fn run_observed(config: StudyConfig) -> (Study, StudyObservability) {
-        Study::run_with_cache(config, None)
-    }
-
-    /// [`Study::run_observed`] against a session result cache: each
-    /// session consults the cache before stepping a single cycle and
-    /// stores its output on completion. Because the simulator is
-    /// bit-deterministic, the returned [`Study`] is bit-identical whether
-    /// every session hit, missed, or mixed — only wall clock and the
-    /// observability's [`CacheStats`] differ.
-    pub fn run_cached(config: StudyConfig, cache: &SessionCache) -> (Study, StudyObservability) {
-        Study::run_with_cache(config, Some(cache))
-    }
-
-    /// The general entry point behind [`Study::run`], [`Study::run_observed`]
-    /// and [`Study::run_cached`].
-    pub fn run_with_cache(
-        config: StudyConfig,
-        cache: Option<&SessionCache>,
-    ) -> (Study, StudyObservability) {
-        Study::run_with_hooks(config, cache, &RunHooks::default())
-            .expect("a run without a cancel token cannot be cancelled")
-    }
-
-    /// The service-callable general entry point: [`Study::run_with_cache`]
-    /// plus [`RunHooks`] — a cancellation token checked before each
-    /// session starts, and a per-session completion callback for progress
-    /// streaming. Hooks never steer results: a completed run is
-    /// bit-identical to [`Study::run`]'s.
-    pub fn run_with_hooks(
+    /// Run the whole study against an optional session result cache,
+    /// returning the data set and its observability: per-session trace
+    /// metrics/events, wall-clock self-profiling and this run's cache
+    /// counters. Each session consults the cache before stepping a single
+    /// cycle and stores its output on completion. `hooks` carries an
+    /// optional cancellation token, checked before each session starts
+    /// (the only error is [`ApiError::cancelled`]), and a per-session
+    /// completion callback for progress streaming.
+    ///
+    /// Because the simulator is bit-deterministic, the returned [`Study`]
+    /// is bit-identical whether sessions hit, missed or ran in parallel,
+    /// and whatever the trace knobs or hooks: wall time and cache counters
+    /// live only in the [`StudyObservability`], so the determinism suite
+    /// keeps comparing studies whole. The config is not validated here;
+    /// [`crate::api::execute`] validates before it runs.
+    pub fn run(
         config: StudyConfig,
         cache: Option<&SessionCache>,
         hooks: &RunHooks<'_>,
-    ) -> Result<(Study, StudyObservability), Cancelled> {
-        let study_started = std::time::Instant::now();
+    ) -> Result<(Study, StudyObservability), ApiError> {
+        let started = std::time::Instant::now();
         let tasks = config.session_tasks();
-        let total = tasks.len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let before = cache.map(|c| c.stats());
-        // Work queue: a pool sized to the host pulls the heaviest
-        // remaining session first, so total wall time is bounded by the
-        // single heaviest session instead of by thread oversubscription.
-        // Cancellation skips sessions not yet started (returning None in
-        // their slot) rather than tearing running ones.
-        let outputs = executor::run_longest_first(
-            &tasks,
-            SessionTask::weight,
-            |t| {
-                if hooks.is_cancelled() {
-                    return None;
-                }
-                let out = t.run(cache);
-                let obs = out.obs();
-                hooks.session_done(&done, total, &obs.label, obs.cache_hit);
-                Some(out)
-            },
-            config.parallel,
-        );
-        let outputs: Option<Vec<SessionOut>> = outputs.into_iter().collect();
-        let Some(outputs) = outputs else {
-            return Err(Cancelled);
-        };
-        let (study, session_obs) = Study::assemble(config, outputs);
+        let (outputs, cache_stats) =
+            run_sessions(&tasks, |_, l| l.to_string(), config.parallel, cache, hooks)?;
+        let (study, sessions) = Study::assemble(config, outputs);
         let observability = StudyObservability {
-            sessions: session_obs,
-            study_wall_s: study_started.elapsed().as_secs_f64(),
-            cache: match (cache, before) {
-                (Some(c), Some(b)) => c.stats().since(&b),
-                _ => CacheStats::default(),
-            },
+            sessions,
+            study_wall_s: started.elapsed().as_secs_f64(),
+            cache: cache_stats,
         };
         Ok((study, observability))
     }
@@ -736,6 +643,12 @@ impl StudyAuditReport {
 mod tests {
     use super::*;
 
+    fn run(cfg: StudyConfig) -> Study {
+        Study::run(cfg, None, &RunHooks::default())
+            .expect("an uncancellable run completes")
+            .0
+    }
+
     fn mini() -> StudyConfig {
         StudyConfig {
             n_random: 2,
@@ -751,7 +664,7 @@ mod tests {
 
     #[test]
     fn study_runs_all_session_types() {
-        let s = Study::run(mini());
+        let s = run(mini());
         assert_eq!(s.random_sessions.len(), 2);
         assert_eq!(s.triggered.len(), 1);
         assert_eq!(s.transitions.len(), 1);
@@ -762,9 +675,9 @@ mod tests {
     fn parallel_and_serial_runs_agree() {
         let mut cfg = mini();
         cfg.parallel = true;
-        let par = Study::run(cfg.clone());
+        let par = run(cfg.clone());
         cfg.parallel = false;
-        let ser = Study::run(cfg);
+        let ser = run(cfg);
         assert_eq!(par.random_sessions, ser.random_sessions);
         assert_eq!(par.triggered, ser.triggered);
         assert_eq!(par.transitions, ser.transitions);
@@ -779,16 +692,12 @@ mod tests {
         let mut cfg = mini();
         cfg.mix = WorkloadMix::csrd_production();
         cfg.parallel = true;
-        let first = Study::run(cfg.clone());
+        let first = run(cfg.clone());
         for _ in 0..2 {
-            assert_eq!(
-                first,
-                Study::run(cfg.clone()),
-                "parallel run must be reproducible"
-            );
+            assert_eq!(first, run(cfg.clone()), "parallel run must be reproducible");
         }
         cfg.parallel = false;
-        let serial = Study::run(cfg);
+        let serial = run(cfg);
         assert_eq!(first.random_sessions, serial.random_sessions);
         assert_eq!(first.triggered, serial.triggered);
         assert_eq!(first.transitions, serial.transitions);
@@ -803,9 +712,9 @@ mod tests {
         let mut cfg = mini();
         cfg.mix = WorkloadMix::csrd_production();
         assert!(cfg.machine.fast_forward, "fast-forward is on by default");
-        let on = Study::run(cfg.clone());
+        let on = run(cfg.clone());
         cfg.machine.fast_forward = false;
-        let off = Study::run(cfg);
+        let off = run(cfg);
         assert_eq!(on.random_sessions, off.random_sessions);
         assert_eq!(on.triggered, off.triggered);
         assert_eq!(on.transitions, off.transitions);
@@ -813,7 +722,7 @@ mod tests {
 
     #[test]
     fn pooling_conserves_records() {
-        let s = Study::run(mini());
+        let s = run(mini());
         let pooled = s.pooled_counts();
         let by_session: u64 = s
             .random_sessions
@@ -841,7 +750,7 @@ mod tests {
         };
         assert!((cfg.hours_for_session(0) - DEFAULT_SESSION_HOURS).abs() < 1e-12);
         assert!(cfg.validate().is_ok(), "empty session_hours is legal");
-        let s = Study::run(cfg);
+        let s = run(cfg);
         assert_eq!(s.random_sessions.len(), 1);
         assert!(!s.random_sessions[0].samples.is_empty());
     }
@@ -850,7 +759,7 @@ mod tests {
     fn study_config_validate_rejects_bad_hours() {
         let mut cfg = mini();
         cfg.session_hours = vec![4.0, f64::NAN];
-        assert!(cfg.validate().is_err());
+        assert_eq!(cfg.validate().unwrap_err().field(), "session_hours");
         cfg.session_hours = vec![-1.0];
         assert!(cfg.validate().is_err());
         assert!(StudyConfig::paper().validate().is_ok());
@@ -860,13 +769,17 @@ mod tests {
     #[test]
     fn observed_run_is_bit_identical_and_labeled() {
         let base = mini();
-        let traced = StudyConfigBuilder::from_config(base.clone())
-            .trace(fx8_sim::TraceConfig::full())
-            .build()
-            .expect("mini study config validates");
-        let (study, obs) = Study::run_observed(traced);
+        let traced = StudyConfig {
+            machine: MachineConfig {
+                trace: fx8_sim::TraceConfig::full(),
+                ..base.machine.clone()
+            },
+            ..base.clone()
+        };
+        traced.validate().expect("mini study config validates");
+        let (study, obs) = Study::run(traced, None, &RunHooks::default()).unwrap();
         // Tracing never steers: the study equals an untraced plain run.
-        let plain = Study::run(base);
+        let plain = run(base);
         assert_eq!(study.random_sessions, plain.random_sessions);
         assert_eq!(study.triggered, plain.triggered);
         assert_eq!(study.transitions, plain.transitions);
@@ -893,30 +806,8 @@ mod tests {
     }
 
     #[test]
-    fn study_builder_overrides_and_validates() {
-        let cfg = StudyConfig::builder()
-            .n_random(1)
-            .session_hours(vec![0.1])
-            .n_triggered(0)
-            .n_transition(0)
-            .base_seed(7)
-            .parallel(false)
-            .build()
-            .expect("overridden paper config stays valid");
-        assert_eq!(cfg.n_random, 1);
-        assert_eq!(cfg.base_seed, 7);
-        assert_eq!(cfg.machine, MachineConfig::fx8(), "presets untouched");
-
-        let err = StudyConfigBuilder::quick()
-            .session_hours(vec![f64::NAN])
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field(), "session_hours");
-    }
-
-    #[test]
     fn audit_report_pools_every_session() {
-        let s = Study::run(mini());
+        let s = run(mini());
         let rep = s.audit_report();
         assert_eq!(rep.sessions.len(), 2 + 1 + 1);
         // Without the audit feature the reports are empty-but-clean; with

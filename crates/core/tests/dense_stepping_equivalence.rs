@@ -195,23 +195,23 @@ fn quick_cfg(seed: u64, dense: bool) -> SessionConfig {
 
 #[test]
 fn random_sessions_bit_identical_with_dense_stepping() {
-    let on = run_random_session(&quick_cfg(11, true), 0);
-    let off = run_random_session(&quick_cfg(11, false), 0);
+    let (on, _) = run_random_session(&quick_cfg(11, true), 0);
+    let (off, _) = run_random_session(&quick_cfg(11, false), 0);
     assert_eq!(on, off, "random-sampling protocol diverged");
 }
 
 #[test]
 fn triggered_sessions_bit_identical_with_dense_stepping() {
-    let (on, _) = run_triggered_session(&quick_cfg(12, true), 0, 3);
-    let (off, _) = run_triggered_session(&quick_cfg(12, false), 0, 3);
+    let (on, _, _) = run_triggered_session(&quick_cfg(12, true), 0, 3);
+    let (off, _, _) = run_triggered_session(&quick_cfg(12, false), 0, 3);
     assert!(!on.is_empty(), "triggered session captured nothing");
     assert_eq!(on, off, "all-active-triggered protocol diverged");
 }
 
 #[test]
 fn transition_sessions_bit_identical_with_dense_stepping() {
-    let (on, _) = run_transition_session(&quick_cfg(13, true), 0, 3);
-    let (off, _) = run_transition_session(&quick_cfg(13, false), 0, 3);
+    let (on, _, _) = run_transition_session(&quick_cfg(13, true), 0, 3);
+    let (off, _, _) = run_transition_session(&quick_cfg(13, false), 0, 3);
     assert!(!on.is_empty(), "transition session captured nothing");
     assert_eq!(on, off, "transition-triggered protocol diverged");
 }
@@ -222,7 +222,7 @@ fn transition_sessions_bit_identical_with_dense_stepping() {
 #[cfg(feature = "audit")]
 #[test]
 fn audited_session_with_dense_stepping_on_is_clean() {
-    let r = run_random_session(&quick_cfg(14, true), 0);
+    let (r, _) = run_random_session(&quick_cfg(14, true), 0);
     assert!(
         r.audit.is_clean(),
         "audited session reported violations: {:?}",
@@ -241,7 +241,7 @@ fn audited_session_at_width_32_is_clean() {
         machine: MachineConfig::scaled(32),
         ..SessionConfig::quick(15)
     };
-    let r = run_random_session(&cfg, 0);
+    let (r, _) = run_random_session(&cfg, 0);
     assert!(
         r.audit.is_clean(),
         "audited 32-CE session reported violations: {:?}",

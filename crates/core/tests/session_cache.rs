@@ -7,8 +7,10 @@
 //! truncated entries, foreign keys, a bumped engine-version salt — and
 //! assert every attack degrades to a recompute, never to a wrong result.
 
+use fx8_core::api::RunHooks;
 use fx8_core::cache::{CachedSession, SessionCache, SessionKind};
 use fx8_core::experiment::SessionConfig;
+use fx8_core::observability::StudyObservability;
 use fx8_core::study::{Study, StudyConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -43,6 +45,10 @@ fn mini_study() -> StudyConfig {
 
 const MINI_SESSIONS: u64 = 4;
 
+fn run_against(cache: &SessionCache) -> (Study, StudyObservability) {
+    Study::run(mini_study(), Some(cache), &RunHooks::default()).expect("uncancellable")
+}
+
 /// The tentpole guarantee: a warm run answered entirely from the on-disk
 /// store is bit-identical to the cold run that populated it. The warm run
 /// uses a *fresh* `SessionCache`, so every hit must come through the disk
@@ -52,13 +58,13 @@ fn warm_disk_run_is_bit_identical_to_cold_run() {
     let dir = scratch_dir("warm");
 
     let cold_cache = SessionCache::at_dir(&dir);
-    let (cold, cold_obs) = Study::run_cached(mini_study(), &cold_cache);
+    let (cold, cold_obs) = run_against(&cold_cache);
     assert_eq!(cold_obs.cache.hits, 0);
     assert_eq!(cold_obs.cache.misses, MINI_SESSIONS);
     assert_eq!(cold_obs.cache.stores, MINI_SESSIONS);
 
     let warm_cache = SessionCache::at_dir(&dir);
-    let (warm, warm_obs) = Study::run_cached(mini_study(), &warm_cache);
+    let (warm, warm_obs) = run_against(&warm_cache);
     assert_eq!(
         warm_obs.cache.hits, MINI_SESSIONS,
         "warm run must fully hit"
@@ -83,7 +89,7 @@ fn warm_disk_run_is_bit_identical_to_cold_run() {
 #[test]
 fn corrupt_entries_recompute_identically() {
     let dir = scratch_dir("corrupt");
-    let (cold, _) = Study::run_cached(mini_study(), &SessionCache::at_dir(&dir));
+    let (cold, _) = run_against(&SessionCache::at_dir(&dir));
 
     let mut mangled = 0u64;
     for (i, entry) in std::fs::read_dir(&dir)
@@ -108,7 +114,7 @@ fn corrupt_entries_recompute_identically() {
     assert_eq!(mangled, MINI_SESSIONS, "expected one entry per session");
 
     let cache = SessionCache::at_dir(&dir);
-    let (redone, obs) = Study::run_cached(mini_study(), &cache);
+    let (redone, obs) = run_against(&cache);
     assert_eq!(redone, cold, "recompute after corruption diverged");
     assert_eq!(obs.cache.hits, 0);
     assert_eq!(obs.cache.misses, MINI_SESSIONS);
@@ -117,7 +123,7 @@ fn corrupt_entries_recompute_identically() {
         "every mangled entry must be counted, not silently missed"
     );
     // And the recompute rewrote good entries: a third run fully hits.
-    let (again, obs) = Study::run_cached(mini_study(), &SessionCache::at_dir(&dir));
+    let (again, obs) = run_against(&SessionCache::at_dir(&dir));
     assert_eq!(again, cold);
     assert_eq!(obs.cache.hits, MINI_SESSIONS);
 

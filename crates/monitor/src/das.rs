@@ -6,9 +6,9 @@
 //! against a live cluster: it steps the machine until the configured
 //! trigger fires (or a timeout elapses, the failure mode a real experiment
 //! script must handle), then fills the buffer with consecutive records.
-//! [`DasMonitor::acquire_reduced`] runs the same protocol but folds each
-//! record into [`EventCounts`] as it is captured — the study's bulk path,
-//! which never materializes the 512-record buffer.
+//! [`DasMonitor::acquire_reduced_into`] runs the same capture loop but
+//! folds each record into [`EventCounts`] as it is captured — the study's
+//! bulk path, which never materializes the 512-record buffer.
 
 use crate::reduce::EventCounts;
 use crate::trigger::{Trigger, TriggerState};
@@ -65,19 +65,6 @@ fn trigger_kind(trigger: Trigger) -> fx8_sim::trace::TriggerKind {
 pub struct Acquisition {
     /// The captured records, trigger record first.
     pub records: Vec<ProbeWord>,
-    /// Cycle of the trigger record.
-    pub triggered_at: Cycle,
-}
-
-/// A completed acquisition already condensed to its event counts.
-///
-/// Produced by [`DasMonitor::acquire_reduced`], which models the analyzer's
-/// host-side reduction programs running as the buffer drains: the records
-/// themselves are not kept.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReducedAcquisition {
-    /// Event counts of the captured buffer.
-    pub counts: EventCounts,
     /// Cycle of the trigger record.
     pub triggered_at: Cycle,
 }
@@ -142,34 +129,26 @@ impl DasMonitor {
         self.cfg
     }
 
-    /// Compare the deltas a completed acquisition added to `counts` against
-    /// the cluster's ground-truth counters over the same window, and run the
+    /// Compare a captured window's counts against the cluster's
+    /// ground-truth counters over the same window, and run the
     /// accumulator's conservation laws. Any mismatch is filed as a violation
     /// on the cluster's audit report (component `"monitor"`): the probe
     /// stream and the simulator disagreeing about how many cycles each CE
     /// was active/driving its bus means one of them is lying.
     #[cfg(feature = "audit")]
-    fn cross_check(
-        &self,
-        cluster: &mut Cluster,
-        counts: &EventCounts,
-        before: (u64, u64, u64),
-        truth_before: (u64, u64),
-    ) {
-        let (records0, prof0, busy0) = before;
+    fn cross_check(&self, cluster: &mut Cluster, window: &EventCounts, truth_before: (u64, u64)) {
         let (active0, bus0) = truth_before;
         let (active1, bus1) = ground_truth(cluster);
-        let d_records = counts.records - records0;
-        let d_prof = counts.prof.iter().sum::<u64>() - prof0;
-        let d_busy = counts.busy_ce_cycles() - busy0;
+        let d_prof = window.prof.iter().sum::<u64>();
+        let d_busy = window.busy_ce_cycles();
         // The trigger record is always captured, so even a degenerate
         // zero-depth buffer yields one record.
         let expect_records = self.cfg.buffer_depth.max(1) as u64;
-        if d_records != expect_records {
+        if window.records != expect_records {
             cluster.audit_note_violation(
                 "monitor",
                 format!("{expect_records} records in the window"),
-                format!("{d_records}"),
+                format!("{}", window.records),
             );
         }
         if d_prof != active1 - active0 {
@@ -186,7 +165,7 @@ impl DasMonitor {
                 format!("{d_busy}"),
             );
         }
-        if let Err(e) = counts.validate() {
+        if let Err(e) = window.validate() {
             cluster.audit_note_violation("monitor", "accumulator conservation laws".to_string(), e);
         }
     }
@@ -231,78 +210,46 @@ impl DasMonitor {
     /// capture take (hardware monitoring is non-intrusive: the machine
     /// does not know it is being observed).
     pub fn acquire(&self, cluster: &mut Cluster) -> Result<Acquisition, AcquireError> {
-        let n_ces = cluster.config().n_ces;
-        let mut trig = TriggerState::new(self.cfg.trigger, n_ces);
-        let armed_at = cluster.now();
-        let deadline = armed_at.saturating_add(self.cfg.timeout_cycles);
-        cluster.set_next_probe_at(Some(deadline));
-        let result = loop {
-            if let Some(err) = self.skip_dormant_wait(cluster, &mut trig, armed_at, deadline) {
-                break Err(err);
-            }
-            #[cfg(feature = "audit")]
-            let truth0 = ground_truth(cluster);
-            let w = cluster.step();
-            if trig.fire(&w) {
-                cluster.note_probe_trigger(trigger_kind(self.cfg.trigger));
-                let mut records = Vec::with_capacity(self.cfg.buffer_depth);
-                let triggered_at = w.cycle;
-                records.push(w);
-                while records.len() < self.cfg.buffer_depth {
-                    records.push(cluster.step());
-                }
-                #[cfg(feature = "audit")]
-                {
-                    let counts = EventCounts::reduce(&records, n_ces);
-                    self.cross_check(cluster, &counts, (0, 0, 0), truth0);
-                }
-                break Ok(Acquisition {
-                    records,
-                    triggered_at,
-                });
-            }
-            if cluster.now() - armed_at >= self.cfg.timeout_cycles {
-                break Err(AcquireError::TriggerTimeout {
-                    waited: cluster.now() - armed_at,
-                });
-            }
-        };
-        cluster.set_next_probe_at(None);
-        result
-    }
-
-    /// Like [`DasMonitor::acquire`], but reduce the buffer on the fly:
-    /// each captured record is folded straight into an [`EventCounts`]
-    /// instead of being materialized in a record vector. The cluster
-    /// advances exactly as under `acquire`, so trajectories (and therefore
-    /// everything downstream) are bit-identical between the two paths.
-    pub fn acquire_reduced(
-        &self,
-        cluster: &mut Cluster,
-    ) -> Result<ReducedAcquisition, AcquireError> {
-        let mut counts = EventCounts::empty(cluster.config().n_ces);
-        let triggered_at = self.acquire_reduced_into(cluster, &mut counts)?;
-        Ok(ReducedAcquisition {
-            counts,
+        let mut records = Vec::with_capacity(self.cfg.buffer_depth);
+        let triggered_at = self.capture(cluster, |w| records.push(*w))?;
+        Ok(Acquisition {
+            records,
             triggered_at,
         })
     }
 
-    /// Streaming acquisition into a caller-owned accumulator — the random
-    /// sampling path, which pools several snapshots into one sample's
-    /// counts and so never needs a per-snapshot `EventCounts` either.
+    /// Streaming acquisition into a caller-owned accumulator: each
+    /// captured record is folded straight into `counts` instead of being
+    /// materialized in a record vector. The cluster advances exactly as
+    /// under [`DasMonitor::acquire`], so trajectories (and therefore
+    /// everything downstream) are bit-identical between the two paths.
+    /// Random sampling pools several snapshots into one sample's counts;
+    /// the triggered protocols pass a fresh accumulator per capture.
     /// Returns the trigger cycle; on timeout `counts` is untouched.
     pub fn acquire_reduced_into(
         &self,
         cluster: &mut Cluster,
         counts: &mut EventCounts,
     ) -> Result<Cycle, AcquireError> {
-        let n_ces = cluster.config().n_ces;
         debug_assert_eq!(
-            counts.n_ces, n_ces,
+            counts.n_ces,
+            cluster.config().n_ces,
             "accumulator width must match the cluster"
         );
-        let mut trig = TriggerState::new(self.cfg.trigger, n_ces);
+        self.capture(cluster, |w| counts.accumulate_word(w))
+    }
+
+    /// The capture loop behind both public paths: arm, wait for the
+    /// trigger (fast-forwarding while dormant), then hand the trigger
+    /// record and the `buffer_depth - 1` records after it to `sink`.
+    /// Generic rather than `dyn` because it runs on every simulated cycle
+    /// of a trigger wait. `sink` sees nothing when the wait times out.
+    fn capture(
+        &self,
+        cluster: &mut Cluster,
+        mut sink: impl FnMut(&ProbeWord),
+    ) -> Result<Cycle, AcquireError> {
+        let mut trig = TriggerState::new(self.cfg.trigger, cluster.config().n_ces);
         let armed_at = cluster.now();
         let deadline = armed_at.saturating_add(self.cfg.timeout_cycles);
         cluster.set_next_probe_at(Some(deadline));
@@ -312,23 +259,23 @@ impl DasMonitor {
             }
             #[cfg(feature = "audit")]
             let truth0 = ground_truth(cluster);
-            #[cfg(feature = "audit")]
-            let before = (
-                counts.records,
-                counts.prof.iter().sum::<u64>(),
-                counts.busy_ce_cycles(),
-            );
             let w = cluster.step();
             if trig.fire(&w) {
                 cluster.note_probe_trigger(trigger_kind(self.cfg.trigger));
-                let triggered_at = w.cycle;
-                counts.accumulate_word(&w);
+                #[cfg(feature = "audit")]
+                let mut window = EventCounts::empty(cluster.config().n_ces);
+                let mut take = |w: &ProbeWord| {
+                    #[cfg(feature = "audit")]
+                    window.accumulate_word(w);
+                    sink(w);
+                };
+                take(&w);
                 for _ in 1..self.cfg.buffer_depth {
-                    counts.accumulate_word(&cluster.step());
+                    take(&cluster.step());
                 }
                 #[cfg(feature = "audit")]
-                self.cross_check(cluster, counts, before, truth0);
-                break Ok(triggered_at);
+                self.cross_check(cluster, &window, truth0);
+                break Ok(w.cycle);
             }
             if cluster.now() - armed_at >= self.cfg.timeout_cycles {
                 break Err(AcquireError::TriggerTimeout {
@@ -465,10 +412,11 @@ mod tests {
             let das = DasMonitor::new(DasConfig::das9100(trigger));
             let (mut a, mut b) = (machine(), machine());
             let buffered = das.acquire(&mut a).unwrap();
-            let streamed = das.acquire_reduced(&mut b).unwrap();
-            assert_eq!(streamed.triggered_at, buffered.triggered_at, "{trigger:?}");
+            let mut streamed = EventCounts::empty(8);
+            let triggered_at = das.acquire_reduced_into(&mut b, &mut streamed).unwrap();
+            assert_eq!(triggered_at, buffered.triggered_at, "{trigger:?}");
             assert_eq!(
-                streamed.counts,
+                streamed,
                 EventCounts::reduce(&buffered.records, 8),
                 "{trigger:?}"
             );

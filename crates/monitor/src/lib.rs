@@ -21,7 +21,7 @@ pub mod kernel_stats;
 pub mod reduce;
 pub mod trigger;
 
-pub use das::{AcquireError, Acquisition, DasConfig, DasMonitor, ReducedAcquisition};
+pub use das::{AcquireError, Acquisition, DasConfig, DasMonitor};
 pub use kernel_stats::{KernelCounters, KernelStats};
 pub use reduce::EventCounts;
 pub use trigger::Trigger;

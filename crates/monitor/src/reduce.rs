@@ -56,12 +56,7 @@ impl EventCounts {
         out
     }
 
-    /// Fold more records into the counts.
-    pub fn accumulate(&mut self, records: &[ProbeWord]) {
-        self.accumulate_slice(records);
-    }
-
-    /// Batch reduction of a record slice — the same counts as folding each
+    /// Fold more records into the counts: the same counts as folding each
     /// word through [`EventCounts::accumulate_word`], computed mask-first:
     /// instead of testing all [`MAX_CES`](fx8_sim::probe::MAX_CES) lanes
     /// per record, the inner loops walk only the set bits of `active_mask` and
@@ -69,7 +64,7 @@ impl EventCounts {
     /// count is credited in one subtraction. Records from dense loop
     /// windows carry 6–8 busy lanes and sparse records carry 0–1, so both
     /// regimes do less work than the lane-by-lane scan.
-    pub fn accumulate_slice(&mut self, records: &[ProbeWord]) {
+    pub fn accumulate(&mut self, records: &[ProbeWord]) {
         let n = self.n_ces;
         // Mask algebra runs in full [`LaneWord`] width, so records from
         // 2-lane and 64-lane clusters reduce through the same loops. Lanes
@@ -422,7 +417,7 @@ mod tests {
                     scalar.accumulate_word(w);
                 }
                 let mut batch = EventCounts::empty(n_ces);
-                batch.accumulate_slice(&words);
+                batch.accumulate(&words);
                 prop_assert_eq!(&scalar, &batch);
                 prop_assert!(batch.validate().is_ok());
             }

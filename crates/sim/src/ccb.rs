@@ -128,14 +128,6 @@ impl Ccb {
         self.state.and_then(|s| s.last_iter_ce)
     }
 
-    /// Arbitrate one cycle of iteration requests, materializing the grants
-    /// (tests, tools). The cluster's stepper uses [`Ccb::arbitrate_into`].
-    pub fn arbitrate(&mut self, now: Cycle, requesting: &[bool]) -> Vec<IterGrant> {
-        let mut out = vec![IterGrant::Wait; requesting.len()];
-        self.arbitrate_into(now, requesting, &mut out);
-        out
-    }
-
     /// Arbitrate one cycle of iteration requests into a caller-owned
     /// buffer — the per-cycle path, free of heap allocation. `requesting[ce]`
     /// is true if CE `ce` needs an iteration this cycle; every slot of `out`
@@ -267,6 +259,14 @@ mod tests {
         vec![true; n]
     }
 
+    /// One cycle through the stepper's arbiter, grants collected for
+    /// comparison.
+    fn grants(ccb: &mut Ccb, now: Cycle, requesting: &[bool]) -> Vec<IterGrant> {
+        let mut out = vec![IterGrant::Wait; requesting.len()];
+        ccb.arbitrate_into(now, requesting, &mut out);
+        out
+    }
+
     #[test]
     fn iterations_hand_out_in_order_and_exhaust() {
         let mut ccb = Ccb::new(2, Arbitration::FixedLowFirst, 1);
@@ -274,7 +274,7 @@ mod tests {
         let mut granted = Vec::new();
         let mut t = 0;
         while granted.len() < 3 {
-            for g in ccb.arbitrate(t, &all_requesting(2)) {
+            for g in grants(&mut ccb, t, &all_requesting(2)) {
                 if let IterGrant::Iter(i) = g {
                     granted.push(i);
                 }
@@ -282,7 +282,7 @@ mod tests {
             t += 1;
         }
         assert_eq!(granted, vec![0, 1, 2]);
-        let g = ccb.arbitrate(t, &all_requesting(2));
+        let g = grants(&mut ccb, t, &all_requesting(2));
         assert!(g.iter().all(|x| *x == IterGrant::Exhausted));
     }
 
@@ -290,7 +290,7 @@ mod tests {
     fn one_grant_per_grant_period() {
         let mut ccb = Ccb::new(4, Arbitration::FixedLowFirst, 2);
         ccb.start_loop(0, 100);
-        let g0 = ccb.arbitrate(0, &all_requesting(4));
+        let g0 = grants(&mut ccb, 0, &all_requesting(4));
         assert_eq!(
             g0.iter()
                 .filter(|g| matches!(g, IterGrant::Iter(_)))
@@ -298,9 +298,9 @@ mod tests {
             1
         );
         // Channel busy at cycle 1 (grant_cycles = 2).
-        let g1 = ccb.arbitrate(1, &all_requesting(4));
+        let g1 = grants(&mut ccb, 1, &all_requesting(4));
         assert!(g1.iter().all(|g| *g == IterGrant::Wait));
-        let g2 = ccb.arbitrate(2, &all_requesting(4));
+        let g2 = grants(&mut ccb, 2, &all_requesting(4));
         assert_eq!(
             g2.iter()
                 .filter(|g| matches!(g, IterGrant::Iter(_)))
@@ -313,12 +313,12 @@ mod tests {
     fn ends_first_gives_leftovers_to_ce0_and_ce7() {
         let mut ccb = Ccb::new(8, Arbitration::EndsFirst, 1);
         ccb.start_loop(0, 2); // two leftover iterations, everyone asks
-        let g0 = ccb.arbitrate(0, &all_requesting(8));
+        let g0 = grants(&mut ccb, 0, &all_requesting(8));
         assert_eq!(g0[0], IterGrant::Iter(0), "CE0 wins first leftover");
         // CE0 is now busy executing; the rest keep requesting.
         let mut req = all_requesting(8);
         req[0] = false;
-        let g1 = ccb.arbitrate(1, &req);
+        let g1 = grants(&mut ccb, 1, &req);
         assert_eq!(g1[7], IterGrant::Iter(1), "CE7 wins second leftover");
     }
 
@@ -327,8 +327,8 @@ mod tests {
         let mut ccb = Ccb::new(2, Arbitration::FixedLowFirst, 1);
         ccb.start_loop(0, 2);
         assert_eq!(ccb.serial_successor(), None);
-        ccb.arbitrate(0, &[true, false]); // CE0 takes iter 0
-        ccb.arbitrate(1, &[false, true]); // CE1 takes iter 1 (the last)
+        grants(&mut ccb, 0, &[true, false]); // CE0 takes iter 0
+        grants(&mut ccb, 1, &[false, true]); // CE1 takes iter 1 (the last)
         assert_eq!(ccb.serial_successor(), Some(1));
     }
 
@@ -338,8 +338,8 @@ mod tests {
         ccb.start_loop(10, 12); // 10 done at macro level, 2 to go
         assert!(!ccb.all_complete());
         assert_eq!(ccb.remaining(), 2);
-        ccb.arbitrate(0, &[true, false]);
-        ccb.arbitrate(1, &[false, true]);
+        grants(&mut ccb, 0, &[true, false]);
+        grants(&mut ccb, 1, &[false, true]);
         ccb.complete_iter();
         assert!(!ccb.all_complete());
         ccb.complete_iter();
@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn no_loop_means_immediate_exhausted() {
         let mut ccb = Ccb::new(2, Arbitration::FixedLowFirst, 1);
-        let g = ccb.arbitrate(0, &[true, true]);
+        let g = grants(&mut ccb, 0, &[true, true]);
         assert!(g.iter().all(|x| *x == IterGrant::Exhausted));
         assert!(ccb.all_complete());
     }
@@ -376,14 +376,14 @@ mod tests {
         ccb.start_loop(0, 2);
         // Channel free: a grant would land this cycle.
         assert_eq!(ccb.grant_horizon(0), None);
-        ccb.arbitrate(0, &[true, false]);
+        grants(&mut ccb, 0, &[true, false]);
         // Channel busy until cycle 4: nothing can change before then.
         assert_eq!(ccb.grant_horizon(1), Some(4));
         assert_eq!(ccb.grant_horizon(3), Some(4));
         assert_eq!(ccb.grant_horizon(4), None);
         // Last iteration handed out: Exhausted resolves immediately even
         // while the channel is still cooling down.
-        ccb.arbitrate(4, &[true, false]);
+        grants(&mut ccb, 4, &[true, false]);
         assert_eq!(ccb.remaining(), 0);
         assert_eq!(ccb.grant_horizon(5), None);
     }
@@ -394,7 +394,7 @@ mod tests {
         ccb.start_loop(0, 6);
         let mut t = 0;
         while ccb.remaining() > 0 {
-            ccb.arbitrate(t, &all_requesting(3));
+            grants(&mut ccb, t, &all_requesting(3));
             t += 1;
         }
         let total: u64 = ccb.stats().grants_by_ce.iter().sum();

@@ -513,106 +513,6 @@ impl MachineConfig {
         self.trace.validate()?;
         Ok(())
     }
-
-    /// Start a validated [`MachineConfigBuilder`] from the FX/8 preset.
-    /// Prefer this over struct-literal construction: literals bypass
-    /// `validate()` and break whenever a field is added.
-    pub fn builder() -> MachineConfigBuilder {
-        MachineConfigBuilder::fx8()
-    }
-}
-
-/// Builder for [`MachineConfig`].
-///
-/// Starts from a preset ([`MachineConfigBuilder::fx8`] or
-/// [`MachineConfigBuilder::tiny`]), overrides individual fields, and runs
-/// the full validation chain in [`MachineConfigBuilder::build`], returning
-/// [`ConfigError`] instead of panicking later in `Cluster::new`.
-#[derive(Debug, Clone)]
-pub struct MachineConfigBuilder {
-    cfg: MachineConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, v: $ty) -> Self {
-                self.cfg.$name = v;
-                self
-            }
-        )*
-    };
-}
-
-impl MachineConfigBuilder {
-    /// Start from the measured FX/8 ([`MachineConfig::fx8`]).
-    pub fn fx8() -> Self {
-        MachineConfigBuilder {
-            cfg: MachineConfig::fx8(),
-        }
-    }
-
-    /// Start from the tiny test machine ([`MachineConfig::tiny`]).
-    pub fn tiny() -> Self {
-        MachineConfigBuilder {
-            cfg: MachineConfig::tiny(),
-        }
-    }
-
-    /// Start from an existing configuration.
-    pub fn from_config(cfg: MachineConfig) -> Self {
-        MachineConfigBuilder { cfg }
-    }
-
-    builder_setters! {
-        /// Number of Computing Elements (1..=[`crate::probe::MAX_CES`]).
-        n_ces: usize,
-        /// Number of Interactive Processors.
-        n_ips: usize,
-        /// Per-CE instruction-cache capacity in bytes.
-        icache_bytes: u64,
-        /// Per-CE instruction-cache line size in bytes.
-        icache_line_bytes: u64,
-        /// Shared CE cache geometry.
-        cache: CacheGeometry,
-        /// Cycles for a shared-cache hit.
-        cache_hit_cycles: u64,
-        /// Main-memory access latency in cycles.
-        mem_latency_cycles: u64,
-        /// Number of memory buses.
-        mem_buses: usize,
-        /// Cycles to move one cache line over a memory bus.
-        line_transfer_cycles: u64,
-        /// Interleave factor of main memory modules.
-        mem_interleave: usize,
-        /// Cycles for the CCB to grant one iteration request.
-        ccb_grant_cycles: u64,
-        /// Arbitration discipline on the CCB grant chain.
-        ccb_arbitration: Arbitration,
-        /// Grant propagation delay per daisy-chain hop.
-        ccb_chain_hop_cycles: u64,
-        /// Arbitration discipline at each crossbar cache bank.
-        crossbar_arbitration: Arbitration,
-        /// Cycles a CE stalls on a captured page fault.
-        fault_stall_cycles: u64,
-        /// Total physical memory in bytes.
-        phys_mem_bytes: u64,
-        /// Nanoseconds per bus cycle.
-        ns_per_cycle: u64,
-        /// Quiescence-aware fast-forward knob.
-        fast_forward: bool,
-        /// Dense-window batch stepping knob.
-        dense_stepping: bool,
-        /// `fx8-trace` observability knobs.
-        trace: TraceConfig,
-    }
-
-    /// Validate and return the finished configuration.
-    pub fn build(self) -> Result<MachineConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 impl Default for MachineConfig {
@@ -831,26 +731,14 @@ mod tests {
             }
         );
         assert!(e.to_string().contains("33"));
-    }
 
-    #[test]
-    fn builder_overrides_and_validates() {
-        let c = MachineConfig::builder()
-            .n_ces(4)
-            .fast_forward(false)
-            .trace(TraceConfig::metrics_only())
-            .build()
-            .unwrap();
-        assert_eq!(c.n_ces, 4);
-        assert!(!c.fast_forward);
-        assert!(c.trace.metrics);
-        // Everything not overridden keeps the preset value.
-        assert_eq!(c.cache, MachineConfig::fx8().cache);
-
-        let err = MachineConfigBuilder::tiny()
-            .mem_buses(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::Zero { field: "mem_buses" });
+        let c = MachineConfig {
+            mem_buses: 0,
+            ..MachineConfig::tiny()
+        };
+        assert_eq!(
+            c.validate().unwrap_err(),
+            ConfigError::Zero { field: "mem_buses" }
+        );
     }
 }

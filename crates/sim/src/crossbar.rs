@@ -111,19 +111,6 @@ impl Crossbar {
         &self.stats
     }
 
-    /// Arbitrate one cycle, materializing the grant flags (tests, tools).
-    /// The cluster's stepper uses [`Crossbar::arbitrate_into`].
-    pub fn arbitrate(
-        &mut self,
-        now: Cycle,
-        requests: &[Option<usize>],
-        service_cycles: u64,
-    ) -> Vec<bool> {
-        let mut granted = vec![false; self.n_ces];
-        self.arbitrate_into(now, requests, service_cycles, &mut granted);
-        granted
-    }
-
     /// Arbitrate one cycle into a caller-owned grant buffer — the per-cycle
     /// path, free of heap allocation. `requests[ce] = Some(bank)` if CE `ce`
     /// wants `bank` this cycle; every slot of `granted` is overwritten. A
@@ -160,14 +147,11 @@ impl Crossbar {
     }
 
     /// Arbitrate one cycle from per-bank requester bitmasks, returning the
-    /// granted CEs as a bitmask. This is the dense stepper's path: the SoA
-    /// kernel already keeps its requests lane-packed, so the bank conflict
-    /// resolution never leaves mask arithmetic. Counter movement is
-    /// identical to [`Crossbar::arbitrate_into`] with the equivalent
-    /// request slice — both funnel into the same staged resolver.
-    /// Kept as the reference resolver for the SWAR differential tests
-    /// (`arbitrate_masks_swar` must grant and count identically).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// granted CEs as a bitmask, through the same staged resolver (and so
+    /// the same counter movement) as [`Crossbar::arbitrate_into`]. The
+    /// reference resolver for the SWAR differential tests:
+    /// `arbitrate_masks_swar` must grant and count identically.
+    #[cfg(test)]
     pub(crate) fn arbitrate_masks(
         &mut self,
         now: Cycle,
@@ -180,7 +164,7 @@ impl Crossbar {
         self.arbitrate_staged(now, service_cycles)
     }
 
-    /// The SWAR twin of [`Crossbar::arbitrate_masks`]: resolve one cycle
+    /// The SWAR twin of the test-only `arbitrate_masks`: resolve one cycle
     /// over a caller-maintained persistent bank×word requester table,
     /// visiting only the banks flagged in `occupied` (a bank bitmask the
     /// dense kernel keeps incrementally as requests enter and are
@@ -307,10 +291,23 @@ impl Crossbar {
 mod tests {
     use super::*;
 
+    /// One cycle through the stepper's arbiter, grants collected for
+    /// comparison.
+    fn grants(
+        x: &mut Crossbar,
+        now: Cycle,
+        requests: &[Option<usize>],
+        service_cycles: u64,
+    ) -> Vec<bool> {
+        let mut granted = vec![false; requests.len()];
+        x.arbitrate_into(now, requests, service_cycles, &mut granted);
+        granted
+    }
+
     #[test]
     fn sole_requester_is_granted() {
         let mut x = Crossbar::new(4, 2, Arbitration::FixedLowFirst);
-        let g = x.arbitrate(0, &[None, Some(1), None, None], 1);
+        let g = grants(&mut x, 0, &[None, Some(1), None, None], 1);
         assert_eq!(g, vec![false, true, false, false]);
         assert_eq!(x.stats().grants, 1);
         assert_eq!(x.stats().denials, 0);
@@ -319,7 +316,7 @@ mod tests {
     #[test]
     fn conflict_resolved_by_priority() {
         let mut x = Crossbar::new(4, 1, Arbitration::FixedLowFirst);
-        let g = x.arbitrate(0, &[Some(0), Some(0), None, Some(0)], 1);
+        let g = grants(&mut x, 0, &[Some(0), Some(0), None, Some(0)], 1);
         assert_eq!(g, vec![true, false, false, false]);
         assert_eq!(x.stats().denials, 2);
         assert_eq!(x.stats().denials_by_ce, vec![0, 1, 0, 1]);
@@ -328,18 +325,18 @@ mod tests {
     #[test]
     fn busy_bank_denies_everyone() {
         let mut x = Crossbar::new(2, 1, Arbitration::FixedLowFirst);
-        assert_eq!(x.arbitrate(0, &[Some(0), None], 3), vec![true, false]);
+        assert_eq!(grants(&mut x, 0, &[Some(0), None], 3), vec![true, false]);
         // Cycles 1 and 2: bank busy.
-        assert_eq!(x.arbitrate(1, &[None, Some(0)], 3), vec![false, false]);
-        assert_eq!(x.arbitrate(2, &[None, Some(0)], 3), vec![false, false]);
+        assert_eq!(grants(&mut x, 1, &[None, Some(0)], 3), vec![false, false]);
+        assert_eq!(grants(&mut x, 2, &[None, Some(0)], 3), vec![false, false]);
         // Cycle 3: free again.
-        assert_eq!(x.arbitrate(3, &[None, Some(0)], 3), vec![false, true]);
+        assert_eq!(grants(&mut x, 3, &[None, Some(0)], 3), vec![false, true]);
     }
 
     #[test]
     fn distinct_banks_grant_in_parallel() {
         let mut x = Crossbar::new(4, 4, Arbitration::FixedLowFirst);
-        let g = x.arbitrate(0, &[Some(0), Some(1), Some(2), Some(3)], 1);
+        let g = grants(&mut x, 0, &[Some(0), Some(1), Some(2), Some(3)], 1);
         assert_eq!(g, vec![true; 4]);
     }
 
@@ -348,11 +345,11 @@ mod tests {
         let mk = || Crossbar::new(2, 1, Arbitration::FixedLowFirst);
         let (mut a, mut b) = (mk(), mk());
         // Claim the bank for 5 cycles at t=0 on both arbiters.
-        assert_eq!(a.arbitrate(0, &[Some(0), None], 5), vec![true, false]);
-        assert_eq!(b.arbitrate(0, &[Some(0), None], 5), vec![true, false]);
+        assert_eq!(grants(&mut a, 0, &[Some(0), None], 5), vec![true, false]);
+        assert_eq!(grants(&mut b, 0, &[Some(0), None], 5), vec![true, false]);
         // Per-cycle: CE1 retries cycles 1..5, denied each time.
         for t in 1..5 {
-            assert_eq!(a.arbitrate(t, &[None, Some(0)], 5), vec![false, false]);
+            assert_eq!(grants(&mut a, t, &[None, Some(0)], 5), vec![false, false]);
         }
         // Bulk: the horizon says the bank frees at cycle 5; account the
         // 4 skipped retry cycles in closed form.
@@ -360,8 +357,8 @@ mod tests {
         b.note_denied_retries(1, 4);
         assert_eq!(a.stats(), b.stats());
         // Both arbiters then grant identically at the horizon cycle.
-        let ga = a.arbitrate(5, &[None, Some(0)], 5);
-        let gb = b.arbitrate(5, &[None, Some(0)], 5);
+        let ga = grants(&mut a, 5, &[None, Some(0)], 5);
+        let gb = grants(&mut b, 5, &[None, Some(0)], 5);
         assert_eq!(ga, gb);
         assert_eq!(ga, vec![false, true]);
         assert_eq!(a.stats(), b.stats());
@@ -372,7 +369,7 @@ mod tests {
         let mut x = Crossbar::new(2, 1, Arbitration::RoundRobin);
         let mut wins = [0u32; 2];
         for t in 0..10 {
-            let g = x.arbitrate(t, &[Some(0), Some(0)], 1);
+            let g = grants(&mut x, t, &[Some(0), Some(0)], 1);
             for (ce, got) in g.iter().enumerate() {
                 if *got {
                     wins[ce] += 1;
@@ -386,7 +383,7 @@ mod tests {
     fn fixed_priority_starves_low_priority_under_saturation() {
         let mut x = Crossbar::new(2, 1, Arbitration::FixedLowFirst);
         for t in 0..10 {
-            let g = x.arbitrate(t, &[Some(0), Some(0)], 1);
+            let g = grants(&mut x, t, &[Some(0), Some(0)], 1);
             assert!(g[0] && !g[1]);
         }
         assert_eq!(x.stats().denials_by_ce[1], 10);

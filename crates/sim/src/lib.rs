@@ -77,7 +77,7 @@ pub mod trace;
 pub mod vm;
 
 pub use cluster::Cluster;
-pub use config::{ConfigError, MachineConfig, MachineConfigBuilder, TraceConfig};
+pub use config::{ConfigError, MachineConfig, TraceConfig};
 pub use probe::ProbeWord;
 
 /// Simulated time in bus cycles.

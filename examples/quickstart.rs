@@ -6,17 +6,18 @@
 use fx8_study::prelude::*;
 
 fn main() {
-    // A scaled-down study: 4 short random-sampling sessions, assembled
-    // with the validating builder.
-    let cfg = StudyConfigBuilder::quick()
-        .n_random(4)
-        .session_hours(vec![1.5, 1.5, 1.5, 1.5])
-        .n_triggered(0)
-        .n_transition(0)
-        .build()
-        .expect("quickstart study config is valid");
+    // A scaled-down study: 4 short random-sampling sessions, checked
+    // before it runs.
+    let cfg = StudyConfig {
+        n_random: 4,
+        session_hours: vec![1.5, 1.5, 1.5, 1.5],
+        n_triggered: 0,
+        n_transition: 0,
+        ..StudyConfig::quick()
+    };
+    cfg.validate().expect("quickstart study config is valid");
     println!("running {} random-sampling sessions...", cfg.n_random);
-    let study = Study::run(cfg);
+    let (study, _) = Study::run(cfg, None, &RunHooks::default()).expect("uncancellable");
 
     let m = study.overall_measures();
     println!("records: {}", m.total_records);

@@ -8,23 +8,25 @@
 //!
 //! Run with: `cargo run --release --example regression_models`
 
+use fx8_study::core::api::RunHooks;
 use fx8_study::core::study::{Study, StudyConfig};
 use fx8_study::core::{figures, tables};
 
 fn main() {
-    let cfg = StudyConfig::builder()
-        .n_random(4)
-        .session_hours(vec![1.5; 4])
-        .n_triggered(3)
-        .captures_per_triggered(25)
-        .n_transition(0)
-        .build()
-        .expect("regression study config is valid");
+    let cfg = StudyConfig {
+        n_random: 4,
+        session_hours: vec![1.5; 4],
+        n_triggered: 3,
+        captures_per_triggered: 25,
+        n_transition: 0,
+        ..StudyConfig::paper()
+    };
+    cfg.validate().expect("regression study config is valid");
     eprintln!(
         "running {} random + {} triggered sessions...",
         cfg.n_random, cfg.n_triggered
     );
-    let study = Study::run(cfg);
+    let (study, _) = Study::run(cfg, None, &RunHooks::default()).expect("uncancellable");
 
     let t3 = tables::table3(&study);
     let t4 = tables::table4(&study);

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example transition_study`
 
+use fx8_study::core::api::RunHooks;
 use fx8_study::core::experiment::{run_transition_session, SessionConfig};
 use fx8_study::core::figures;
 use fx8_study::core::study::{Study, StudyConfig};
@@ -22,19 +23,20 @@ fn ends_to_middle(counts: &EventCounts) -> f64 {
 }
 
 fn main() {
-    let cfg = StudyConfig::builder()
-        .n_random(0)
-        .session_hours(vec![])
-        .n_triggered(0)
-        .n_transition(3)
-        .captures_per_transition(30)
-        .build()
-        .expect("transition study config is valid");
+    let cfg = StudyConfig {
+        n_random: 0,
+        session_hours: vec![],
+        n_triggered: 0,
+        n_transition: 3,
+        captures_per_transition: 30,
+        ..StudyConfig::paper()
+    };
+    cfg.validate().expect("transition study config is valid");
     eprintln!(
         "capturing loop drains from {} transition sessions...",
         cfg.n_transition
     );
-    let study = Study::run(cfg);
+    let (study, _) = Study::run(cfg, None, &RunHooks::default()).expect("uncancellable");
 
     println!("{}", figures::fig6(&study));
     println!("{}", figures::fig7(&study));
@@ -55,7 +57,7 @@ fn main() {
     let mut fair_cfg = SessionConfig::paper(4242);
     fair_cfg.hours = 1.0;
     fair_cfg.machine.ccb_arbitration = Arbitration::RoundRobin;
-    let (buffers, _audit) = run_transition_session(&fair_cfg, 0, 30);
+    let (buffers, _, _) = run_transition_session(&fair_cfg, 0, 30);
     let mut fair = EventCounts::empty(8);
     for b in &buffers {
         fair.merge(&b.counts);

@@ -7,23 +7,26 @@
 //!
 //! Run with: `cargo run --release --example workload_characterization`
 
+use fx8_study::core::api::RunHooks;
 use fx8_study::core::study::{Study, StudyConfig};
 use fx8_study::core::{figures, tables};
 
 fn main() {
-    let cfg = StudyConfig::builder()
-        .n_random(4)
-        .session_hours(vec![1.0, 1.0, 1.5, 1.5])
-        .n_triggered(0)
-        .n_transition(0)
-        .build()
+    let cfg = StudyConfig {
+        n_random: 4,
+        session_hours: vec![1.0, 1.0, 1.5, 1.5],
+        n_triggered: 0,
+        n_transition: 0,
+        ..StudyConfig::paper()
+    };
+    cfg.validate()
         .expect("characterization study config is valid");
     eprintln!(
         "sampling {} sessions ({} hours of machine time)...",
         cfg.n_random,
         cfg.session_hours.iter().sum::<f64>()
     );
-    let study = Study::run(cfg);
+    let (study, _) = Study::run(cfg, None, &RunHooks::default()).expect("uncancellable");
 
     println!("{}", tables::table2(&study).render());
     println!("{}", figures::fig3(&study));

@@ -53,7 +53,7 @@ pub use fx8_workload as workload;
 
 /// The names most programs want in scope.
 ///
-/// Re-exports [`fx8_core::prelude`] (Study, builders, observability,
+/// Re-exports [`fx8_core::prelude`] (Study, configs, observability,
 /// [`fx8_core::prelude::ConfigError`], …) plus the machine- and
 /// statistics-level types a direct simulation driver needs.
 pub mod prelude {

@@ -9,11 +9,12 @@
 //! a plain `cargo test` compiles it to nothing.
 #![cfg(feature = "audit")]
 
+use fx8_study::core::api::RunHooks;
 use fx8_study::core::experiment::{
     run_random_session, run_transition_session, run_triggered_session, SessionConfig,
 };
 use fx8_study::core::study::{Study, StudyConfig};
-use fx8_study::monitor::{DasConfig, DasMonitor, Trigger};
+use fx8_study::monitor::{DasConfig, DasMonitor, EventCounts, Trigger};
 use fx8_study::sim::audit::MAX_RECORDED_VIOLATIONS;
 use fx8_study::sim::{Cluster, MachineConfig};
 use fx8_study::workload::{kernels, WorkloadMix};
@@ -37,7 +38,7 @@ fn audited_quick_study_is_clean() {
     // internally, so the auditor checks the same per-cycle trajectory the
     // skipping build claims to reproduce.
     assert!(cfg.machine.fast_forward, "audit runs with the knob enabled");
-    let study = Study::run(cfg);
+    let (study, _) = Study::run(cfg, None, &RunHooks::default()).expect("uncancellable");
     let report = study.audit_report();
     assert!(report.checked_cycles > 0, "auditor saw every stepped cycle");
     assert!(report.is_clean(), "{}", report.render());
@@ -59,15 +60,15 @@ fn session_runners_report_clean_audits() {
     cfg.mix = WorkloadMix::all_concurrent();
     cfg.validate().expect("test config is legal");
 
-    let r = run_random_session(&cfg, 0);
+    let (r, _) = run_random_session(&cfg, 0);
     assert!(r.audit.checked_cycles > 0);
     assert!(r.audit.is_clean(), "random: {}", render(&r.audit));
 
-    let (caps, audit) = run_triggered_session(&cfg, 0, 2);
+    let (caps, audit, _) = run_triggered_session(&cfg, 0, 2);
     assert!(!caps.is_empty(), "concurrent mix must trigger");
     assert!(audit.is_clean(), "triggered: {}", render(&audit));
 
-    let (caps, audit) = run_transition_session(&cfg, 0, 2);
+    let (caps, audit, _) = run_transition_session(&cfg, 0, 2);
     assert!(!caps.is_empty(), "loops must drain");
     assert!(audit.is_clean(), "transition: {}", render(&audit));
 }
@@ -137,7 +138,10 @@ proptest! {
             trigger,
             timeout_cycles: 100_000,
         });
-        let _ = das.acquire_reduced(&mut c);
+        // Both public paths, back to back: each runs the monitor's
+        // cross-check against ground truth.
+        let _ = das.acquire(&mut c);
+        let _ = das.acquire_reduced_into(&mut c, &mut EventCounts::empty(8));
         let report = c.audit_report();
         prop_assert!(report.checked_cycles > 0);
         prop_assert!(report.is_clean(), "{}", render(&report));
@@ -161,7 +165,7 @@ proptest! {
             1 => WorkloadMix::all_concurrent(),
             _ => WorkloadMix::all_serial(),
         };
-        let r = run_random_session(&cfg, 0);
+        let (r, _) = run_random_session(&cfg, 0);
         prop_assert!(r.audit.checked_cycles > 0);
         prop_assert!(r.audit.is_clean(), "{}", render(&r.audit));
     }

@@ -1,9 +1,16 @@
 //! Cross-crate integration: the full measurement pipeline end to end.
 
+use fx8_study::core::api::RunHooks;
 use fx8_study::core::study::{Study, StudyConfig};
 use fx8_study::core::{report, tables};
 use fx8_study::workload::WorkloadMix;
 use std::sync::OnceLock;
+
+fn run(cfg: StudyConfig) -> Study {
+    Study::run(cfg, None, &RunHooks::default())
+        .expect("an uncancellable run completes")
+        .0
+}
 
 fn quick_cfg() -> StudyConfig {
     StudyConfig {
@@ -21,7 +28,7 @@ fn quick_cfg() -> StudyConfig {
 /// One shared study for the read-only assertions (built once per process).
 fn shared_study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(|| Study::run(quick_cfg()))
+    STUDY.get_or_init(|| run(quick_cfg()))
 }
 
 #[test]
@@ -61,18 +68,18 @@ fn tiny_cfg() -> StudyConfig {
 
 #[test]
 fn study_is_deterministic_across_runs() {
-    let a = Study::run(tiny_cfg());
-    let b = Study::run(tiny_cfg());
+    let a = run(tiny_cfg());
+    let b = run(tiny_cfg());
     assert_eq!(a.pooled_num(), b.pooled_num());
     assert_eq!(a.pooled_transition_counts(), b.pooled_transition_counts());
 }
 
 #[test]
 fn different_seeds_give_different_data() {
-    let a = Study::run(tiny_cfg());
+    let a = run(tiny_cfg());
     let mut cfg = tiny_cfg();
     cfg.base_seed += 1;
-    let b = Study::run(cfg);
+    let b = run(cfg);
     assert_ne!(a.pooled_num(), b.pooled_num());
 }
 
@@ -120,7 +127,7 @@ fn serial_only_workload_yields_zero_concurrency_everywhere() {
         mix: WorkloadMix::all_serial(),
         ..StudyConfig::paper()
     };
-    let study = Study::run(cfg);
+    let study = run(cfg);
     let m = study.overall_measures();
     assert_eq!(m.workload_concurrency, 0.0);
     assert_eq!(m.mean_concurrency_level, None);
@@ -133,6 +140,6 @@ fn serial_only_workload_yields_zero_concurrency_everywhere() {
 fn quick_study_config_is_self_consistent() {
     let cfg = StudyConfig::quick();
     assert!(cfg.n_random <= cfg.session_hours.len());
-    let study = Study::run(cfg);
+    let study = run(cfg);
     assert!(study.pooled_counts().records > 0);
 }

@@ -9,8 +9,10 @@
 #![cfg(not(feature = "audit"))]
 
 use fx8_study::core::experiment::{
-    run_random_session, run_transition_session, run_triggered_session, SessionConfig,
+    run_random_session, run_transition_session, run_triggered_session, Capture, SessionConfig,
 };
+use fx8_study::core::observability::SessionObservability;
+use fx8_study::sim::audit::AuditReport;
 use fx8_study::sim::{Cluster, MachineConfig};
 use fx8_study::workload::kernels::{self, LoopKernel};
 use fx8_study::workload::WorkloadMix;
@@ -19,6 +21,11 @@ use proptest::prelude::*;
 fn with_ff(mut cfg: SessionConfig, on: bool) -> SessionConfig {
     cfg.machine.fast_forward = on;
     cfg
+}
+
+/// A capture session's deterministic output (wall clock dropped).
+fn captured(run: (Vec<Capture>, AuditReport, SessionObservability)) -> (Vec<Capture>, AuditReport) {
+    (run.0, run.1)
 }
 
 fn small_cfg(seed: u64) -> SessionConfig {
@@ -35,8 +42,8 @@ fn small_cfg(seed: u64) -> SessionConfig {
 fn session_protocols_are_ff_invariant() {
     let cfg = small_cfg(7);
     assert_eq!(
-        run_random_session(&with_ff(cfg.clone(), true), 0),
-        run_random_session(&with_ff(cfg, false), 0),
+        run_random_session(&with_ff(cfg.clone(), true), 0).0,
+        run_random_session(&with_ff(cfg, false), 0).0,
         "random session diverged"
     );
     let cfg = SessionConfig {
@@ -44,13 +51,13 @@ fn session_protocols_are_ff_invariant() {
         ..small_cfg(8)
     };
     assert_eq!(
-        run_triggered_session(&with_ff(cfg.clone(), true), 1, 2),
-        run_triggered_session(&with_ff(cfg.clone(), false), 1, 2),
+        captured(run_triggered_session(&with_ff(cfg.clone(), true), 1, 2)),
+        captured(run_triggered_session(&with_ff(cfg.clone(), false), 1, 2)),
         "triggered session diverged"
     );
     assert_eq!(
-        run_transition_session(&with_ff(cfg.clone(), true), 2, 2),
-        run_transition_session(&with_ff(cfg, false), 2, 2),
+        captured(run_transition_session(&with_ff(cfg.clone(), true), 2, 2)),
+        captured(run_transition_session(&with_ff(cfg, false), 2, 2)),
         "transition session diverged"
     );
 }
@@ -77,8 +84,8 @@ proptest! {
             buffer_depth: 96,
             ..SessionConfig::paper(seed)
         };
-        let on = run_random_session(&with_ff(cfg.clone(), true), 0);
-        let off = run_random_session(&with_ff(cfg, false), 0);
+        let on = run_random_session(&with_ff(cfg.clone(), true), 0).0;
+        let off = run_random_session(&with_ff(cfg, false), 0).0;
         prop_assert_eq!(on, off);
     }
 
@@ -94,12 +101,12 @@ proptest! {
             ..SessionConfig::paper(seed)
         };
         prop_assert_eq!(
-            run_triggered_session(&with_ff(cfg.clone(), true), 0, 2),
-            run_triggered_session(&with_ff(cfg.clone(), false), 0, 2)
+            captured(run_triggered_session(&with_ff(cfg.clone(), true), 0, 2)),
+            captured(run_triggered_session(&with_ff(cfg.clone(), false), 0, 2))
         );
         prop_assert_eq!(
-            run_transition_session(&with_ff(cfg.clone(), true), 0, 1),
-            run_transition_session(&with_ff(cfg, false), 0, 1)
+            captured(run_transition_session(&with_ff(cfg.clone(), true), 0, 1)),
+            captured(run_transition_session(&with_ff(cfg, false), 0, 1))
         );
     }
 }

@@ -9,23 +9,38 @@
 //!   counters (CCB grant statistics, cache access counts) — the tracer
 //!   observes the machine, it does not keep a parallel version of it.
 
-use fx8_study::core::experiment::{run_random_session, run_random_session_observed};
+use fx8_study::core::experiment::run_random_session;
 use fx8_study::prelude::*;
 use proptest::prelude::*;
 use serde::Value;
 use std::collections::BTreeMap;
 
 /// The mini study used across core's own tests: every session type, short
-/// horizons, a fully concurrent mix so the CCB and crossbar stay busy.
-fn mini_builder() -> StudyConfigBuilder {
-    StudyConfig::builder()
-        .n_random(2)
-        .session_hours(vec![0.12, 0.12])
-        .n_triggered(1)
-        .captures_per_triggered(2)
-        .n_transition(1)
-        .captures_per_transition(2)
-        .mix(WorkloadMix::all_concurrent())
+/// horizons, a fully concurrent mix so the CCB and crossbar stay busy —
+/// fully traced.
+fn traced_mini() -> StudyConfig {
+    StudyConfig {
+        machine: MachineConfig {
+            trace: TraceConfig::full(),
+            ..MachineConfig::fx8()
+        },
+        n_random: 2,
+        session_hours: vec![0.12, 0.12],
+        n_triggered: 1,
+        captures_per_triggered: 2,
+        n_transition: 1,
+        captures_per_transition: 2,
+        mix: WorkloadMix::all_concurrent(),
+        ..StudyConfig::paper()
+    }
+}
+
+/// Validate and run a study, returning its observability.
+fn observe(cfg: StudyConfig) -> StudyObservability {
+    cfg.validate().expect("mini study config validates");
+    Study::run(cfg, None, &RunHooks::default())
+        .expect("uncancellable")
+        .1
 }
 
 fn as_str<'v>(v: &'v Value, what: &str) -> &'v str {
@@ -49,12 +64,9 @@ fn as_num(v: &Value, what: &str) -> f64 {
 /// and every session is announced as a named process.
 #[test]
 fn chrome_trace_round_trips_and_spans_nest() {
-    let cfg = mini_builder()
-        .trace(TraceConfig::full())
-        .build()
-        .expect("mini study config validates");
+    let cfg = traced_mini();
     let ns_per_cycle = cfg.machine.ns_per_cycle;
-    let (_study, obs) = Study::run_observed(cfg);
+    let obs = observe(cfg);
     let json = obs.chrome_trace(ns_per_cycle);
 
     let doc: Value = serde_json::from_str(&json).expect("export is valid JSON");
@@ -120,16 +132,15 @@ fn chrome_trace_round_trips_and_spans_nest() {
 /// cheap guard that the file ends exactly where the JSON does.
 #[test]
 fn chrome_trace_has_no_trailing_garbage() {
-    let cfg = mini_builder()
-        .n_random(1)
-        .session_hours(vec![0.05])
-        .n_triggered(0)
-        .n_transition(0)
-        .trace(TraceConfig::full())
-        .build()
-        .unwrap();
+    let cfg = StudyConfig {
+        n_random: 1,
+        session_hours: vec![0.05],
+        n_triggered: 0,
+        n_transition: 0,
+        ..traced_mini()
+    };
     let ns = cfg.machine.ns_per_cycle;
-    let (_study, obs) = Study::run_observed(cfg);
+    let obs = observe(cfg);
     let json = obs.chrome_trace(ns);
     assert!(json.starts_with('{') && json.trim_end().ends_with("]}"));
     serde_json::from_str::<Value>(json.trim_end()).expect("whole file is one JSON value");
@@ -146,16 +157,12 @@ proptest! {
     /// metrics registry never steers the simulation.
     #[test]
     fn metrics_agree_with_ground_truth_counters(seed in 0u64..1024) {
-        let machine = MachineConfig::builder()
-            .trace(TraceConfig::metrics_only())
-            .build()
-            .unwrap();
         let mut cfg = fx8_study::core::experiment::SessionConfig::quick(seed);
         cfg.hours = 0.05;
-        cfg.machine = machine;
+        cfg.machine.trace = TraceConfig::metrics_only();
         cfg.validate().unwrap();
 
-        let (result, obs) = run_random_session_observed(&cfg, 0);
+        let (result, obs) = run_random_session(&cfg, 0);
         let m = &obs.metrics;
         prop_assert!(m.cycles.consistent(), "engine split must partition total");
         prop_assert!(m.cycles.total > 0, "the session stepped cycles");
@@ -179,7 +186,7 @@ proptest! {
         // Tracing never steers: a plain untraced run is bit-identical.
         let mut plain_cfg = cfg.clone();
         plain_cfg.machine.trace = TraceConfig::off();
-        let plain = run_random_session(&plain_cfg, 0);
+        let (plain, _) = run_random_session(&plain_cfg, 0);
         prop_assert_eq!(&result, &plain, "metrics must be a pure observer");
     }
 }

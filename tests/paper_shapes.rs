@@ -2,6 +2,7 @@
 //! the calibrated production mix must show the paper's qualitative shapes.
 //! Tolerances are wide — these guard the *phenomena*, not the third digit.
 
+use fx8_study::core::api::RunHooks;
 use fx8_study::core::report::comparison;
 use fx8_study::core::study::{Study, StudyConfig};
 use fx8_study::core::tables;
@@ -21,7 +22,9 @@ fn shape_study() -> &'static Study {
             captures_per_transition: 30,
             ..StudyConfig::paper()
         };
-        Study::run(cfg)
+        Study::run(cfg, None, &RunHooks::default())
+            .expect("an uncancellable run completes")
+            .0
     })
 }
 

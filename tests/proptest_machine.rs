@@ -108,7 +108,9 @@ proptest! {
             if mask == 0 {
                 requesting = [true; 8];
             }
-            for g in ccb.arbitrate(t, &requesting) {
+            let mut grants = [IterGrant::Wait; 8];
+            ccb.arbitrate_into(t, &requesting, &mut grants);
+            for g in grants {
                 if let IterGrant::Iter(i) = g {
                     granted.push(i);
                 }
@@ -122,7 +124,7 @@ proptest! {
     }
 
     /// Streaming acquisition equals reducing a materialized buffer: for any
-    /// kernel, seed, buffer depth, and trigger, `acquire_reduced` matches
+    /// kernel, seed, buffer depth, and trigger, `acquire_reduced_into` matches
     /// `EventCounts::reduce(acquire(..).records)` and both paths advance
     /// the machine identically (including the timeout path).
     #[test]
@@ -155,11 +157,12 @@ proptest! {
         });
         let (mut a, mut b) = (machine(), machine());
         let buffered = das.acquire(&mut a);
-        let streamed = das.acquire_reduced(&mut b);
+        let mut counts = EventCounts::empty(8);
+        let streamed = das.acquire_reduced_into(&mut b, &mut counts);
         match (buffered, streamed) {
-            (Ok(acq), Ok(red)) => {
-                prop_assert_eq!(red.triggered_at, acq.triggered_at);
-                prop_assert_eq!(red.counts, EventCounts::reduce(&acq.records, 8));
+            (Ok(acq), Ok(triggered_at)) => {
+                prop_assert_eq!(triggered_at, acq.triggered_at);
+                prop_assert_eq!(counts, EventCounts::reduce(&acq.records, 8));
             }
             (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
             (b1, s1) => prop_assert!(false, "paths disagree: {:?} vs {:?}", b1, s1),
