@@ -1,7 +1,7 @@
 //! Regenerate every table and figure of the thesis's evaluation.
 //!
 //! ```text
-//! reproduce run     [--quick] [--audit] [--out DIR] [cache flags] [IDS...]
+//! reproduce run     [--quick] [--out DIR] [cache flags] [IDS...]
 //! reproduce scale   [--quick] [--widths LIST] [--json FILE] [cache flags]
 //! reproduce bench   [--as-baseline | --check-regression]
 //! reproduce serve   [--addr HOST:PORT] [--queue-depth N] [--workers N] [cache flags]
@@ -19,9 +19,9 @@
 //!   figB10 comparison observability`, from
 //!   [`fx8_core::report::SECTIONS`]); an unknown ID exits 2 with
 //!   `error[request/unknown-id]` before the study runs. `--quick` runs a
-//!   scaled-down study (seconds instead of minutes); `--audit` prints the invariant-audit
-//!   report and exits nonzero on violations; `--out DIR` additionally
-//!   writes `report.txt`, `comparison.md` and `study.json` under DIR.
+//!   scaled-down study (seconds instead of minutes); `--out DIR`
+//!   additionally writes `report.txt`, `comparison.md` and `study.json`
+//!   under DIR.
 //! * `bench` — measure every bench row (see [`fx8_bench::throughput`])
 //!   and upsert them by name into `BENCH_throughput.json` at the repo root
 //!   (`current` rows; `--as-baseline` rewrites `baseline` rows too; a
@@ -84,7 +84,7 @@ use fx8_bench::throughput;
 use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult};
 use fx8_core::cache::{CacheStats, SessionCache};
 use fx8_core::observability::StudyObservability;
-use fx8_core::report::{self, StudyReport};
+use fx8_core::report;
 use fx8_core::scale::ScaleConfig;
 use fx8_core::study::{Study, StudyConfig};
 use fx8_serve::{ServeConfig, Server};
@@ -95,7 +95,7 @@ use std::process::ExitCode;
 fn usage() -> &'static str {
     "usage: reproduce <run|scale|bench|serve|hammer|audit|metrics|trace> [options]\n\
      \n\
-     reproduce run     [--quick] [--audit] [--out DIR] [cache flags] [IDS...]\n\
+     reproduce run     [--quick] [--out DIR] [cache flags] [IDS...]\n\
      reproduce scale   [--quick] [--widths LIST] [--json FILE] [cache flags]\n\
      reproduce bench   [--as-baseline | --check-regression] \
      [--cov-threshold F] [--max-windows N]\n\
@@ -199,7 +199,6 @@ impl CacheOpts {
 
 struct RunArgs {
     quick: bool,
-    audit: bool,
     out: Option<String>,
     cache: CacheOpts,
     ids: BTreeSet<String>,
@@ -244,7 +243,6 @@ enum Cmd {
 fn parse_run(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
     let mut args = RunArgs {
         quick: false,
-        audit: false,
         out: None,
         cache: CacheOpts::default(),
         ids: BTreeSet::new(),
@@ -252,7 +250,6 @@ fn parse_run(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--quick" => args.quick = true,
-            "--audit" => args.audit = true,
             "--out" => args.out = Some(argv.next().ok_or("--out requires a directory")?),
             "--help" | "-h" => return Err(usage().to_string()),
             flag if args.cache.parse_flag(flag, &mut argv)? => {}
@@ -446,7 +443,6 @@ fn parse_cmd() -> Result<Cmd, String> {
     match argv.next() {
         None => Ok(Cmd::Run(RunArgs {
             quick: false,
-            audit: false,
             out: None,
             cache: CacheOpts::default(),
             ids: BTreeSet::new(),
@@ -683,36 +679,29 @@ fn cmd_run(args: RunArgs) -> ExitCode {
     };
     args.cache.report(cache.as_ref(), &obs.cache);
 
-    if args.audit && !print_audit(&study) {
-        return ExitCode::FAILURE;
-    }
-
     let wanted = |id: &str| args.ids.is_empty() || args.ids.contains(&id.to_ascii_lowercase());
     let mut printed = String::new();
-    let mut emit = |id: &str, text: String| {
+    let mut emit = |id: &str, text: &str| {
         if wanted(id) {
             println!("==================== {id} ====================");
             println!("{text}");
         }
         printed.push_str(&format!("==================== {id} ====================\n"));
-        printed.push_str(&text);
+        printed.push_str(text);
         printed.push('\n');
     };
 
     for (id, render) in report::SECTIONS {
         if let Some(text) = render(&study) {
-            emit(id, text);
+            emit(id, &text);
         }
     }
-    let study_report = StudyReport::new(&study, obs);
-    emit(
-        "comparison",
-        report::render_comparison(&study_report.comparison),
-    );
-    emit("observability", study_report.observability.render());
+    let comparison = report::render_comparison(&report::comparison(&study));
+    emit("comparison", &comparison);
+    emit("observability", &obs.render());
 
     if let Some(dir) = &args.out {
-        if let Err(e) = write_outputs(dir, &study, &printed, &study_report) {
+        if let Err(e) = write_outputs(dir, &study, &printed, &comparison) {
             eprintln!("failed to write outputs to {dir}: {e}");
             return ExitCode::FAILURE;
         }
@@ -779,12 +768,14 @@ fn cmd_scale(
     let JobResult::Scale { study } = outcome.result else {
         unreachable!("a scale request returns a scale result");
     };
-    let stats = outcome.sweep.expect("scale jobs carry sweep stats");
+    let obs = outcome.study_obs.expect("scale jobs carry observability");
     eprintln!(
         "sweep complete in {:.1}s: {} sessions across {} widths",
-        stats.sweep_wall_s, stats.sessions, n_widths
+        obs.study_wall_s,
+        obs.sessions.len(),
+        n_widths
     );
-    cache_opts.report(cache.as_ref(), &stats.cache);
+    cache_opts.report(cache.as_ref(), &obs.cache);
     print!("{}", study.render());
     if let Some(path) = json {
         let payload = serde_json::to_string(&study).expect("scale study serializes");
@@ -968,14 +959,11 @@ fn write_outputs(
     dir: &str,
     study: &Study,
     report_text: &str,
-    study_report: &StudyReport,
+    comparison: &str,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(format!("{dir}/report.txt"), report_text)?;
-    std::fs::write(
-        format!("{dir}/comparison.md"),
-        report::render_comparison(&study_report.comparison),
-    )?;
+    std::fs::write(format!("{dir}/comparison.md"), comparison)?;
     let json = serde_json::to_string(study).expect("study serializes");
     std::fs::write(format!("{dir}/study.json"), json)?;
     Ok(())

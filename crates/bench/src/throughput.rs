@@ -481,6 +481,15 @@ pub(crate) fn cov_of(samples: &[f64]) -> f64 {
     var.sqrt() / mean
 }
 
+/// The harness's stop rule over the window rates so far: stop at
+/// `opts.max_windows` windows, or earlier once at least [`MIN_WINDOWS`]
+/// have run and their CoV is below `opts.cov_threshold` (a CoV equal to
+/// the threshold keeps going).
+fn windows_settled(rates: &[f64], opts: &BenchOptions) -> bool {
+    let n = rates.len() as u32;
+    n >= opts.max_windows || (n >= MIN_WINDOWS && cov_of(rates) < opts.cov_threshold)
+}
+
 /// The harness loop. Calls `op` back to back in timing windows of
 /// `window_s` seconds; `op` returns the work units it just did (cycles,
 /// or `1.0` for one operation), and a window's rate is its units per
@@ -505,8 +514,7 @@ pub fn measure_adaptive(
             }
         };
         rates.push(rate);
-        let n = rates.len() as u32;
-        if n >= opts.max_windows || (n >= MIN_WINDOWS && cov_of(&rates) < opts.cov_threshold) {
+        if windows_settled(&rates, opts) {
             break;
         }
     }
@@ -1031,26 +1039,69 @@ mod tests {
         assert_eq!(back, with_audit);
     }
 
+    /// The stop rule on fixed rate sequences: how many windows run before
+    /// it says stop (`None`: the sequence ran out first).
+    #[test]
+    fn stop_rule_on_fixed_rates() {
+        let stops_after = |rates: &[f64], cov_threshold: f64, max_windows: u32| {
+            let opts = BenchOptions {
+                cov_threshold,
+                max_windows,
+            };
+            (1..=rates.len()).find(|&n| windows_settled(&rates[..n], &opts))
+        };
+        let noisy = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+        assert_eq!(
+            stops_after(&noisy, 0.99, 7),
+            Some(MIN_WINDOWS as usize),
+            "a loose threshold stops at the minimum"
+        );
+        assert_eq!(
+            stops_after(&noisy, 1e-12, 4),
+            Some(4),
+            "an unreachable threshold runs to the cap"
+        );
+        let tied = [2.0, 4.0, 2.0, 4.0, 2.0, 4.0];
+        let cov = cov_of(&tied[..MIN_WINDOWS as usize]);
+        assert_eq!(
+            stops_after(&tied, cov, 12),
+            Some(4),
+            "a CoV equal to the threshold keeps going"
+        );
+    }
+
+    /// The timed harness end to end, with bounds that hold under any host
+    /// load; the exact stopping points are pinned by
+    /// `stop_rule_on_fixed_rates`.
     #[test]
     fn adaptive_harness_respects_window_bounds() {
         let opts = BenchOptions {
-            cov_threshold: 0.99, // always satisfied after MIN_WINDOWS
+            cov_threshold: 0.99,
             max_windows: 7,
         };
-        let m = measure_run_adaptive(&mut idle_cluster(11), 2_000, 0.01, &opts);
-        assert_eq!(m.windows, MIN_WINDOWS, "a loose threshold stops early");
-        assert!(m.rate > 0.0);
+        let in_bounds = |m: RunMeasurement, opts: &BenchOptions| {
+            assert!(
+                (MIN_WINDOWS..=opts.max_windows).contains(&m.windows),
+                "{} windows",
+                m.windows
+            );
+            assert!(m.rate > 0.0);
+            assert!(m.cov >= 0.0);
+        };
+        in_bounds(
+            measure_run_adaptive(&mut idle_cluster(11), 2_000, 0.01, &opts),
+            &opts,
+        );
         let strict = BenchOptions {
-            cov_threshold: 1e-12, // never satisfied in practice
+            cov_threshold: 1e-12,
             max_windows: 4,
         };
-        let m = measure_run_adaptive(&mut idle_cluster(12), 2_000, 0.01, &strict);
-        assert_eq!(m.windows, 4, "an unreachable threshold runs to the cap");
-        assert!(m.cov >= 0.0);
+        in_bounds(
+            measure_run_adaptive(&mut idle_cluster(12), 2_000, 0.01, &strict),
+            &strict,
+        );
         // The same loop times arbitrary operations.
-        let m = measure_adaptive(0.001, &opts, || 1.0);
-        assert_eq!(m.windows, MIN_WINDOWS);
-        assert!(m.rate > 0.0);
+        in_bounds(measure_adaptive(0.001, &opts, || 1.0), &opts);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `reproduce` CLI and the `fx8-serve` HTTP server.
 //!
 //! Every way of asking this repo a question — "run the study", "sweep the
-//! widths", "bench the cache" — is a [`JobRequest`]: a versioned wire
+//! widths" — is a [`JobRequest`]: a versioned wire
 //! envelope (`"api": 1`) around a [`JobSpec`]. Both transports build the
 //! same request, validate it through the same [`ConfigError`] chain, and
 //! execute it through the same entry point ([`execute`] /
@@ -25,7 +25,7 @@
 use crate::cache::SessionCache;
 use crate::observability::StudyObservability;
 use crate::report::{self, CompRow};
-use crate::scale::{ScaleConfig, ScaleStudy, SweepStats};
+use crate::scale::{ScaleConfig, ScaleStudy};
 use crate::study::{Study, StudyConfig};
 use fx8_sim::ConfigError;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -180,12 +180,6 @@ pub enum JobSpec {
         /// The sweep to run.
         config: ScaleConfig,
     },
-    /// Run the study twice against a fresh in-process cache and report
-    /// cold/warm walls — the cache benchmark as a service job.
-    Bench {
-        /// The study the benchmark runs.
-        config: StudyConfig,
-    },
 }
 
 /// The versioned request envelope both transports build and execute.
@@ -214,14 +208,6 @@ impl JobRequest {
         }
     }
 
-    /// A cache-bench request at the current API version.
-    pub fn bench(config: StudyConfig) -> Self {
-        JobRequest {
-            api: API_VERSION,
-            job: JobSpec::Bench { config },
-        }
-    }
-
     /// Check the version and run the config validation chain, mapping
     /// failures to the uniform typed error.
     pub fn validate(&self) -> Result<(), ApiError> {
@@ -235,9 +221,7 @@ impl JobRequest {
             ));
         }
         match &self.job {
-            JobSpec::Study { config } | JobSpec::Bench { config } => {
-                config.validate().map_err(ApiError::from)
-            }
+            JobSpec::Study { config } => config.validate().map_err(ApiError::from),
             JobSpec::Scale { config } => config.validate().map_err(ApiError::from),
         }
     }
@@ -248,8 +232,6 @@ impl JobRequest {
         let study_sessions = |c: &StudyConfig| c.n_random + c.n_triggered + c.n_transition;
         match &self.job {
             JobSpec::Study { config } => study_sessions(config),
-            // Cold pass plus warm pass.
-            JobSpec::Bench { config } => 2 * study_sessions(config),
             JobSpec::Scale { config } => config.widths.len() * study_sessions(&config.base),
         }
     }
@@ -295,7 +277,6 @@ impl Serialize for JobSpec {
         let (tag, payload) = match self {
             JobSpec::Study { config } => ("study", config.to_value()),
             JobSpec::Scale { config } => ("scale", config.to_value()),
-            JobSpec::Bench { config } => ("bench", config.to_value()),
         };
         Value::Object(vec![(tag.to_string(), payload)])
     }
@@ -308,7 +289,7 @@ impl Deserialize for JobSpec {
         };
         if entries.len() != 1 {
             return Err(SerdeError::custom(
-                "job must carry exactly one of \"study\", \"scale\", \"bench\"",
+                "job must carry exactly one of \"study\", \"scale\"",
             ));
         }
         let (tag, payload) = &entries[0];
@@ -319,35 +300,14 @@ impl Deserialize for JobSpec {
             "scale" => Ok(JobSpec::Scale {
                 config: scale_payload(payload)?,
             }),
-            "bench" => Ok(JobSpec::Bench {
-                config: study_payload(payload)?,
-            }),
             other => Err(SerdeError::unknown_variant(other)),
         }
     }
 }
 
-/// The cold/warm walls of a [`JobSpec::Bench`] run. Wall clocks vary run
-/// to run, so bench results — unlike study and scale results — are not
-/// bit-comparable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRun {
-    /// Wall seconds of the cold pass (every session computed).
-    pub cold_wall_s: f64,
-    /// Wall seconds of the warm pass (every session from cache).
-    pub warm_wall_s: f64,
-    /// `cold_wall_s / warm_wall_s`.
-    pub warm_speedup: f64,
-    /// Sessions per pass.
-    pub sessions: u64,
-    /// Cache hits the warm pass recorded (equals `sessions` when the
-    /// cache behaved).
-    pub warm_hits: u64,
-}
-
-/// A finished job's deterministic payload. For study and scale jobs this
-/// is bit-identical across transports, caches, and parallelism — the e2e
-/// suite compares serialized results byte for byte.
+/// A finished job's deterministic payload: bit-identical across
+/// transports, caches, and parallelism — the e2e suite compares
+/// serialized results byte for byte.
 // One JobResult exists per finished job (never collections of them), so
 // the Study variant's inline size buys moves-not-allocs at no real cost.
 #[allow(clippy::large_enum_variant)]
@@ -365,11 +325,6 @@ pub enum JobResult {
         /// The finished sweep.
         study: ScaleStudy,
     },
-    /// The cache benchmark's walls.
-    Bench {
-        /// Cold/warm measurement.
-        bench: BenchRun,
-    },
 }
 
 impl Serialize for JobResult {
@@ -383,7 +338,6 @@ impl Serialize for JobResult {
                 ]),
             ),
             JobResult::Scale { study } => ("scale", study.to_value()),
-            JobResult::Bench { bench } => ("bench", bench.to_value()),
         };
         Value::Object(vec![(tag.to_string(), payload)])
     }
@@ -413,9 +367,6 @@ impl Deserialize for JobResult {
             }),
             "scale" => Ok(JobResult::Scale {
                 study: Deserialize::from_value(payload)?,
-            }),
-            "bench" => Ok(JobResult::Bench {
-                bench: Deserialize::from_value(payload)?,
             }),
             other => Err(SerdeError::unknown_variant(other)),
         }
@@ -637,10 +588,9 @@ impl RunHooks<'_> {
 pub struct JobOutcome {
     /// The deterministic result payload.
     pub result: JobResult,
-    /// Study observability (study and bench jobs; the bench's warm pass).
+    /// The run's observability: one slice per session, the run's wall
+    /// clock and its cache counters (every job kind fills it).
     pub study_obs: Option<StudyObservability>,
-    /// Sweep accounting (scale jobs).
-    pub sweep: Option<SweepStats>,
 }
 
 /// Execute a request with default hooks (no cancellation, no progress).
@@ -658,72 +608,21 @@ pub fn execute_with(
     hooks: &RunHooks<'_>,
 ) -> Result<JobOutcome, ApiError> {
     req.validate()?;
-    match &req.job {
+    let (result, obs) = match &req.job {
         JobSpec::Study { config } => {
             let (study, obs) = Study::run(config.clone(), cache, hooks)?;
             let comparison = report::comparison(&study);
-            Ok(JobOutcome {
-                result: JobResult::Study { study, comparison },
-                study_obs: Some(obs),
-                sweep: None,
-            })
+            (JobResult::Study { study, comparison }, obs)
         }
         JobSpec::Scale { config } => {
-            let (study, sweep) = ScaleStudy::run(config, cache, hooks)?;
-            Ok(JobOutcome {
-                result: JobResult::Scale { study },
-                study_obs: None,
-                sweep: Some(sweep),
-            })
+            let (study, obs) = ScaleStudy::run(config, cache, hooks)?;
+            (JobResult::Scale { study }, obs)
         }
-        JobSpec::Bench { config } => {
-            // The bench ignores the caller's cache on purpose: it measures
-            // a cold pass then a warm pass against its own fresh store, so
-            // a pre-warmed shared cache cannot fake the cold number.
-            let bench_cache = SessionCache::in_memory();
-            let total = req.sessions_total();
-            let per_pass = total / 2;
-            let offset = |base: usize| {
-                move |mut s: SessionDone| {
-                    s.done += base;
-                    s.total = total;
-                    if let Some(f) = hooks.on_session {
-                        f(s);
-                    }
-                }
-            };
-            let cold_hook = offset(0);
-            let cold_hooks = RunHooks {
-                cancel: hooks.cancel,
-                on_session: Some(&cold_hook),
-            };
-            let (cold_study, cold_obs) =
-                Study::run(config.clone(), Some(&bench_cache), &cold_hooks)?;
-            let warm_hook = offset(per_pass);
-            let warm_hooks = RunHooks {
-                cancel: hooks.cancel,
-                on_session: Some(&warm_hook),
-            };
-            let (warm_study, warm_obs) =
-                Study::run(config.clone(), Some(&bench_cache), &warm_hooks)?;
-            debug_assert_eq!(cold_study, warm_study, "cache broke determinism");
-            let cold_wall_s = cold_obs.study_wall_s;
-            let warm_wall_s = warm_obs.study_wall_s;
-            Ok(JobOutcome {
-                result: JobResult::Bench {
-                    bench: BenchRun {
-                        cold_wall_s,
-                        warm_wall_s,
-                        warm_speedup: cold_wall_s / warm_wall_s.max(1e-12),
-                        sessions: per_pass as u64,
-                        warm_hits: warm_obs.cache.hits,
-                    },
-                },
-                study_obs: Some(warm_obs),
-                sweep: None,
-            })
-        }
-    }
+    };
+    Ok(JobOutcome {
+        result,
+        study_obs: Some(obs),
+    })
 }
 
 #[cfg(test)]
@@ -790,8 +689,6 @@ mod tests {
 
         let scale = JobRequest::from_json(r#"{"api":1,"job":{"scale":"paper"}}"#).unwrap();
         assert_eq!(scale, JobRequest::scale(ScaleConfig::paper()));
-        let bench = JobRequest::from_json(r#"{"api":1,"job":{"bench":"quick"}}"#).unwrap();
-        assert_eq!(bench, JobRequest::bench(StudyConfig::quick()));
     }
 
     #[test]
@@ -804,6 +701,9 @@ mod tests {
         assert_eq!(e.code, codes::BAD_JSON);
         // Unknown job kind.
         let e = JobRequest::from_json(r#"{"api":1,"job":{"fuzz":"quick"}}"#).unwrap_err();
+        assert_eq!(e.code, codes::BAD_JSON);
+        // `bench` is not a job kind (`reproduce bench` is a CLI harness).
+        let e = JobRequest::from_json(r#"{"api":1,"job":{"bench":"quick"}}"#).unwrap_err();
         assert_eq!(e.code, codes::BAD_JSON);
         // Wrong api version parses but fails validation with its own code.
         let req = JobRequest::from_json(r#"{"api":2,"job":{"study":"quick"}}"#).unwrap();
@@ -883,22 +783,5 @@ mod tests {
         };
         let err = execute_with(&req, None, &hooks).unwrap_err();
         assert_eq!(err.code, codes::JOB_CANCELLED);
-    }
-
-    #[test]
-    fn execute_bench_reports_warm_speedup() {
-        let mut cfg = StudyConfig::quick();
-        cfg.n_random = 1;
-        cfg.session_hours = vec![0.05];
-        cfg.n_triggered = 0;
-        cfg.n_transition = 1;
-        cfg.captures_per_transition = 2;
-        let outcome = execute(&JobRequest::bench(cfg), None).expect("bench runs");
-        let JobResult::Bench { bench } = &outcome.result else {
-            panic!("bench request returns a bench result");
-        };
-        assert_eq!(bench.sessions, 2);
-        assert_eq!(bench.warm_hits, 2, "warm pass is all cache hits");
-        assert!(bench.warm_speedup > 1.0, "warm pass is faster than cold");
     }
 }

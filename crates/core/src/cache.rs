@@ -58,6 +58,13 @@ impl SessionKind {
             SessionKind::Transition => "transition",
         }
     }
+
+    /// The label of session `idx` of this kind ("random 3", "triggered 0",
+    /// ...), as progress hooks, observability slices and audit reports
+    /// show it.
+    pub fn label(self, idx: usize) -> String {
+        format!("{} {idx}", self.tag())
+    }
 }
 
 /// One memoized session output: everything the study keeps from a session
@@ -394,6 +401,56 @@ mod tests {
             c.key(SessionKind::Random, &scalar, 0, 0),
             "the stepping engines are bit-identical and must share cache entries"
         );
+    }
+
+    /// The payload JSON is the on-disk format under [`CACHE_FORMAT`] 1:
+    /// entries written by earlier builds must keep reading back. Changing
+    /// these literals means bumping the format.
+    #[test]
+    fn payload_json_is_pinned() {
+        use crate::sample::Sample;
+        use fx8_monitor::{EventCounts, KernelCounters};
+        let mut counts = EventCounts::empty(2);
+        counts.num = vec![1, 2, 3];
+        counts.prof = vec![5, 3];
+        counts.ceop[0] = 4;
+        counts.membop[1] = 2;
+        counts.records = 6;
+        let random = CachedSession::Random {
+            result: SessionResult {
+                session: 1,
+                samples: vec![Sample {
+                    session: 1,
+                    at_cycle: 300,
+                    counts: counts.clone(),
+                    kernel: KernelCounters {
+                        page_faults_user: 7,
+                        page_faults_system: 2,
+                    },
+                }],
+                jobs_completed: 3,
+                audit: AuditReport::default(),
+            },
+        };
+        let captures = CachedSession::Captures {
+            captures: vec![Capture {
+                session: 0,
+                at_cycle: 42,
+                counts,
+            }],
+            audit: AuditReport {
+                checked_cycles: 9,
+                violations: Vec::new(),
+                dropped_violations: 1,
+            },
+        };
+        let random_json = r#"{"Random":{"result":{"session":1,"samples":[{"session":1,"at_cycle":300,"counts":{"num":[1,2,3],"prof":[5,3],"ceop":[4,0,0,0,0],"membop":[0,2,0,0,0],"records":6,"n_ces":2},"kernel":{"page_faults_user":7,"page_faults_system":2}}],"jobs_completed":3,"audit":{"checked_cycles":0,"violations":[],"dropped_violations":0}}}}"#;
+        let captures_json = r#"{"Captures":{"captures":[{"session":0,"at_cycle":42,"counts":{"num":[1,2,3],"prof":[5,3],"ceop":[4,0,0,0,0],"membop":[0,2,0,0,0],"records":6,"n_ces":2}}],"audit":{"checked_cycles":9,"violations":[],"dropped_violations":1}}}"#;
+        for (entry, json) in [(random, random_json), (captures, captures_json)] {
+            assert_eq!(serde_json::to_string(&entry).unwrap(), json);
+            let back: CachedSession = serde_json::from_str(json).unwrap();
+            assert_eq!(back, entry);
+        }
     }
 
     #[test]

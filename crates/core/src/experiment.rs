@@ -9,6 +9,7 @@
 //!   transition from eight active processors to fewer (the end of
 //!   concurrent loops).
 
+use crate::cache::SessionKind;
 use crate::observability::SessionObservability;
 use crate::sample::Sample;
 use fx8_monitor::{DasConfig, DasMonitor, EventCounts, KernelStats, Trigger};
@@ -251,8 +252,11 @@ pub fn run_random_session(
         });
     }
 
-    let obs =
-        SessionObservability::capture(format!("random {session_idx}"), started, driver.cluster());
+    let obs = SessionObservability::capture(
+        SessionKind::Random.label(session_idx),
+        started,
+        driver.cluster(),
+    );
     (
         SessionResult {
             session: session_idx,
@@ -308,7 +312,7 @@ pub fn run_triggered_session(
     }
     let audit = driver.cluster().audit_report();
     let obs = SessionObservability::capture(
-        format!("triggered {session_idx}"),
+        SessionKind::Triggered.label(session_idx),
         started,
         driver.cluster(),
     );
@@ -356,7 +360,7 @@ pub fn run_transition_session(
     }
     let audit = driver.cluster().audit_report();
     let obs = SessionObservability::capture(
-        format!("transition {session_idx}"),
+        SessionKind::Transition.label(session_idx),
         started,
         driver.cluster(),
     );

@@ -9,6 +9,7 @@ use crate::study::Study;
 use crate::tables::{analysis_samples, table3, table4};
 use fx8_stats::chart::{hbar, hbar_labeled, model_curve, scatter};
 use fx8_stats::freq::{midpoints, FreqDist};
+use fx8_stats::regression::QuadModel;
 
 const PLOT_W: usize = 72;
 const PLOT_H: usize = 24;
@@ -96,7 +97,9 @@ pub fn fig7(study: &Study) -> String {
     s
 }
 
-fn hw_samples(study: &Study) -> Vec<Sample> {
+/// The hardware samples Chapter 5 analyzes: random samples, then the
+/// all-active-triggered buffers (see [`analysis_samples`]).
+pub(crate) fn hw_samples(study: &Study) -> Vec<Sample> {
     let (random, triggered) = analysis_samples(study);
     let mut all = random;
     all.extend(triggered);
@@ -134,6 +137,28 @@ pub const CW_BANDS: [(f64, f64); 3] = [(0.0, 0.4), (0.4, 0.8), (0.8, f64::INFINI
 /// Band boundaries the thesis used for `P_c` (Figures 11, B.4, B.8).
 pub const PC_BANDS: [(f64, f64); 3] = [(0.0, 6.0), (6.0, 7.5), (7.5, f64::INFINITY)];
 
+/// The `y` values of the samples whose `x` lies in `band`, `(lo, hi]` (a
+/// band starting at 0 includes 0), in sample order; samples with no
+/// defined `x` are dropped. The one band filter behind the banded figures
+/// and the comparison's band medians.
+pub(crate) fn band_values(
+    samples: &[Sample],
+    band: (f64, f64),
+    x: impl Fn(&Sample) -> Option<f64>,
+    y: impl Fn(&Sample) -> f64,
+) -> Vec<f64> {
+    samples
+        .iter()
+        .filter(|s| x(s).is_some_and(|x| (x > band.0 || band.0 == 0.0) && x <= band.1))
+        .map(y)
+        .collect()
+}
+
+/// `C_w` as a band axis (always defined).
+pub(crate) fn cw_axis(s: &Sample) -> Option<f64> {
+    Some(s.workload_concurrency())
+}
+
 /// Distribution of a system measure within samples whose `C_w` lies in
 /// `(lo, hi]` (first band includes 0).
 pub fn banded_by_cw(
@@ -142,15 +167,7 @@ pub fn banded_by_cw(
     y: impl Fn(&Sample) -> f64,
     mids: &[f64],
 ) -> FreqDist {
-    let vals: Vec<f64> = samples
-        .iter()
-        .filter(|s| {
-            let cw = s.workload_concurrency();
-            (cw > band.0 || band.0 == 0.0) && cw <= band.1
-        })
-        .map(y)
-        .collect();
-    FreqDist::from_values(&vals, mids)
+    FreqDist::from_values(&band_values(samples, band, cw_axis, y), mids)
 }
 
 /// Distribution of a system measure within samples whose `P_c` lies in
@@ -161,17 +178,12 @@ pub fn banded_by_pc(
     y: impl Fn(&Sample) -> f64,
     mids: &[f64],
 ) -> FreqDist {
-    let vals: Vec<f64> = samples
-        .iter()
-        .filter_map(|s| s.mean_concurrency_level().map(|pc| (pc, y(s))))
-        .filter(|&(pc, _)| (pc > band.0 || band.0 == 0.0) && pc <= band.1)
-        .map(|(_, v)| v)
-        .collect();
-    FreqDist::from_values(&vals, mids)
+    let pc = Sample::mean_concurrency_level;
+    FreqDist::from_values(&band_values(samples, band, pc, y), mids)
 }
 
 fn render_bands(
-    study: &Study,
+    samples: &[Sample],
     fig: &str,
     measure_name: &str,
     by_cw: bool,
@@ -179,7 +191,6 @@ fn render_bands(
     mids: &[f64],
     fmt: impl Fn(f64) -> String + Copy,
 ) -> String {
-    let samples = hw_samples(study);
     let mut out = String::new();
     let (bands, x_name): (&[(f64, f64)], &str) = if by_cw {
         (&CW_BANDS, "Cw")
@@ -196,9 +207,9 @@ fn render_bands(
             format!("{} < {x_name} <= {}", band.0, band.1)
         };
         let dist = if by_cw {
-            banded_by_cw(&samples, band, y, mids)
+            banded_by_cw(samples, band, y, mids)
         } else {
-            banded_by_pc(&samples, band, y, mids)
+            banded_by_pc(samples, band, y, mids)
         };
         out.push_str(&hbar(
             &dist,
@@ -218,7 +229,7 @@ pub fn missrate_midpoints() -> Vec<f64> {
 /// Figure 10 (a–c): Missrate distributions binned by `C_w` band.
 pub fn fig10(study: &Study) -> String {
     render_bands(
-        study,
+        &hw_samples(study),
         "10",
         "Miss Rate",
         true,
@@ -231,7 +242,7 @@ pub fn fig10(study: &Study) -> String {
 /// Figure 11 (a–c): Missrate distributions binned by `P_c` band.
 pub fn fig11(study: &Study) -> String {
     render_bands(
-        study,
+        &hw_samples(study),
         "11",
         "Miss Rate",
         false,
@@ -241,49 +252,56 @@ pub fn fig11(study: &Study) -> String {
     )
 }
 
-/// Figure 12: the fitted Missrate-vs-`C_w` model curve.
-pub fn fig12(study: &Study) -> String {
-    match table3(study).model("Median Miss Rate") {
+/// A fitted model's curve over `[x0, x1]`, or a notice when the fit
+/// degenerated (Figures 12–14, B.9 and B.10).
+fn model_figure(fig: &str, vs: &str, model: Option<&QuadModel>, x0: f64, x1: f64) -> String {
+    match model {
         Some(m) => model_curve(
-            "Figure 12. Plot of Regression Model, Missrate vs. Cw",
+            &format!("Figure {fig}. Plot of Regression Model, {vs}"),
             m,
-            0.0,
-            1.0,
+            x0,
+            x1,
             PLOT_W,
             16,
         ),
-        None => "Figure 12: model degenerate (insufficient occupied bins)\n".into(),
+        None => format!("Figure {fig}: model degenerate (insufficient occupied bins)\n"),
     }
+}
+
+/// Figure 12: the fitted Missrate-vs-`C_w` model curve.
+pub fn fig12(study: &Study) -> String {
+    let table = table3(study);
+    model_figure(
+        "12",
+        "Missrate vs. Cw",
+        table.model("Median Miss Rate"),
+        0.0,
+        1.0,
+    )
 }
 
 /// Figure 13: the fitted CE-Bus-Busy-vs-`C_w` model curve.
 pub fn fig13(study: &Study) -> String {
-    match table3(study).model("Median CE Bus Busy") {
-        Some(m) => model_curve(
-            "Figure 13. Plot of Regression Model, CE Bus Busy vs. Cw",
-            m,
-            0.0,
-            1.0,
-            PLOT_W,
-            16,
-        ),
-        None => "Figure 13: model degenerate (insufficient occupied bins)\n".into(),
-    }
+    let table = table3(study);
+    model_figure(
+        "13",
+        "CE Bus Busy vs. Cw",
+        table.model("Median CE Bus Busy"),
+        0.0,
+        1.0,
+    )
 }
 
 /// Figure 14: the fitted CE-Bus-Busy-vs-`P_c` model curve.
 pub fn fig14(study: &Study) -> String {
-    match table4(study).model("Median CE Bus Busy") {
-        Some(m) => model_curve(
-            "Figure 14. Plot of Regression Model, CE Bus Busy vs. Pc",
-            m,
-            2.0,
-            8.0,
-            PLOT_W,
-            16,
-        ),
-        None => "Figure 14: model degenerate (insufficient occupied bins)\n".into(),
-    }
+    let table = table4(study);
+    model_figure(
+        "14",
+        "CE Bus Busy vs. Pc",
+        table.model("Median CE Bus Busy"),
+        2.0,
+        8.0,
+    )
 }
 
 /// Figures A.1/A.2: per-session activity histograms (the thesis shows
@@ -368,7 +386,7 @@ pub fn busy_midpoints() -> Vec<f64> {
 /// Figure B.3 (a–c): CE Bus Busy distributions binned by `C_w` band.
 pub fn fig_b3(study: &Study) -> String {
     render_bands(
-        study,
+        &hw_samples(study),
         "B.3",
         "CE Bus Busy",
         true,
@@ -381,7 +399,7 @@ pub fn fig_b3(study: &Study) -> String {
 /// Figure B.4 (a–c): CE Bus Busy distributions binned by `P_c` band.
 pub fn fig_b4(study: &Study) -> String {
     render_bands(
-        study,
+        &hw_samples(study),
         "B.4",
         "CE Bus Busy",
         false,
@@ -425,76 +443,54 @@ pub fn pfr_midpoints() -> Vec<f64> {
     midpoints(0.0, 2000.0, 13)
 }
 
-fn render_pfr_bands(study: &Study, fig: &str, by_cw: bool) -> String {
-    let (random, _) = analysis_samples(study);
-    let mut out = String::new();
-    let (bands, x_name): (&[(f64, f64)], &str) = if by_cw {
-        (&CW_BANDS, "Cw")
-    } else {
-        (&PC_BANDS, "Pc")
-    };
-    for (i, &band) in bands.iter().enumerate() {
-        let label = (b'a' + i as u8) as char;
-        let hi = if band.1.is_infinite() {
-            format!("{x_name} > {}", band.0)
-        } else if band.0 == 0.0 {
-            format!("{x_name} <= {}", band.1)
-        } else {
-            format!("{} < {x_name} <= {}", band.0, band.1)
-        };
-        let dist = if by_cw {
-            banded_by_cw(&random, band, Sample::page_fault_rate, &pfr_midpoints())
-        } else {
-            banded_by_pc(&random, band, Sample::page_fault_rate, &pfr_midpoints())
-        };
-        out.push_str(&hbar(
-            &dist,
-            &format!("Figure {fig} ({label}). Distribution of Page Fault Rate, {hi}"),
-            |m| format!("{m:.0}"),
-        ));
-        out.push('\n');
-    }
-    out
-}
-
 /// Figure B.7 (a–c): Page Fault Rate distributions binned by `C_w` band.
 pub fn fig_b7(study: &Study) -> String {
-    render_pfr_bands(study, "B.7", true)
+    render_bands(
+        &analysis_samples(study).0,
+        "B.7",
+        "Page Fault Rate",
+        true,
+        Sample::page_fault_rate,
+        &pfr_midpoints(),
+        |m| format!("{m:.0}"),
+    )
 }
 
 /// Figure B.8 (a–c): Page Fault Rate distributions binned by `P_c` band.
 pub fn fig_b8(study: &Study) -> String {
-    render_pfr_bands(study, "B.8", false)
+    render_bands(
+        &analysis_samples(study).0,
+        "B.8",
+        "Page Fault Rate",
+        false,
+        Sample::page_fault_rate,
+        &pfr_midpoints(),
+        |m| format!("{m:.0}"),
+    )
 }
 
 /// Figure B.9: the fitted Page-Fault-Rate-vs-`C_w` model curve.
 pub fn fig_b9(study: &Study) -> String {
-    match table3(study).model("Median Page Fault Rate") {
-        Some(m) => model_curve(
-            "Figure B.9. Plot of Regression Model, Page Fault Rate vs. Cw",
-            m,
-            0.0,
-            1.0,
-            PLOT_W,
-            16,
-        ),
-        None => "Figure B.9: model degenerate (insufficient occupied bins)\n".into(),
-    }
+    let table = table3(study);
+    model_figure(
+        "B.9",
+        "Page Fault Rate vs. Cw",
+        table.model("Median Page Fault Rate"),
+        0.0,
+        1.0,
+    )
 }
 
 /// Figure B.10: the fitted Page-Fault-Rate-vs-`P_c` model curve.
 pub fn fig_b10(study: &Study) -> String {
-    match table4(study).model("Median Page Fault Rate") {
-        Some(m) => model_curve(
-            "Figure B.10. Plot of Regression Model, Page Fault Rate vs. Pc",
-            m,
-            2.0,
-            8.0,
-            PLOT_W,
-            16,
-        ),
-        None => "Figure B.10: model degenerate (insufficient occupied bins)\n".into(),
-    }
+    let table = table4(study);
+    model_figure(
+        "B.10",
+        "Page Fault Rate vs. Pc",
+        table.model("Median Page Fault Rate"),
+        2.0,
+        8.0,
+    )
 }
 
 #[cfg(test)]

@@ -44,24 +44,24 @@ pub mod tables;
 pub use api::{ApiError, JobRequest, JobResult, JobSpec, API_VERSION};
 pub use cache::{CacheStats, SessionCache};
 pub use sample::Sample;
-pub use scale::{ScaleConfig, ScalePoint, ScaleStudy, SweepStats};
+pub use scale::{ScaleConfig, ScalePoint, ScaleStudy};
 pub use study::{SessionAudit, Study, StudyAuditReport, StudyConfig};
 
 /// The types most programs need, importable in one line:
 /// `use fx8_core::prelude::*;`.
 pub mod prelude {
     pub use crate::api::{
-        ApiError, BenchRun, CancelToken, JobRequest, JobResult, JobSpec, JobState, JobStatus,
-        RunHooks, SessionDone, API_VERSION,
+        ApiError, CancelToken, JobRequest, JobResult, JobSpec, JobState, JobStatus, RunHooks,
+        SessionDone, API_VERSION,
     };
     pub use crate::cache::{CacheStats, CachedSession, SessionCache, SessionKind};
     pub use crate::experiment::{Capture, SessionConfig, SessionResult};
     pub use crate::observability::{
         MetricsReport, SessionMetrics, SessionObservability, StudyObservability,
     };
-    pub use crate::report::{CompRow, StudyReport};
+    pub use crate::report::CompRow;
     pub use crate::sample::Sample;
-    pub use crate::scale::{ScaleConfig, ScalePoint, ScaleStudy, SweepStats};
+    pub use crate::scale::{ScaleConfig, ScalePoint, ScaleStudy};
     pub use crate::study::{Study, StudyAuditReport, StudyConfig};
     pub use fx8_monitor::EventCounts;
     pub use fx8_sim::{ConfigError, MachineConfig, TraceConfig};

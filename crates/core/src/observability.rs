@@ -7,8 +7,8 @@
 //! [`crate::experiment`] capture one [`SessionObservability`] per session;
 //! [`crate::study::Study::run`] assembles them into a
 //! [`StudyObservability`], which renders as the `observability` section of
-//! [`crate::report::StudyReport`], serializes to the `reproduce metrics`
-//! JSON, and exports the `reproduce trace` Chrome `trace_event` file.
+//! `reproduce run`, serializes to the `reproduce metrics` JSON, and
+//! exports the `reproduce trace` Chrome `trace_event` file.
 
 use crate::cache::CacheStats;
 use fx8_sim::trace::{ChromeTraceBuilder, EngineCycles, MetricsSnapshot, TraceEvent};
@@ -66,17 +66,19 @@ impl SessionObservability {
     }
 }
 
-/// Observability of a whole study: one slice per session plus the study's
-/// own wall clock. Session order matches [`crate::study::Study`]: random
-/// sessions first, then triggered, then transition.
+/// Observability of a whole run, a study or a width sweep: one slice per
+/// session plus the run's own wall clock. Session order matches
+/// [`crate::study::Study`]: random sessions first, then triggered, then
+/// transition; a sweep repeats that plan once per width, and its labels
+/// carry the width (`"w16 random 0"`).
 #[derive(Debug, Clone, Default)]
 pub struct StudyObservability {
     /// Per-session slices.
     pub sessions: Vec<SessionObservability>,
-    /// Wall-clock seconds for the whole study (parallel sessions overlap,
+    /// Wall-clock seconds for the whole run (parallel sessions overlap,
     /// so this is typically far less than the sum of session wall times).
     pub study_wall_s: f64,
-    /// Result-cache counters for this study alone (all zero when the run
+    /// Result-cache counters for this run alone (all zero when the run
     /// was uncached).
     pub cache: CacheStats,
 }

@@ -7,7 +7,6 @@
 //! numbers: the substrate is a simulator, not the CSRD machine.
 
 use crate::figures;
-use crate::observability::StudyObservability;
 use crate::sample::Sample;
 use crate::study::Study;
 use crate::tables;
@@ -33,21 +32,10 @@ pub struct CompRow {
 fn band_median(
     samples: &[Sample],
     band: (f64, f64),
-    by_cw: bool,
+    x: impl Fn(&Sample) -> Option<f64>,
     y: impl Fn(&Sample) -> f64,
 ) -> f64 {
-    let vals: Vec<f64> = samples
-        .iter()
-        .filter_map(|s| {
-            let x = if by_cw {
-                Some(s.workload_concurrency())
-            } else {
-                s.mean_concurrency_level()
-            }?;
-            ((x > band.0 || band.0 == 0.0) && x <= band.1).then(|| y(s))
-        })
-        .collect();
-    median(&vals).unwrap_or(f64::NAN)
+    median(&figures::band_values(samples, band, x, y)).unwrap_or(f64::NAN)
 }
 
 /// Extract every quantitative claim and its measured counterpart.
@@ -132,9 +120,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
     }
 
     // --- Figure 10: missrate medians by C_w band.
-    let (random, triggered) = tables::analysis_samples(study);
-    let mut hw = random.clone();
-    hw.extend(triggered);
+    let hw = figures::hw_samples(study);
     for (band, paper) in figures::CW_BANDS.iter().zip([0.001, 0.008, 0.023]) {
         rows.push(CompRow {
             id: "Figure 10".into(),
@@ -144,7 +130,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
                 band.1.min(1.0)
             ),
             paper: Some(paper),
-            measured: band_median(&hw, *band, true, Sample::missrate),
+            measured: band_median(&hw, *band, figures::cw_axis, Sample::missrate),
             note: "median rises steeply with C_w".into(),
         });
     }
@@ -159,7 +145,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
                 band.1.min(8.0)
             ),
             paper: Some(paper),
-            measured: band_median(&hw, *band, false, Sample::missrate),
+            measured: band_median(&hw, *band, Sample::mean_concurrency_level, Sample::missrate),
             note: "little sensitivity to P_c between the upper bands".into(),
         });
     }
@@ -257,34 +243,6 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
         });
     }
     rows
-}
-
-/// The study's report: the paper-vs-measured comparison plus the run's
-/// own observability (engine residency, per-session metrics, wall clock).
-#[derive(Debug, Clone)]
-pub struct StudyReport {
-    /// Every quantitative claim paired with its measured counterpart.
-    pub comparison: Vec<CompRow>,
-    /// Self-observability of the run that produced the data.
-    pub observability: StudyObservability,
-}
-
-impl StudyReport {
-    /// Build the report for a finished study and its observability.
-    pub fn new(study: &Study, observability: StudyObservability) -> Self {
-        StudyReport {
-            comparison: comparison(study),
-            observability,
-        }
-    }
-
-    /// Render the comparison table followed by the observability section.
-    pub fn render(&self) -> String {
-        let mut s = render_comparison(&self.comparison);
-        s.push('\n');
-        s.push_str(&self.observability.render());
-        s
-    }
 }
 
 /// Render the comparison as a markdown table (EXPERIMENTS.md body).

@@ -11,7 +11,8 @@
 //! machine's width from everything else.
 
 use crate::api::{ApiError, RunHooks};
-use crate::cache::{CacheStats, SessionCache};
+use crate::cache::SessionCache;
+use crate::observability::StudyObservability;
 use crate::study::{run_sessions, Study, StudyConfig};
 use fx8_sim::{ConfigError, MachineConfig};
 use serde::{Deserialize, Serialize};
@@ -119,19 +120,6 @@ pub struct ScaleStudy {
     pub points: Vec<ScalePoint>,
 }
 
-/// Wall-clock and cache accounting of one sweep run (the sweep analogue
-/// of a study's observability; never part of [`ScaleStudy`], so sweep
-/// results stay bit-comparable across cached and uncached runs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepStats {
-    /// Wall-clock seconds for the whole sweep.
-    pub sweep_wall_s: f64,
-    /// Sessions scheduled across every width.
-    pub sessions: usize,
-    /// Result-cache counters for this sweep alone (zero when uncached).
-    pub cache: CacheStats,
-}
-
 impl ScaleStudy {
     /// Run the sweep: a complete [`Study`] per width, widths in order, as
     /// an *incremental* fan-out. Every width's session tasks are flattened
@@ -141,13 +129,14 @@ impl ScaleStudy {
     /// therefore recomputes only that width's sessions — every
     /// previously-computed (width, session) point loads. `hooks` work as
     /// in [`Study::run`] across the whole pool; progress labels carry the
-    /// width (`"w16 random 0"`). A bad width fails validation before any
-    /// session runs.
+    /// width (`"w16 random 0"`), and so do the slices of the returned
+    /// observability, whose wall clock and cache counters cover the whole
+    /// sweep. A bad width fails validation before any session runs.
     pub fn run(
         cfg: &ScaleConfig,
         cache: Option<&SessionCache>,
         hooks: &RunHooks<'_>,
-    ) -> Result<(ScaleStudy, SweepStats), ApiError> {
+    ) -> Result<(ScaleStudy, StudyObservability), ApiError> {
         cfg.validate()?;
         let started = std::time::Instant::now();
         let studies: Vec<StudyConfig> =
@@ -158,29 +147,29 @@ impl ScaleStudy {
             .collect();
         let (outputs, cache_stats) = run_sessions(
             &tasks,
-            |t, l| format!("w{} {l}", t.cfg.machine.n_ces),
+            |t| format!("w{} {}", t.cfg.machine.n_ces, t.label()),
             cfg.base.parallel,
             cache,
             hooks,
         )?;
+        let (data, sessions): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
         // Outputs come back in task order, which enumerates widths in
         // order with the same session plan at every width.
         let per_width = tasks.len() / studies.len();
-        let mut outputs = outputs.into_iter();
+        let mut outputs = tasks.iter().zip(data);
         let points = studies
             .into_iter()
             .map(|sc| {
-                let outs = outputs.by_ref().take(per_width).collect();
-                let (study, _obs) = Study::assemble(sc, outs);
+                let study = Study::assemble(sc, outputs.by_ref().take(per_width));
                 ScalePoint::from_study(study.config.machine.n_ces, &study)
             })
             .collect();
-        let stats = SweepStats {
-            sweep_wall_s: started.elapsed().as_secs_f64(),
-            sessions: tasks.len(),
+        let observability = StudyObservability {
+            sessions,
+            study_wall_s: started.elapsed().as_secs_f64(),
             cache: cache_stats,
         };
-        Ok((ScaleStudy { points }, stats))
+        Ok((ScaleStudy { points }, observability))
     }
 
     /// Render the curves as a text table plus an ASCII C_w curve — the
@@ -245,7 +234,10 @@ mod tests {
         cfg.base.n_triggered = 0;
         cfg.base.n_transition = 0;
         cfg.widths = vec![2, 16];
-        let (s, _) = ScaleStudy::run(&cfg, None, &RunHooks::default()).unwrap();
+        let (s, obs) = ScaleStudy::run(&cfg, None, &RunHooks::default()).unwrap();
+        // One observability slice per session, labeled with its width.
+        let labels: Vec<&str> = obs.sessions.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["w2 random 0", "w16 random 0"]);
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.points[0].n_ces, 2);
         assert_eq!(s.points[1].n_ces, 16);

@@ -163,28 +163,6 @@ pub(crate) struct SessionTask {
     pub(crate) captures: usize,
 }
 
-/// One finished session, cache-transparent: the study assembles these
-/// identically whether they were computed or loaded.
-pub(crate) enum SessionOut {
-    Random {
-        idx: usize,
-        result: SessionResult,
-        obs: SessionObservability,
-    },
-    Triggered {
-        idx: usize,
-        captures: Vec<Capture>,
-        audit: AuditReport,
-        obs: SessionObservability,
-    },
-    Transition {
-        idx: usize,
-        captures: Vec<Capture>,
-        audit: AuditReport,
-        obs: SessionObservability,
-    },
-}
-
 impl SessionTask {
     /// Estimated session cost, for longest-task-first scheduling. Random
     /// sessions simulate one 512-record buffer per snapshot; triggered
@@ -203,127 +181,47 @@ impl SessionTask {
         }
     }
 
-    fn label(&self) -> String {
-        format!(
-            "{} {}",
-            match self.kind {
-                SessionKind::Random => "random",
-                SessionKind::Triggered => "triggered",
-                SessionKind::Transition => "transition",
-            },
-            self.idx
-        )
+    pub(crate) fn label(&self) -> String {
+        self.kind.label(self.idx)
     }
 
     /// Run the session, consulting the cache first when one is given. A
-    /// hit returns the memoized output bit-identical to a fresh run,
-    /// under an observability slice flagged `cache_hit` (empty metrics:
-    /// no cycles were stepped). A miss computes, stores, and returns.
-    pub(crate) fn run(&self, cache: Option<&SessionCache>) -> SessionOut {
+    /// hit returns the memoized payload as stored, bit-identical to a fresh
+    /// run, under an observability slice flagged `cache_hit` (empty
+    /// metrics: no cycles were stepped). A miss computes, stores, and
+    /// returns.
+    pub(crate) fn run(
+        &self,
+        cache: Option<&SessionCache>,
+    ) -> (CachedSession, SessionObservability) {
         let Some(cache) = cache else {
             return self.compute();
         };
         let started = std::time::Instant::now();
         let key = cache.key(self.kind, &self.cfg, self.idx, self.captures);
         if let Some(hit) = cache.lookup(&key) {
-            if let Some(out) = self.unpack_cached(hit, started) {
-                return out;
+            // A payload of the other shape under an identical key can only
+            // mean a fingerprint collision or a tampered store; recompute.
+            if matches!(hit, CachedSession::Random { .. }) == (self.kind == SessionKind::Random) {
+                return (hit, SessionObservability::cached(self.label(), started));
             }
-            // Kind mismatch under an identical key can only mean a
-            // fingerprint collision or a tampered store; recompute.
         }
-        let out = self.compute();
-        cache.store(&key, &out.to_cached());
-        out
+        let (data, obs) = self.compute();
+        cache.store(&key, &data);
+        (data, obs)
     }
 
-    fn compute(&self) -> SessionOut {
-        match self.kind {
+    fn compute(&self) -> (CachedSession, SessionObservability) {
+        let (cfg, idx) = (&self.cfg, self.idx);
+        let (captures, audit, obs) = match self.kind {
             SessionKind::Random => {
-                let (result, obs) = run_random_session(&self.cfg, self.idx);
-                SessionOut::Random {
-                    idx: self.idx,
-                    result,
-                    obs,
-                }
+                let (result, obs) = run_random_session(cfg, idx);
+                return (CachedSession::Random { result }, obs);
             }
-            SessionKind::Triggered => {
-                let (captures, audit, obs) =
-                    run_triggered_session(&self.cfg, self.idx, self.captures);
-                SessionOut::Triggered {
-                    idx: self.idx,
-                    captures,
-                    audit,
-                    obs,
-                }
-            }
-            SessionKind::Transition => {
-                let (captures, audit, obs) =
-                    run_transition_session(&self.cfg, self.idx, self.captures);
-                SessionOut::Transition {
-                    idx: self.idx,
-                    captures,
-                    audit,
-                    obs,
-                }
-            }
-        }
-    }
-
-    fn unpack_cached(&self, hit: CachedSession, started: std::time::Instant) -> Option<SessionOut> {
-        let obs = SessionObservability::cached(self.label(), started);
-        match (self.kind, hit) {
-            (SessionKind::Random, CachedSession::Random { result }) => Some(SessionOut::Random {
-                idx: self.idx,
-                result,
-                obs,
-            }),
-            (SessionKind::Triggered, CachedSession::Captures { captures, audit }) => {
-                Some(SessionOut::Triggered {
-                    idx: self.idx,
-                    captures,
-                    audit,
-                    obs,
-                })
-            }
-            (SessionKind::Transition, CachedSession::Captures { captures, audit }) => {
-                Some(SessionOut::Transition {
-                    idx: self.idx,
-                    captures,
-                    audit,
-                    obs,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
-impl SessionOut {
-    /// The session's observability slice (label, wall clock, cache flag).
-    pub(crate) fn obs(&self) -> &SessionObservability {
-        match self {
-            SessionOut::Random { obs, .. }
-            | SessionOut::Triggered { obs, .. }
-            | SessionOut::Transition { obs, .. } => obs,
-        }
-    }
-
-    fn to_cached(&self) -> CachedSession {
-        match self {
-            SessionOut::Random { result, .. } => CachedSession::Random {
-                result: result.clone(),
-            },
-            SessionOut::Triggered {
-                captures, audit, ..
-            }
-            | SessionOut::Transition {
-                captures, audit, ..
-            } => CachedSession::Captures {
-                captures: captures.clone(),
-                audit: audit.clone(),
-            },
-        }
+            SessionKind::Triggered => run_triggered_session(cfg, idx, self.captures),
+            SessionKind::Transition => run_transition_session(cfg, idx, self.captures),
+        };
+        (CachedSession::Captures { captures, audit }, obs)
     }
 }
 
@@ -347,16 +245,17 @@ pub struct Study {
 
 /// Run session tasks through the longest-first pool, each consulting
 /// `cache` first when one is given. Cancellation is checked before each
-/// session starts (running sessions are never torn); `hooks` hears about
-/// each finished session under `label(task, session label)`. Returns the
-/// outputs in task order plus this run's cache-counter delta.
+/// session starts (running sessions are never torn). Each finished
+/// session's observability slice is relabeled `label(task)`, and `hooks`
+/// hears about it under that same label. Returns the payloads and slices
+/// in task order plus this run's cache-counter delta.
 pub(crate) fn run_sessions(
     tasks: &[SessionTask],
-    label: impl Fn(&SessionTask, &str) -> String + Sync,
+    label: impl Fn(&SessionTask) -> String + Sync,
     parallel: bool,
     cache: Option<&SessionCache>,
     hooks: &RunHooks<'_>,
-) -> Result<(Vec<SessionOut>, CacheStats), ApiError> {
+) -> Result<(Vec<(CachedSession, SessionObservability)>, CacheStats), ApiError> {
     let done = std::sync::atomic::AtomicUsize::new(0);
     let before = cache.map(SessionCache::stats);
     // Work queue: a pool sized to the host pulls the heaviest remaining
@@ -370,16 +269,16 @@ pub(crate) fn run_sessions(
             if hooks.is_cancelled() {
                 return None;
             }
-            let out = t.run(cache);
-            let obs = out.obs();
-            hooks.session_done(&done, tasks.len(), &label(t, &obs.label), obs.cache_hit);
-            Some(out)
+            let (data, mut obs) = t.run(cache);
+            obs.label = label(t);
+            hooks.session_done(&done, tasks.len(), &obs.label, obs.cache_hit);
+            Some((data, obs))
         },
         parallel,
     );
     let outputs = outputs
         .into_iter()
-        .collect::<Option<Vec<SessionOut>>>()
+        .collect::<Option<Vec<_>>>()
         .ok_or_else(ApiError::cancelled)?;
     let stats = match (cache, before) {
         (Some(c), Some(b)) => c.stats().since(&b),
@@ -412,8 +311,9 @@ impl Study {
         let started = std::time::Instant::now();
         let tasks = config.session_tasks();
         let (outputs, cache_stats) =
-            run_sessions(&tasks, |_, l| l.to_string(), config.parallel, cache, hooks)?;
-        let (study, sessions) = Study::assemble(config, outputs);
+            run_sessions(&tasks, SessionTask::label, config.parallel, cache, hooks)?;
+        let (data, sessions): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
+        let study = Study::assemble(config, tasks.iter().zip(data));
         let observability = StudyObservability {
             sessions,
             study_wall_s: started.elapsed().as_secs_f64(),
@@ -422,59 +322,39 @@ impl Study {
         Ok((study, observability))
     }
 
-    /// Assemble finished session outputs (in task order: random, then
-    /// triggered, then transition — exactly the session order the
-    /// observability report documents) into the study's data set.
-    pub(crate) fn assemble(
+    /// Assemble finished session payloads, each paired with its task, into
+    /// the study's data set. The pairs come in task order (random, then
+    /// triggered, then transition, each by index), so pushing each payload
+    /// onto its kind's list puts every session at its index.
+    pub(crate) fn assemble<'a>(
         config: StudyConfig,
-        outputs: Vec<SessionOut>,
-    ) -> (Study, Vec<SessionObservability>) {
-        let mut random_sessions = vec![None; config.n_random];
-        let mut triggered = vec![Vec::new(); config.n_triggered];
-        let mut transitions = vec![Vec::new(); config.n_transition];
-        let mut triggered_audits = vec![AuditReport::default(); config.n_triggered];
-        let mut transition_audits = vec![AuditReport::default(); config.n_transition];
-        let mut session_obs = Vec::with_capacity(outputs.len());
-        for out in outputs {
-            match out {
-                SessionOut::Random { idx, result, obs } => {
-                    random_sessions[idx] = Some(result);
-                    session_obs.push(obs);
+        outputs: impl IntoIterator<Item = (&'a SessionTask, CachedSession)>,
+    ) -> Study {
+        let mut study = Study {
+            random_sessions: Vec::with_capacity(config.n_random),
+            triggered: Vec::with_capacity(config.n_triggered),
+            transitions: Vec::with_capacity(config.n_transition),
+            triggered_audits: Vec::with_capacity(config.n_triggered),
+            transition_audits: Vec::with_capacity(config.n_transition),
+            config,
+        };
+        for (task, data) in outputs {
+            match (task.kind, data) {
+                (SessionKind::Random, CachedSession::Random { result }) => {
+                    study.random_sessions.push(result);
                 }
-                SessionOut::Triggered {
-                    idx,
-                    captures,
-                    audit,
-                    obs,
-                } => {
-                    triggered[idx] = captures;
-                    triggered_audits[idx] = audit;
-                    session_obs.push(obs);
+                (SessionKind::Triggered, CachedSession::Captures { captures, audit }) => {
+                    study.triggered.push(captures);
+                    study.triggered_audits.push(audit);
                 }
-                SessionOut::Transition {
-                    idx,
-                    captures,
-                    audit,
-                    obs,
-                } => {
-                    transitions[idx] = captures;
-                    transition_audits[idx] = audit;
-                    session_obs.push(obs);
+                (SessionKind::Transition, CachedSession::Captures { captures, audit }) => {
+                    study.transitions.push(captures);
+                    study.transition_audits.push(audit);
                 }
+                _ => unreachable!("SessionTask::run returns its kind's payload"),
             }
         }
-        let study = Study {
-            config,
-            random_sessions: random_sessions
-                .into_iter()
-                .map(|r| r.expect("every random session ran"))
-                .collect(),
-            triggered,
-            transitions,
-            triggered_audits,
-            transition_audits,
-        };
-        (study, session_obs)
+        study
     }
 
     /// Every sample of every random session, session order then time order.
@@ -535,28 +415,17 @@ impl Study {
         acc
     }
 
-    /// Pooled counts over all all-active-triggered buffers.
-    pub fn pooled_triggered_counts(&self) -> EventCounts {
-        let mut acc = EventCounts::empty(self.config.machine.n_ces);
-        for session in &self.triggered {
-            for b in session {
-                acc.merge(&b.counts);
-            }
-        }
-        acc
-    }
-
     /// Pool every session's audit report into one study-wide summary.
     pub fn audit_report(&self) -> StudyAuditReport {
         let mut out = StudyAuditReport::default();
         for (i, s) in self.random_sessions.iter().enumerate() {
-            out.add_session(format!("random {i}"), &s.audit);
+            out.add_session(SessionKind::Random.label(i), &s.audit);
         }
         for (i, a) in self.triggered_audits.iter().enumerate() {
-            out.add_session(format!("triggered {i}"), a);
+            out.add_session(SessionKind::Triggered.label(i), a);
         }
         for (i, a) in self.transition_audits.iter().enumerate() {
-            out.add_session(format!("transition {i}"), a);
+            out.add_session(SessionKind::Transition.label(i), a);
         }
         out
     }
@@ -575,7 +444,7 @@ pub struct SessionAudit {
 }
 
 /// All sessions' audit reports pooled, with a text rendering for the
-/// `reproduce --audit` command line.
+/// `reproduce audit` command line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StudyAuditReport {
     /// Per-session slices, in random/triggered/transition order.
