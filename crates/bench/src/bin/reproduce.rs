@@ -3,9 +3,11 @@
 //! ```text
 //! reproduce run     [--quick] [--out DIR] [cache flags] [IDS...]
 //! reproduce scale   [--quick] [--widths LIST] [--json FILE] [cache flags]
-//! reproduce bench   [--as-baseline | --check-regression]
-//! reproduce serve   [--addr HOST:PORT] [--queue-depth N] [--workers N] [cache flags]
-//! reproduce hammer  [--quick] [--requests N] [--concurrency N] [--no-record]
+//! reproduce bench   [--check-regression]
+//! reproduce serve   [--addr HOST:PORT] [--queue-depth N] [--workers N]
+//!                   [--max-body-bytes N] [--read-timeout-ms N]
+//!                   [--wait-timeout-ms N] [cache flags]
+//! reproduce hammer  [--requests N] [--concurrency N] [--no-record]
 //! reproduce audit   [--quick] [--width N]
 //! reproduce metrics [--quick] [--json FILE]
 //! reproduce trace   [--quick] [--out FILE] [--event-capacity N]
@@ -24,12 +26,12 @@
 //!   under DIR.
 //! * `bench` — measure every bench row (see [`fx8_bench::throughput`])
 //!   and upsert them by name into `BENCH_throughput.json` at the repo root
-//!   (`current` rows; `--as-baseline` rewrites `baseline` rows too; a
-//!   binary built with `--features audit` records under `audited`
-//!   instead). The harness is CoV-adaptive: each measurement is re-timed
-//!   until the windows' rates agree to within `--cov-threshold` (default
-//!   0.03, i.e. 3%) or `--max-windows` (default 12) windows have run, and
-//!   every row carries its own CoV and window count.
+//!   (`current` rows; the first run writes `baseline` rows too; a binary
+//!   built with `--features audit` records under `audited` instead). The
+//!   harness is CoV-adaptive with one fixed setting
+//!   ([`fx8_bench::throughput::HARNESS`]): each measurement is re-timed
+//!   until the windows' rates agree to within 3% or 12 windows have run,
+//!   and every row carries its own CoV and window count.
 //!   `--check-regression` measures but does **not** rewrite the file: it
 //!   exits nonzero if a gated row (the engine cycles/s rates) fell below
 //!   its tolerance, skipping (with a warning) any row whose fresh
@@ -50,23 +52,23 @@
 //!   internally, a bounded queue feeds the shared session pool, and the
 //!   result cache answers repeat jobs without recomputation. Blocks until
 //!   `POST /v1/shutdown` drains it.
-//! * `hammer` — load-test an in-process server: one cold job to populate
-//!   the cache, then `--concurrency` clients × `--requests` warm requests
-//!   each; prints p50 latency and req/s and (unless `--no-record`) records
-//!   them as `serve.*` rows in `BENCH_throughput.json`. Exits nonzero if
-//!   the warm-hit rate falls below 90% or any 5xx was served — CI's
-//!   serve-smoke gate.
+//! * `hammer` — load-test an in-process server with the quick study: one
+//!   cold job to populate the cache, then `--concurrency` clients ×
+//!   `--requests` warm requests each; prints p50 latency and req/s and
+//!   (unless `--no-record`) records them as `serve.*` rows in
+//!   `BENCH_throughput.json`. Exits nonzero if the warm-hit rate falls
+//!   below 90% or any 5xx was served — CI's serve-smoke gate.
 //!
-//! `run` and `scale` memoize session results in a content-addressed cache
-//! (the simulator is bit-deterministic, so a session result is a pure
-//! function of its validated config, seed, session index, and engine
-//! version — see DESIGN.md §13). By default entries persist under
-//! `$XDG_CACHE_HOME/fx8` (or `~/.cache/fx8`); `--cache-dir DIR` redirects
-//! the store, `--no-cache` disables caching entirely, and `--cache-stats`
-//! prints a machine-greppable `cache-stats: hits=.. misses=.. stores=..
-//! invalid=..` line on stdout. Audit, metrics, and trace runs never read
-//! or write the cache: the auditor and the trace ring only exist on a
-//! freshly stepped cluster.
+//! `run`, `scale` and `serve` memoize session results in a
+//! content-addressed cache (the simulator is bit-deterministic, so a
+//! session result is a pure function of its validated config, seed,
+//! session index, and engine version — see DESIGN.md §13). By default
+//! entries persist under `$XDG_CACHE_HOME/fx8` (or `~/.cache/fx8`);
+//! `--cache-dir DIR` redirects the store, `--no-cache` disables caching
+//! entirely, and `--cache-stats` prints a machine-greppable `cache-stats:
+//! hits=.. misses=.. stores=.. invalid=..` line on stdout. Audit, metrics,
+//! and trace runs never read or write the cache: the auditor and the
+//! trace ring only exist on a freshly stepped cluster.
 //! * `audit` — run the study with the auditor's report only (no tables);
 //!   meaningful when built with `--features audit`. `--width N` audits a
 //!   scaled hypothetical cluster instead of the measured 8-CE machine.
@@ -76,8 +78,11 @@
 //! * `trace` — run the study with the event trace armed and export Chrome
 //!   `trace_event` JSON (Perfetto-loadable), default `study.trace.json`.
 //!
-//! Invalid configurations (e.g. `--event-capacity 0`) exit with code 2 and
-//! a one-line diagnostic naming the offending field.
+//! Every subcommand names its flags in one table ([`COMMANDS`]) read by
+//! one argument loop; an unknown flag, a missing value or a malformed
+//! number exits 1 with the usage. Invalid configurations (e.g.
+//! `--event-capacity 0`) exit with code 2 and a one-line diagnostic naming
+//! the offending field.
 
 use fx8_bench::hammer;
 use fx8_bench::throughput;
@@ -89,7 +94,7 @@ use fx8_core::scale::ScaleConfig;
 use fx8_core::study::{Study, StudyConfig};
 use fx8_serve::{ServeConfig, Server};
 use fx8_sim::{ConfigError, MachineConfig, TraceConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
@@ -97,11 +102,10 @@ fn usage() -> &'static str {
      \n\
      reproduce run     [--quick] [--out DIR] [cache flags] [IDS...]\n\
      reproduce scale   [--quick] [--widths LIST] [--json FILE] [cache flags]\n\
-     reproduce bench   [--as-baseline | --check-regression] \
-     [--cov-threshold F] [--max-windows N]\n\
+     reproduce bench   [--check-regression]\n\
      reproduce serve   [--addr HOST:PORT] [--queue-depth N] [--workers N] \
-     [cache flags]\n\
-     reproduce hammer  [--quick] [--requests N] [--concurrency N] [--no-record]\n\
+     [--max-body-bytes N] [--read-timeout-ms N] [--wait-timeout-ms N] [cache flags]\n\
+     reproduce hammer  [--requests N] [--concurrency N] [--no-record]\n\
      reproduce audit   [--quick] [--width N]\n\
      reproduce metrics [--quick] [--json FILE]\n\
      reproduce trace   [--quick] [--out FILE] [--event-capacity N]\n\
@@ -116,351 +120,287 @@ fn usage() -> &'static str {
      figB1..figB10 comparison observability"
 }
 
-/// The session-result-cache flags shared by `run` and `scale`.
-#[derive(Default)]
-struct CacheOpts {
-    /// Explicit persistent directory (`--cache-dir DIR`).
-    dir: Option<String>,
-    /// `--no-cache`: run every session fresh, store nothing.
-    no_cache: bool,
-    /// `--cache-stats`: print the greppable counter line on stdout.
-    stats: bool,
+/// What a flag reads from the command line after it.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// Any text, described as in "`--out` requires a directory".
+    Text(&'static str),
+    /// A non-negative integer.
+    Number,
+    /// A comma-separated list of cluster widths.
+    Widths,
 }
 
-impl CacheOpts {
-    /// Try to consume one flag; true if it was a cache flag.
-    fn parse_flag(
-        &mut self,
-        flag: &str,
-        argv: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match flag {
-            "--cache-dir" => {
-                self.dir = Some(argv.next().ok_or("--cache-dir requires a directory")?);
-                Ok(true)
-            }
-            "--no-cache" => {
-                self.no_cache = true;
-                Ok(true)
-            }
-            "--cache-stats" => {
-                self.stats = true;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
+/// A flag's parsed value.
+enum Value {
+    On,
+    Text(String),
+    Number(usize),
+    Widths(Vec<usize>),
+}
 
-    /// Resolve the flags to a cache. `--no-cache` wins; an explicit dir is
-    /// used as given; otherwise the conventional `~/.cache/fx8` location,
-    /// degrading to an in-process-only cache when no home resolves.
-    fn build(&self) -> Option<SessionCache> {
-        if self.no_cache {
-            return None;
-        }
-        Some(match (&self.dir, SessionCache::default_dir()) {
-            (Some(d), _) => SessionCache::at_dir(d),
-            (None, Some(d)) => SessionCache::at_dir(d),
-            (None, None) => SessionCache::in_memory(),
-        })
-    }
-
-    /// Narrate where results memoize (stderr) and, under `--cache-stats`,
-    /// print the machine-greppable counter line (stdout) CI parses.
-    fn report(&self, cache: Option<&SessionCache>, delta: &CacheStats) {
-        let Some(cache) = cache else {
-            if self.stats {
-                println!("cache-stats: disabled");
-            }
-            return;
+impl Takes {
+    /// Read this flag's value, if it takes one, from the rest of `argv`.
+    fn read(self, flag: &str, argv: &mut impl Iterator<Item = String>) -> Result<Value, String> {
+        let what = match self {
+            Takes::Switch => return Ok(Value::On),
+            Takes::Text(what) => what,
+            Takes::Number => "a number",
+            Takes::Widths => "a comma-separated list",
         };
-        match cache.dir() {
-            Some(d) => eprintln!(
-                "result cache: {} ({} hits / {} lookups)",
-                d.display(),
-                delta.hits,
-                delta.lookups()
-            ),
-            None => eprintln!(
-                "result cache: in-memory only, no cache dir resolved \
-                 ({} hits / {} lookups)",
-                delta.hits,
-                delta.lookups()
-            ),
-        }
-        if self.stats {
-            println!(
-                "cache-stats: hits={} misses={} stores={} invalid={}",
-                delta.hits, delta.misses, delta.stores, delta.invalid_entries
-            );
+        let v = argv
+            .next()
+            .ok_or_else(|| format!("{flag} requires {what}"))?;
+        match self {
+            Takes::Number => v
+                .parse()
+                .map(Value::Number)
+                .map_err(|_| format!("{flag}: not a number: {v}")),
+            Takes::Widths => v
+                .split(',')
+                .map(|w| w.trim().parse())
+                .collect::<Result<_, _>>()
+                .map(Value::Widths)
+                .map_err(|_| format!("{flag}: not a width list: {v}")),
+            _ => Ok(Value::Text(v)),
         }
     }
 }
 
-struct RunArgs {
-    quick: bool,
-    out: Option<String>,
-    cache: CacheOpts,
+/// A subcommand: its name, the flags it accepts, whether its bare words
+/// are report IDs, and the function that runs it.
+struct Command {
+    name: &'static str,
+    flags: &'static [(&'static str, Takes)],
+    ids: bool,
+    run: fn(&Args) -> ExitCode,
+}
+
+/// Every subcommand and the flags it accepts. The first is the default
+/// when `reproduce` is given no arguments.
+const COMMANDS: [Command; 8] = [
+    Command {
+        name: "run",
+        flags: &[
+            ("--quick", Takes::Switch),
+            ("--out", Takes::Text("a directory")),
+            ("--cache-dir", Takes::Text("a directory")),
+            ("--no-cache", Takes::Switch),
+            ("--cache-stats", Takes::Switch),
+        ],
+        ids: true,
+        run: cmd_run,
+    },
+    Command {
+        name: "scale",
+        flags: &[
+            ("--quick", Takes::Switch),
+            ("--widths", Takes::Widths),
+            ("--json", Takes::Text("a file path")),
+            ("--cache-dir", Takes::Text("a directory")),
+            ("--no-cache", Takes::Switch),
+            ("--cache-stats", Takes::Switch),
+        ],
+        ids: false,
+        run: cmd_scale,
+    },
+    Command {
+        name: "bench",
+        flags: &[("--check-regression", Takes::Switch)],
+        ids: false,
+        run: cmd_bench,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            ("--addr", Takes::Text("HOST:PORT")),
+            ("--queue-depth", Takes::Number),
+            ("--workers", Takes::Number),
+            ("--max-body-bytes", Takes::Number),
+            ("--read-timeout-ms", Takes::Number),
+            ("--wait-timeout-ms", Takes::Number),
+            ("--cache-dir", Takes::Text("a directory")),
+            ("--no-cache", Takes::Switch),
+            ("--cache-stats", Takes::Switch),
+        ],
+        ids: false,
+        run: cmd_serve,
+    },
+    Command {
+        name: "hammer",
+        flags: &[
+            ("--requests", Takes::Number),
+            ("--concurrency", Takes::Number),
+            ("--no-record", Takes::Switch),
+        ],
+        ids: false,
+        run: cmd_hammer,
+    },
+    Command {
+        name: "audit",
+        flags: &[("--quick", Takes::Switch), ("--width", Takes::Number)],
+        ids: false,
+        run: cmd_audit,
+    },
+    Command {
+        name: "metrics",
+        flags: &[
+            ("--quick", Takes::Switch),
+            ("--json", Takes::Text("a file path")),
+        ],
+        ids: false,
+        run: cmd_metrics,
+    },
+    Command {
+        name: "trace",
+        flags: &[
+            ("--quick", Takes::Switch),
+            ("--out", Takes::Text("a file path")),
+            ("--event-capacity", Takes::Number),
+        ],
+        ids: false,
+        run: cmd_trace,
+    },
+];
+
+/// A parsed command line: the subcommand, the value of every flag given
+/// (the last one wins), and the lower-cased report IDs.
+struct Args {
+    command: &'static Command,
+    values: BTreeMap<&'static str, Value>,
     ids: BTreeSet<String>,
 }
 
-enum Cmd {
-    Run(RunArgs),
-    Bench {
-        as_baseline: bool,
-        check_regression: bool,
-        opts: throughput::BenchOptions,
-    },
-    Scale {
-        quick: bool,
-        widths: Option<Vec<usize>>,
-        json: Option<String>,
-        cache: CacheOpts,
-    },
-    Audit {
-        quick: bool,
-        width: Option<usize>,
-    },
-    Metrics {
-        quick: bool,
-        json: Option<String>,
-    },
-    Trace {
-        quick: bool,
-        out: String,
-        event_capacity: Option<usize>,
-    },
-    Serve {
-        cfg: ServeConfig,
-        cache: CacheOpts,
-    },
-    Hammer {
-        opts: hammer::HammerOptions,
-        record: bool,
-    },
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        match self.values.get(flag) {
+            Some(Value::Text(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn number(&self, flag: &str) -> Option<usize> {
+        match self.values.get(flag) {
+            Some(Value::Number(n)) => Some(*n),
+            _ => None,
+        }
+    }
+
+    fn widths(&self, flag: &str) -> Option<Vec<usize>> {
+        match self.values.get(flag) {
+            Some(Value::Widths(w)) => Some(w.clone()),
+            _ => None,
+        }
+    }
 }
 
-fn parse_run(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut args = RunArgs {
-        quick: false,
-        out: None,
-        cache: CacheOpts::default(),
+/// The one loop over `argv`: a subcommand from [`COMMANDS`] (`run` when
+/// there is none), then the flags it names. `Err(None)` is a request for
+/// the usage (`--help`); `Err(Some(..))` is an argument error to print
+/// above it.
+fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, Option<String>> {
+    let command = match argv.next() {
+        None => &COMMANDS[0],
+        Some(h) if h == "--help" || h == "-h" => return Err(None),
+        Some(name) => COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| format!("unknown subcommand {name}"))?,
+    };
+    let mut args = Args {
+        command,
+        values: BTreeMap::new(),
         ids: BTreeSet::new(),
     };
     while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = Some(argv.next().ok_or("--out requires a directory")?),
-            "--help" | "-h" => return Err(usage().to_string()),
-            flag if args.cache.parse_flag(flag, &mut argv)? => {}
-            id if !id.starts_with('-') => {
-                args.ids.insert(id.to_ascii_lowercase());
+        if a == "--help" || a == "-h" {
+            return Err(None);
+        }
+        match command.flags.iter().find(|(flag, _)| *flag == a) {
+            Some(&(flag, takes)) => {
+                let value = takes.read(flag, &mut argv)?;
+                args.values.insert(flag, value);
             }
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
+            None if command.ids && !a.starts_with('-') => {
+                args.ids.insert(a.to_ascii_lowercase());
+            }
+            None => return Err(Some(format!("unknown flag {a} for {}", command.name))),
         }
     }
-    Ok(Cmd::Run(args))
+    Ok(args)
 }
 
-fn parse_bench(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut as_baseline = false;
-    let mut check_regression = false;
-    let mut opts = throughput::BenchOptions::default();
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--as-baseline" => as_baseline = true,
-            "--check-regression" => check_regression = true,
-            "--cov-threshold" => {
-                let v = argv.next().ok_or("--cov-threshold requires a fraction")?;
-                opts.cov_threshold = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--cov-threshold: not a number: {v}"))?;
-            }
-            "--max-windows" => {
-                let v = argv.next().ok_or("--max-windows requires a number")?;
-                opts.max_windows = v
-                    .parse::<u32>()
-                    .map_err(|_| format!("--max-windows: not a number: {v}"))?;
-            }
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
+/// Resolve the cache flags to a cache. `--no-cache` wins; an explicit
+/// `--cache-dir` is used as given; otherwise the conventional
+/// `~/.cache/fx8` location, degrading to an in-process-only cache when no
+/// home resolves.
+fn build_cache(args: &Args) -> Option<SessionCache> {
+    if args.has("--no-cache") {
+        return None;
     }
-    if check_regression && as_baseline {
-        return Err(format!(
-            "--check-regression and --as-baseline are mutually exclusive\n{}",
-            usage()
-        ));
-    }
-    Ok(Cmd::Bench {
-        as_baseline,
-        check_regression,
-        opts,
-    })
-}
-
-fn parse_scale(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut quick = false;
-    let mut widths = None;
-    let mut json = None;
-    let mut cache = CacheOpts::default();
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--widths" => {
-                let v = argv
-                    .next()
-                    .ok_or("--widths requires a comma-separated list")?;
-                let parsed: Result<Vec<usize>, _> =
-                    v.split(',').map(|w| w.trim().parse::<usize>()).collect();
-                widths = Some(parsed.map_err(|_| format!("--widths: not a width list: {v}"))?);
-            }
-            "--json" => json = Some(argv.next().ok_or("--json requires a file path")?),
-            "--help" | "-h" => return Err(usage().to_string()),
-            flag if cache.parse_flag(flag, &mut argv)? => {}
-            other => return Err(format!("unknown flag {other} for scale\n{}", usage())),
-        }
-    }
-    Ok(Cmd::Scale {
-        quick,
-        widths,
-        json,
-        cache,
-    })
-}
-
-fn parse_audit(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut quick = false;
-    let mut width = None;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--width" => {
-                let v = argv.next().ok_or("--width requires a number")?;
-                width = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--width: not a number: {v}"))?,
-                );
-            }
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag {other} for audit\n{}", usage())),
-        }
-    }
-    Ok(Cmd::Audit { quick, width })
-}
-
-fn parse_metrics(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut quick = false;
-    let mut json = None;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = Some(argv.next().ok_or("--json requires a file path")?),
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag {other} for metrics\n{}", usage())),
-        }
-    }
-    Ok(Cmd::Metrics { quick, json })
-}
-
-fn parse_trace(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut quick = false;
-    let mut out = String::from("study.trace.json");
-    let mut event_capacity = None;
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = argv.next().ok_or("--out requires a file path")?,
-            "--event-capacity" => {
-                let v = argv.next().ok_or("--event-capacity requires a number")?;
-                event_capacity = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--event-capacity: not a number: {v}"))?,
-                );
-            }
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag {other} for trace\n{}", usage())),
-        }
-    }
-    Ok(Cmd::Trace {
-        quick,
-        out,
-        event_capacity,
-    })
-}
-
-fn parse_serve(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut cfg = ServeConfig::default();
-    let mut cache = CacheOpts::default();
-    let parse_num = |flag: &str, v: Option<String>| -> Result<usize, String> {
-        let v = v.ok_or_else(|| format!("{flag} requires a number"))?;
-        v.parse::<usize>()
-            .map_err(|_| format!("{flag}: not a number: {v}"))
+    let cache = match (args.text("--cache-dir"), SessionCache::default_dir()) {
+        (Some(d), _) => SessionCache::at_dir(d),
+        (None, Some(d)) => SessionCache::at_dir(d),
+        (None, None) => SessionCache::in_memory(),
     };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = argv.next().ok_or("--addr requires HOST:PORT")?,
-            "--queue-depth" => cfg.queue_depth = parse_num("--queue-depth", argv.next())?,
-            "--workers" => cfg.workers = parse_num("--workers", argv.next())?,
-            "--max-body-bytes" => cfg.max_body_bytes = parse_num("--max-body-bytes", argv.next())?,
-            "--read-timeout-ms" => {
-                cfg.read_timeout_ms = parse_num("--read-timeout-ms", argv.next())? as u64
-            }
-            "--wait-timeout-ms" => {
-                cfg.wait_timeout_ms = parse_num("--wait-timeout-ms", argv.next())? as u64
-            }
-            "--help" | "-h" => return Err(usage().to_string()),
-            flag if cache.parse_flag(flag, &mut argv)? => {}
-            other => return Err(format!("unknown flag {other} for serve\n{}", usage())),
-        }
-    }
-    Ok(Cmd::Serve { cfg, cache })
+    Some(cache)
 }
 
-fn parse_hammer(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut opts = hammer::HammerOptions::default();
-    let mut record = true;
-    let parse_num = |flag: &str, v: Option<String>| -> Result<usize, String> {
-        let v = v.ok_or_else(|| format!("{flag} requires a number"))?;
-        v.parse::<usize>()
-            .map_err(|_| format!("{flag}: not a number: {v}"))
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--requests" => opts.requests = parse_num("--requests", argv.next())?,
-            "--concurrency" => opts.concurrency = parse_num("--concurrency", argv.next())?,
-            "--no-record" => record = false,
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag {other} for hammer\n{}", usage())),
-        }
+/// Where session results memoize, for the `result cache: …` narration.
+fn cache_place(cache: Option<&SessionCache>) -> String {
+    match cache.map(SessionCache::dir) {
+        None => "disabled (--no-cache)".to_string(),
+        Some(None) => "in-memory only, no cache dir resolved".to_string(),
+        Some(Some(d)) => d.display().to_string(),
     }
-    Ok(Cmd::Hammer { opts, record })
 }
 
-fn parse_cmd() -> Result<Cmd, String> {
-    let mut argv = std::env::args().skip(1);
-    match argv.next() {
-        None => Ok(Cmd::Run(RunArgs {
-            quick: false,
-            out: None,
-            cache: CacheOpts::default(),
-            ids: BTreeSet::new(),
-        })),
-        Some(first) => match first.as_str() {
-            "run" => parse_run(argv),
-            "scale" => parse_scale(argv),
-            "bench" => parse_bench(argv),
-            "serve" => parse_serve(argv),
-            "hammer" => parse_hammer(argv),
-            "audit" => parse_audit(argv),
-            "metrics" => parse_metrics(argv),
-            "trace" => parse_trace(argv),
-            "--help" | "-h" => Err(usage().to_string()),
-            other => Err(format!("unknown subcommand {other}\n{}", usage())),
-        },
+/// Narrate where results memoized and how often they hit (stderr) and,
+/// under `--cache-stats`, print the machine-greppable counter line
+/// (stdout) CI parses.
+fn report_cache(args: &Args, cache: Option<&SessionCache>, delta: &CacheStats) {
+    eprintln!(
+        "result cache: {} ({} hits / {} lookups)",
+        cache_place(cache),
+        delta.hits,
+        delta.lookups()
+    );
+    if !args.has("--cache-stats") {
+        return;
+    }
+    if cache.is_none() {
+        println!("cache-stats: disabled");
+    } else {
+        println!(
+            "cache-stats: hits={} misses={} stores={} invalid={}",
+            delta.hits, delta.misses, delta.stores, delta.invalid_entries
+        );
     }
 }
+
+/// Write an output through `write` and narrate it on stderr: `wrote
+/// <what>`, or `failed to write <what>: <error>` and exit FAILURE.
+fn write_output(what: &str, write: impl FnOnce() -> std::io::Result<()>) -> ExitCode {
+    match write() {
+        Ok(()) => {
+            eprintln!("wrote {what}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("failed to write {what}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The bench file every `bench` and `hammer` run reads and updates.
+const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
 
 /// Measure every row against the committed `current` rows without
 /// rewriting the file. Fails if a gated row (the engine cycles/s rates:
@@ -470,8 +410,8 @@ fn parse_cmd() -> Result<Cmd, String> {
 /// only narrates them. Rows whose fresh windows never settled under the
 /// CoV threshold, and rows with no usable committed value, are reported
 /// but never gated; ungated layers are printed in the tables only.
-fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode {
-    let committed = match throughput::load(path) {
+fn run_check_regression() -> ExitCode {
+    let committed = match throughput::load(BENCH_PATH) {
         Ok(f) => f.current,
         Err(e) => {
             eprintln!("reproduce: {e}; nothing to check against");
@@ -479,11 +419,12 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
         }
     };
     eprintln!("measuring bench rows for regression check...");
-    let fresh = throughput::measure(1.0, StudyConfig::quick(), opts);
+    let fresh = throughput::measure(1.0, StudyConfig::quick());
     print!("{}", throughput::render("committed", &committed));
     print!("{}", throughput::render("fresh", &fresh));
     let mut regressed = false;
-    for o in throughput::regression_outcomes(&committed, &fresh, opts.cov_threshold) {
+    let cov_threshold = throughput::HARNESS.cov_threshold;
+    for o in throughput::regression_outcomes(&committed, &fresh, cov_threshold) {
         let (name, unit) = (&o.name, &o.unit);
         let tol_pct = o.tolerance.unwrap_or(0.0) * 100.0;
         let committed = o.committed.unwrap_or(f64::NAN);
@@ -501,7 +442,7 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
                     "WARNING: skipping {name} regression gate: windows never settled \
                      (CoV {cov_pct:.1}% >= threshold {:.1}%) — runner too noisy for a \
                      {tol_pct:.0}% comparison",
-                    opts.cov_threshold * 100.0,
+                    cov_threshold * 100.0,
                 );
             }
             throughput::GateVerdict::Regressed => {
@@ -529,11 +470,14 @@ fn run_check_regression(path: &str, opts: &throughput::BenchOptions) -> ExitCode
 }
 
 /// Measure every row and merge it into `BENCH_throughput.json` at the
-/// repo root. A missing file starts fresh; an unreadable, invalid or
-/// flat-schema file is reported and left untouched.
-fn run_bench_json(as_baseline: bool, opts: &throughput::BenchOptions) -> ExitCode {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    let previous = match throughput::load(path) {
+/// repo root, or, under `--check-regression`, only check the fresh rows
+/// against it. A missing file starts fresh; an unreadable or invalid file
+/// is reported and left untouched.
+fn cmd_bench(args: &Args) -> ExitCode {
+    if args.has("--check-regression") {
+        return run_check_regression();
+    }
+    let previous = match throughput::load(BENCH_PATH) {
         Ok(f) => Some(f),
         Err(throughput::BenchLoadError::Io { source, .. })
             if source.kind() == std::io::ErrorKind::NotFound =>
@@ -546,8 +490,8 @@ fn run_bench_json(as_baseline: bool, opts: &throughput::BenchOptions) -> ExitCod
         }
     };
     eprintln!("measuring bench rows (engine / monitor / study / analysis)...");
-    let current = throughput::measure(1.0, StudyConfig::quick(), opts);
-    let file = throughput::merge(previous, current, as_baseline, cfg!(feature = "audit"));
+    let current = throughput::measure(1.0, StudyConfig::quick());
+    let file = throughput::merge(previous, current, cfg!(feature = "audit"));
     print!("{}", throughput::render("baseline", &file.baseline));
     print!("{}", throughput::render("current", &file.current));
     if !file.audited.is_empty() {
@@ -556,12 +500,7 @@ fn run_bench_json(as_baseline: bool, opts: &throughput::BenchOptions) -> ExitCod
     if let Some(speedup) = throughput::loop_speedup(&file) {
         println!("loop speedup over baseline: {speedup:.2}x");
     }
-    if let Err(e) = throughput::save(path, &file) {
-        eprintln!("failed to write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {path}");
-    ExitCode::SUCCESS
+    write_output(BENCH_PATH, || throughput::save(BENCH_PATH, &file))
 }
 
 /// Print a typed API failure in the uniform envelope format — the same
@@ -664,20 +603,21 @@ fn check_ids(ids: &BTreeSet<String>) -> Result<(), ApiError> {
     }
 }
 
-fn cmd_run(args: RunArgs) -> ExitCode {
+fn cmd_run(args: &Args) -> ExitCode {
     if let Err(e) = check_ids(&args.ids) {
         return api_error(e);
     }
-    let cfg = match study_cfg(args.quick, TraceConfig::metrics_only()) {
+    let quick = args.has("--quick");
+    let cfg = match study_cfg(quick, TraceConfig::metrics_only()) {
         Ok(c) => c,
         Err(e) => return config_error(e),
     };
-    let cache = args.cache.build();
-    let (study, obs) = match run_study(cfg, args.quick, cache.as_ref()) {
+    let cache = build_cache(args);
+    let (study, obs) = match run_study(cfg, quick, cache.as_ref()) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
-    args.cache.report(cache.as_ref(), &obs.cache);
+    report_cache(args, cache.as_ref(), &obs.cache);
 
     let wanted = |id: &str| args.ids.is_empty() || args.ids.contains(&id.to_ascii_lowercase());
     let mut printed = String::new();
@@ -700,17 +640,18 @@ fn cmd_run(args: RunArgs) -> ExitCode {
     emit("comparison", &comparison);
     emit("observability", &obs.render());
 
-    if let Some(dir) = &args.out {
-        if let Err(e) = write_outputs(dir, &study, &printed, &comparison) {
-            eprintln!("failed to write outputs to {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote report.txt, comparison.md and study.json to {dir}/");
+    match args.text("--out") {
+        Some(dir) => write_output(
+            &format!("report.txt, comparison.md and study.json to {dir}/"),
+            || write_outputs(dir, &study, &printed, &comparison),
+        ),
+        None => ExitCode::SUCCESS,
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_audit(quick: bool, width: Option<usize>) -> ExitCode {
+fn cmd_audit(args: &Args) -> ExitCode {
+    let quick = args.has("--quick");
+    let width = args.number("--width");
     let cfg = match study_cfg(quick, TraceConfig::off()).and_then(|c| match width {
         Some(w) => {
             let c = StudyConfig {
@@ -738,18 +679,14 @@ fn cmd_audit(quick: bool, width: Option<usize>) -> ExitCode {
     }
 }
 
-fn cmd_scale(
-    quick: bool,
-    widths: Option<Vec<usize>>,
-    json: Option<String>,
-    cache_opts: CacheOpts,
-) -> ExitCode {
+fn cmd_scale(args: &Args) -> ExitCode {
+    let quick = args.has("--quick");
     let mut cfg = if quick {
         ScaleConfig::quick()
     } else {
         ScaleConfig::paper()
     };
-    if let Some(w) = widths {
+    if let Some(w) = args.widths("--widths") {
         cfg.widths = w;
     }
     eprintln!(
@@ -757,7 +694,7 @@ fn cmd_scale(
         cfg.widths,
         if quick { "quick" } else { "paper" }
     );
-    let cache = cache_opts.build();
+    let cache = build_cache(args);
     // Same entry point as the HTTP server's scale jobs — validation,
     // caching, and the error envelope are shared, not parallel code paths.
     let n_widths = cfg.widths.len();
@@ -775,20 +712,19 @@ fn cmd_scale(
         obs.sessions.len(),
         n_widths
     );
-    cache_opts.report(cache.as_ref(), &obs.cache);
+    report_cache(args, cache.as_ref(), &obs.cache);
     print!("{}", study.render());
-    if let Some(path) = json {
-        let payload = serde_json::to_string(&study).expect("scale study serializes");
-        if let Err(e) = std::fs::write(&path, payload + "\n") {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
+    match args.text("--json") {
+        Some(path) => {
+            let payload = serde_json::to_string(&study).expect("scale study serializes");
+            write_output(path, || std::fs::write(path, payload + "\n"))
         }
-        eprintln!("wrote {path}");
+        None => ExitCode::SUCCESS,
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_metrics(quick: bool, json: Option<String>) -> ExitCode {
+fn cmd_metrics(args: &Args) -> ExitCode {
+    let quick = args.has("--quick");
     let cfg = match study_cfg(quick, TraceConfig::metrics_only()) {
         Ok(c) => c,
         Err(e) => return config_error(e),
@@ -798,21 +734,21 @@ fn cmd_metrics(quick: bool, json: Option<String>) -> ExitCode {
         Err(e) => return api_error(e),
     };
     print!("{}", obs.render());
-    if let Some(path) = json {
-        let payload =
-            serde_json::to_string(&obs.metrics_report()).expect("metrics report serializes");
-        if let Err(e) = std::fs::write(&path, payload + "\n") {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
+    match args.text("--json") {
+        Some(path) => {
+            let payload =
+                serde_json::to_string(&obs.metrics_report()).expect("metrics report serializes");
+            write_output(path, || std::fs::write(path, payload + "\n"))
         }
-        eprintln!("wrote {path}");
+        None => ExitCode::SUCCESS,
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_trace(quick: bool, out: String, event_capacity: Option<usize>) -> ExitCode {
+fn cmd_trace(args: &Args) -> ExitCode {
+    let quick = args.has("--quick");
+    let out = args.text("--out").unwrap_or("study.trace.json");
     let mut trace = TraceConfig::full();
-    if let Some(cap) = event_capacity {
+    if let Some(cap) = args.number("--event-capacity") {
         trace.event_capacity = cap;
     }
     let cfg = match study_cfg(quick, trace) {
@@ -826,33 +762,30 @@ fn cmd_trace(quick: bool, out: String, event_capacity: Option<usize>) -> ExitCod
     };
     let recorded: u64 = obs.sessions.iter().map(|s| s.metrics.events_recorded).sum();
     let dropped: u64 = obs.sessions.iter().map(|s| s.events_dropped).sum();
-    let json = obs.chrome_trace(ns_per_cycle);
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
     eprintln!(
-        "wrote {out}: {} sessions, {recorded} events recorded ({dropped} dropped by the ring); \
-         open in Perfetto or chrome://tracing",
+        "trace: {} sessions, {recorded} events recorded ({dropped} dropped by the ring); \
+         open the file in Perfetto or chrome://tracing",
         obs.sessions.len()
     );
-    ExitCode::SUCCESS
+    let json = obs.chrome_trace(ns_per_cycle);
+    write_output(out, || std::fs::write(out, json + "\n"))
 }
 
 /// Bind the job server and run it until a `POST /v1/shutdown` (or signal
 /// from the worker side) drains it. Blocks the calling thread.
-fn cmd_serve(cfg: ServeConfig, cache_opts: CacheOpts) -> ExitCode {
-    let cache = cache_opts.build();
-    match cache.as_ref().and_then(|c| c.dir()) {
-        Some(d) => eprintln!("result cache: {}", d.display()),
-        None => {
-            if cache.is_some() {
-                eprintln!("result cache: in-memory only");
-            } else {
-                eprintln!("result cache: disabled (--no-cache)");
-            }
-        }
+fn cmd_serve(args: &Args) -> ExitCode {
+    let mut cfg = ServeConfig::default();
+    if let Some(addr) = args.text("--addr") {
+        cfg.addr = addr.to_string();
     }
+    let number = |flag, default| args.number(flag).unwrap_or(default);
+    cfg.queue_depth = number("--queue-depth", cfg.queue_depth);
+    cfg.workers = number("--workers", cfg.workers);
+    cfg.max_body_bytes = number("--max-body-bytes", cfg.max_body_bytes);
+    cfg.read_timeout_ms = number("--read-timeout-ms", cfg.read_timeout_ms as usize) as u64;
+    cfg.wait_timeout_ms = number("--wait-timeout-ms", cfg.wait_timeout_ms as usize) as u64;
+    let cache = build_cache(args);
+    eprintln!("result cache: {}", cache_place(cache.as_ref()));
     let server = match Server::bind(cfg, cache) {
         Ok(s) => s,
         Err(e) => {
@@ -875,7 +808,12 @@ fn cmd_serve(cfg: ServeConfig, cache_opts: CacheOpts) -> ExitCode {
 /// Load-test an in-process server and (unless `--no-record`) fold the
 /// serve numbers into `BENCH_throughput.json`. Exits nonzero if a CI gate
 /// (warm-hit rate, 5xx) fails.
-fn cmd_hammer(opts: hammer::HammerOptions, record: bool) -> ExitCode {
+fn cmd_hammer(args: &Args) -> ExitCode {
+    let defaults = hammer::HammerOptions::default();
+    let opts = hammer::HammerOptions {
+        requests: args.number("--requests").unwrap_or(defaults.requests),
+        concurrency: args.number("--concurrency").unwrap_or(defaults.concurrency),
+    };
     let report = match hammer::run(&opts) {
         Ok(r) => r,
         Err(e) => {
@@ -889,10 +827,9 @@ fn cmd_hammer(opts: hammer::HammerOptions, record: bool) -> ExitCode {
         "hammer-stats: warm_p50_ms={:.3} req_per_s={:.1} warm_hit_rate={:.3} responses_5xx={}",
         report.warm_p50_ms, report.req_per_s, report.warm_hit_rate, report.responses_5xx
     );
-    if record {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-        match hammer::record(path, &report) {
-            Ok(()) => eprintln!("recorded serve numbers into {path}"),
+    if !args.has("--no-record") {
+        match hammer::record(BENCH_PATH, &report) {
+            Ok(()) => eprintln!("recorded serve numbers into {BENCH_PATH}"),
             Err(e) => {
                 eprintln!("reproduce: hammer: {e}");
                 return ExitCode::FAILURE;
@@ -910,48 +847,15 @@ fn cmd_hammer(opts: hammer::HammerOptions, record: bool) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let cmd = match parse_cmd() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match cmd {
-        Cmd::Run(args) => cmd_run(args),
-        Cmd::Bench {
-            as_baseline,
-            check_regression,
-            opts,
-        } => {
-            // The typed validation path: bad knob values exit 2 with a
-            // one-line diagnostic naming the field, like any other
-            // configuration error.
-            if let Err(e) = opts.validate() {
-                return config_error(e);
+    match parse(std::env::args().skip(1)) {
+        Ok(args) => (args.command.run)(&args),
+        Err(message) => {
+            if let Some(m) = message {
+                eprintln!("{m}");
             }
-            if check_regression {
-                let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-                run_check_regression(path, &opts)
-            } else {
-                run_bench_json(as_baseline, &opts)
-            }
+            eprintln!("{}", usage());
+            ExitCode::FAILURE
         }
-        Cmd::Scale {
-            quick,
-            widths,
-            json,
-            cache,
-        } => cmd_scale(quick, widths, json, cache),
-        Cmd::Serve { cfg, cache } => cmd_serve(cfg, cache),
-        Cmd::Hammer { opts, record } => cmd_hammer(opts, record),
-        Cmd::Audit { quick, width } => cmd_audit(quick, width),
-        Cmd::Metrics { quick, json } => cmd_metrics(quick, json),
-        Cmd::Trace {
-            quick,
-            out,
-            event_capacity,
-        } => cmd_trace(quick, out, event_capacity),
     }
 }
 
@@ -967,4 +871,80 @@ fn write_outputs(
     let json = serde_json::to_string(study).expect("study serializes");
     std::fs::write(format!("{dir}/study.json"), json)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(words: &[&str]) -> Result<Args, Option<String>> {
+        parse(words.iter().map(|w| w.to_string()))
+    }
+
+    #[test]
+    fn usage_names_every_flag_each_subcommand_accepts() {
+        let flags_in = |line: &str| -> BTreeSet<String> {
+            line.split(|c: char| c.is_whitespace() || "[]|".contains(c))
+                .filter(|w| w.starts_with("--"))
+                .map(str::to_string)
+                .collect()
+        };
+        let lines: Vec<&str> = usage().lines().collect();
+        let cache_line = lines.iter().find(|l| l.starts_with("cache flags:"));
+        let cache_flags = flags_in(cache_line.expect("usage explains the cache flags"));
+        for c in &COMMANDS {
+            let prefix = format!("reproduce {} ", c.name);
+            let line = lines
+                .iter()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("usage has no line for {}", c.name));
+            let mut listed = flags_in(line);
+            if line.contains("[cache flags]") {
+                listed.extend(cache_flags.iter().cloned());
+            }
+            let accepted: BTreeSet<String> = c.flags.iter().map(|(f, _)| f.to_string()).collect();
+            assert_eq!(listed, accepted, "usage line for {}", c.name);
+            assert_eq!(line.contains("[IDS...]"), c.ids, "IDS on {}", c.name);
+        }
+    }
+
+    #[test]
+    fn flags_parse_to_their_values_and_errors_keep_their_wording() {
+        let args =
+            parse_words(&["scale", "--widths", "2, 4", "--json", "a", "--json", "b"]).unwrap();
+        assert_eq!(args.command.name, "scale");
+        assert_eq!(args.widths("--widths"), Some(vec![2, 4]));
+        assert_eq!(args.text("--json"), Some("b"), "the last value wins");
+        let args = parse_words(&["run", "Table2", "--quick", "fig3"]).unwrap();
+        assert!(args.has("--quick") && !args.has("--no-cache"));
+        assert_eq!(args.ids, BTreeSet::from(["table2".into(), "fig3".into()]));
+        assert_eq!(parse_words(&[]).unwrap().command.name, "run");
+
+        let error = |words: &[&str]| parse_words(words).err().unwrap();
+        assert_eq!(error(&["--help"]), None);
+        assert_eq!(error(&["trace", "-h"]), None);
+        for (words, message) in [
+            (&["nope"][..], "unknown subcommand nope"),
+            (
+                &["audit", "--widths", "2"],
+                "unknown flag --widths for audit",
+            ),
+            (&["trace", "extra"], "unknown flag extra for trace"),
+            (&["run", "--out"], "--out requires a directory"),
+            (&["trace", "--out"], "--out requires a file path"),
+            (&["serve", "--addr"], "--addr requires HOST:PORT"),
+            (&["hammer", "--requests"], "--requests requires a number"),
+            (&["serve", "--workers", "x"], "--workers: not a number: x"),
+            (
+                &["scale", "--widths"],
+                "--widths requires a comma-separated list",
+            ),
+            (
+                &["scale", "--widths", "2,x"],
+                "--widths: not a width list: 2,x",
+            ),
+        ] {
+            assert_eq!(error(words), Some(message.to_string()), "{words:?}");
+        }
+    }
 }

@@ -17,11 +17,10 @@ use serde::{Deserialize, Value};
 use std::net::SocketAddr;
 use std::time::Instant;
 
-/// Hammer knobs (`reproduce hammer` flags end up here).
+/// Hammer knobs (`reproduce hammer` flags end up here). Every job is the
+/// quick study preset.
 #[derive(Debug, Clone)]
 pub struct HammerOptions {
-    /// Use the quick study preset (vs the paper-scale study).
-    pub quick: bool,
     /// Warm requests per client thread.
     pub requests: usize,
     /// Concurrent client threads.
@@ -31,7 +30,6 @@ pub struct HammerOptions {
 impl Default for HammerOptions {
     fn default() -> Self {
         HammerOptions {
-            quick: true,
             requests: 25,
             concurrency: 4,
         }
@@ -137,8 +135,7 @@ fn submit_and_wait(addr: SocketAddr, body: &str) -> Result<JobStatus, String> {
 
 /// Run the hammer against a fresh in-process server.
 pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
-    let preset = if opts.quick { "quick" } else { "paper" };
-    let body = format!("{{\"api\":1,\"job\":{{\"study\":\"{preset}\"}}}}");
+    let body = r#"{"api":1,"job":{"study":"quick"}}"#;
     let server = Server::bind(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -167,8 +164,8 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     };
 
     // Cold pass populates the cache.
-    eprintln!("hammer: cold {preset} study against {addr}...");
-    let cold = submit_and_wait(addr, &body)?;
+    eprintln!("hammer: cold quick study against {addr}...");
+    let cold = submit_and_wait(addr, body)?;
     // Snapshot the cache counters so the hit-rate gate sees only the warm
     // phase — the cold pass's misses are the point, not a failure.
     let (hits_cold, misses_cold) = cache_counters()?;
@@ -183,13 +180,12 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     let t0 = Instant::now();
     let threads: Vec<_> = (0..opts.concurrency.max(1))
         .map(|_| {
-            let body = body.clone();
             let requests = opts.requests;
             std::thread::spawn(move || -> Result<Vec<f64>, String> {
                 let mut latencies = Vec::with_capacity(requests);
                 for _ in 0..requests {
                     let t = Instant::now();
-                    submit_and_wait(addr, &body)?;
+                    submit_and_wait(addr, body)?;
                     latencies.push(t.elapsed().as_secs_f64() * 1e3);
                 }
                 Ok(latencies)
@@ -278,7 +274,6 @@ mod tests {
         // (The e2e suite in fx8-serve covers the protocol; this pins the
         // hammer's own plumbing end to end.)
         let report = run(&HammerOptions {
-            quick: true,
             requests: 2,
             concurrency: 1,
         })

@@ -54,6 +54,18 @@ fn unknown_flags_still_print_usage_not_an_envelope() {
 }
 
 #[test]
+fn foreign_flags_and_missing_values_print_usage_not_an_envelope() {
+    // A flag of another subcommand and a flag without its value are
+    // argument errors too, on every subcommand.
+    for args in [&["audit", "--widths", "2"][..], &["scale", "--widths"]] {
+        let (code, stderr) = reproduce(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: reproduce"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("error["), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn unknown_experiment_id_exits_2_before_the_study_runs() {
     let (code, stderr) = reproduce(&["run", "--quick", "--no-cache", "table2", "table99"]);
     assert_eq!(code, Some(2), "documented exit code for a bad request");

@@ -63,7 +63,7 @@ fn assert_dense_identical(run_cycles: u64) -> u64 {
             c.run(run_cycles / 4);
             words.extend(c.capture(100));
         }
-        let dense = c.dense_counters().0;
+        let dense = c.engine_cycles().dense;
         (c.state_digest(), words, dense)
     };
     let (d_on, w_on, dense_on) = drive(machine(true));

@@ -527,8 +527,10 @@ mod tests {
         assert_eq!(na, nb);
         assert!(matches!(ea, AcquireError::TriggerTimeout { waited: 7_331 }));
         if !cfg!(feature = "audit") {
-            let (skipped, _) = ca.skip_counters();
-            assert!(skipped > 0, "the idle wait should fast-forward");
+            assert!(
+                ca.engine_cycles().skipped > 0,
+                "the idle wait should fast-forward"
+            );
             assert!(
                 ca.skip_quiescent(100) > 0,
                 "stale next-probe hint left behind by the acquisition"

@@ -21,11 +21,10 @@ struct JobInner {
     state: JobState,
     sessions_done: u64,
     wall_s: f64,
-    /// The serialized [`api::JobResult`], rendered once at completion.
-    result_json: Option<Arc<String>>,
     error: Option<ApiError>,
     /// Every status line this job has emitted, in order — the NDJSON
-    /// stream replays these and then follows the tail.
+    /// stream replays these and then follows the tail. The terminal `done`
+    /// line is the only copy of the serialized result.
     events: Vec<Arc<String>>,
 }
 
@@ -55,22 +54,21 @@ impl Job {
                 state: JobState::Queued,
                 sessions_done: 0,
                 wall_s: 0.0,
-                result_json: None,
                 error: None,
                 events: Vec::new(),
             }),
             cv: Condvar::new(),
         });
         let mut inner = job.inner.lock().unwrap();
-        let line = job.render(&inner);
+        let line = job.render(&inner, None);
         inner.events.push(line);
         drop(inner);
         job
     }
 
-    /// Render the current status as one JSON line. The terminal result is
-    /// spliced in preserialized, so this never walks the study tree.
-    fn render(&self, inner: &JobInner) -> Arc<String> {
+    /// Render the current status as one JSON line. The terminal `result`
+    /// is spliced in preserialized, so this never walks the study tree.
+    fn render(&self, inner: &JobInner, result: Option<&str>) -> Arc<String> {
         let mut s = format!(
             "{{\"api\":{},\"id\":{},\"state\":\"{}\",\"sessions_done\":{},\"sessions_total\":{},\"wall_s\":{}",
             API_VERSION,
@@ -80,7 +78,7 @@ impl Job {
             self.sessions_total,
             inner.wall_s,
         );
-        if let Some(r) = &inner.result_json {
+        if let Some(r) = result {
             s.push_str(",\"result\":");
             s.push_str(r);
         }
@@ -92,11 +90,12 @@ impl Job {
         Arc::new(s)
     }
 
-    /// Apply a mutation, emit its status line, and wake every waiter.
-    fn mutate(&self, f: impl FnOnce(&mut JobInner)) {
+    /// Apply a mutation, emit its status line (with `result` spliced in,
+    /// for the terminal `done` line), and wake every waiter.
+    fn mutate(&self, result: Option<&str>, f: impl FnOnce(&mut JobInner)) {
         let mut inner = self.inner.lock().unwrap();
         f(&mut inner);
-        let line = self.render(&inner);
+        let line = self.render(&inner, result);
         inner.events.push(line);
         drop(inner);
         self.cv.notify_all();
@@ -155,16 +154,16 @@ impl Job {
 /// directly marked `cancelled` if the token fired while it queued).
 pub fn run(job: &Job, cache: Option<&SessionCache>) {
     if job.cancel.is_cancelled() {
-        job.mutate(|i| {
+        job.mutate(None, |i| {
             i.state = JobState::Cancelled;
             i.error = Some(ApiError::cancelled());
         });
         return;
     }
     let started = Instant::now();
-    job.mutate(|i| i.state = JobState::Running);
+    job.mutate(None, |i| i.state = JobState::Running);
     let on_session = |s: api::SessionDone| {
-        job.mutate(|i| {
+        job.mutate(None, |i| {
             i.sessions_done = s.done as u64;
             i.wall_s = started.elapsed().as_secs_f64();
         });
@@ -177,12 +176,10 @@ pub fn run(job: &Job, cache: Option<&SessionCache>) {
     let wall_s = started.elapsed().as_secs_f64();
     match outcome {
         Ok(outcome) => {
-            let result_json =
-                Arc::new(serde_json::to_string(&outcome.result).expect("job result serializes"));
-            job.mutate(|i| {
+            let result = serde_json::to_string(&outcome.result).expect("job result serializes");
+            job.mutate(Some(&result), |i| {
                 i.state = JobState::Done;
                 i.wall_s = wall_s;
-                i.result_json = Some(result_json);
             });
         }
         Err(e) => {
@@ -191,7 +188,7 @@ pub fn run(job: &Job, cache: Option<&SessionCache>) {
             } else {
                 JobState::Failed
             };
-            job.mutate(|i| {
+            job.mutate(None, |i| {
                 i.state = state;
                 i.wall_s = wall_s;
                 i.error = Some(e);

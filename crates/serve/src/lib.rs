@@ -87,7 +87,6 @@ struct ServerState {
     store: JobStore,
     cache: Option<SessionCache>,
     metrics: Metrics,
-    shutdown: AtomicBool,
     /// Set only after the queue has drained; tells the accept loop to
     /// exit. Until then HTTP stays up so pollers can collect results.
     accept_done: AtomicBool,
@@ -98,7 +97,6 @@ impl ServerState {
     /// HTTP keeps serving (submissions get 503, polls still answer)
     /// until the drain completes.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
         self.store.close();
     }
 
@@ -171,7 +169,6 @@ impl Server {
             addr,
             cache,
             metrics: Metrics::default(),
-            shutdown: AtomicBool::new(false),
             accept_done: AtomicBool::new(false),
         });
         let workers = (0..workers_n)
@@ -322,7 +319,7 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         state.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
         let close = req.wants_close();
         let streamed = route(state, &mut stream, &req);
-        if streamed || close || state.shutdown.load(Ordering::Acquire) {
+        if streamed || close || !state.store.is_accepting() {
             return;
         }
     }

@@ -113,11 +113,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Reset counters (contents stay).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Total lines currently resident.
     pub fn occupancy(&self) -> usize {
         self.len.iter().map(|&l| l as usize).sum()
@@ -206,18 +201,6 @@ impl SetAssocCache {
         let ways = &mut self.ways[base..base + self.len[set] as usize];
         if let Some(e) = ways.iter_mut().find(|e| e.line == line) {
             e.dirty = true;
-            e.unique = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Grant unique ownership of a resident line. Returns false if absent.
-    pub fn make_unique(&mut self, set: usize, line: LineId) -> bool {
-        let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.len[set] as usize];
-        if let Some(e) = ways.iter_mut().find(|e| e.line == line) {
             e.unique = true;
             true
         } else {

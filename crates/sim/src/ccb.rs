@@ -107,11 +107,6 @@ impl Ccb {
         self.state = None;
     }
 
-    /// Whether a loop is mounted.
-    pub fn loop_active(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Iterations not yet handed out.
     pub fn remaining(&self) -> u64 {
         self.state.map_or(0, |s| s.total - s.next)

@@ -306,11 +306,6 @@ impl Cluster {
         self.crossbar.stats()
     }
 
-    /// Memory bus statistics.
-    pub fn membus_stats(&self) -> &crate::membus::MemBusStats {
-        self.membus.stats()
-    }
-
     /// Per-CE counters.
     pub fn ce_stats(&self, ce: CeId) -> crate::ce::CeStats {
         self.ces[ce].stats
@@ -580,25 +575,11 @@ impl Cluster {
         self.next_probe_at = at;
     }
 
-    /// `(cycles_skipped, cycles_total)` advanced so far: the fast-forward
-    /// skip ratio. This is bookkeeping about *how* the machine was
-    /// advanced, not machine state — it is excluded from
-    /// [`Cluster::state_digest`] on purpose.
-    pub fn skip_counters(&self) -> (u64, u64) {
-        (self.cycles_skipped, self.cycles_total)
-    }
-
-    /// `(cycles_dense, cycles_total)` advanced so far: how much of the
-    /// trajectory ran through the dense SoA batch kernel. Like
-    /// [`Cluster::skip_counters`], this is advancement bookkeeping, not
-    /// machine state, and is excluded from [`Cluster::state_digest`].
-    pub fn dense_counters(&self) -> (u64, u64) {
-        (self.cycles_dense, self.cycles_total)
-    }
-
     /// Cycles retired per stepping engine. Scalar cycles are the remainder
     /// once the dense and fast-forward engines account for theirs, so the
-    /// split always partitions `cycles_total`.
+    /// split always partitions `cycles_total`. This is bookkeeping about
+    /// *how* the machine was advanced, not machine state — it is excluded
+    /// from [`Cluster::state_digest`] on purpose.
     pub fn engine_cycles(&self) -> crate::trace::EngineCycles {
         crate::trace::EngineCycles {
             scalar: self.cycles_total - self.cycles_dense - self.cycles_skipped,
@@ -2230,7 +2211,7 @@ mod tests {
             mount(&mut c);
             c.run(run_cycles);
             let words = c.capture(200);
-            let skipped = c.skip_counters().0;
+            let skipped = c.engine_cycles().skipped;
             (c.state_digest(), words, skipped)
         };
         let (d_on, w_on, sk_on) = drive(MachineConfig::fx8());
@@ -2297,7 +2278,7 @@ mod tests {
             c.mount_loop(loop_body(1), 0, 5_000, serial_code(1), 1);
             c.run(60_000);
             let words = c.capture(200);
-            let skipped = c.skip_counters().0;
+            let skipped = c.engine_cycles().skipped;
             (c.state_digest(), words, skipped)
         };
         let (d_on, w_on, sk_on) = drive(slow(true));
@@ -2329,7 +2310,8 @@ mod tests {
         let mut c = Cluster::new(ff_off_config(), 42);
         c.set_ip_intensity(0.0);
         c.run(1_000);
-        assert_eq!(c.skip_counters(), (0, 1_000));
+        let e = c.engine_cycles();
+        assert_eq!((e.skipped, e.total), (0, 1_000));
     }
 
     #[cfg(feature = "audit")]
@@ -2339,7 +2321,8 @@ mod tests {
         // the knob on (the default), audit builds step every cycle.
         let mut c = cluster();
         c.run(1_000);
-        assert_eq!(c.skip_counters(), (0, 1_000));
+        let e = c.engine_cycles();
+        assert_eq!((e.skipped, e.total), (0, 1_000));
     }
 
     #[cfg(feature = "audit")]
@@ -2353,7 +2336,7 @@ mod tests {
         let mut c = cluster();
         c.mount_loop(loop_body(1), 0, 10_000, serial_code(1), 1);
         c.run(20_000);
-        assert_eq!(c.dense_counters().0, 0, "audit build dense-stepped");
+        assert_eq!(c.engine_cycles().dense, 0, "audit build dense-stepped");
         let report = c.audit_report();
         assert!(report.is_clean(), "audit violations: {report:?}");
     }

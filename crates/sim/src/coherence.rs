@@ -10,7 +10,7 @@
 //! them with real contention.
 
 use crate::addr::LineId;
-use crate::cache::{CacheStats, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::CacheGeometry;
 use serde::{Deserialize, Serialize};
 
@@ -216,16 +216,6 @@ impl CacheSystem {
     /// Aggregate statistics.
     pub fn stats(&self) -> SystemStats {
         self.stats
-    }
-
-    /// Per-bank CE-cache statistics (hits/misses include only that bank).
-    pub fn bank_stats(&self, bank: usize) -> CacheStats {
-        self.banks[bank].stats()
-    }
-
-    /// IP-cache statistics.
-    pub fn ipc_stats(&self) -> CacheStats {
-        self.ipc.stats()
     }
 
     /// Whether the CE cache currently holds `line` (no LRU side effects).

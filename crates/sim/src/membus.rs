@@ -147,11 +147,6 @@ impl MemBusSystem {
         }
     }
 
-    /// Whether any bus is occupied at `now` (for utilization assertions).
-    pub fn any_busy(&self, now: Cycle) -> bool {
-        self.bus_free.iter().any(|&t| t > now)
-    }
-
     /// The one-start-per-cycle arbitration rule the probe decodes: the
     /// start record must be strictly increasing in cycle. Allocation-free.
     #[cfg(feature = "audit")]

@@ -215,17 +215,6 @@ impl LatencyHistogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Inclusive upper bound of bucket `i` (`u64::MAX` for the last).
-    pub fn bucket_hi(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= Self::NUM_BUCKETS - 1 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -513,13 +502,6 @@ impl Default for ChromeTraceBuilder {
     }
 }
 
-/// One-shot export of a single event stream (process 0, named `fx8`).
-pub fn chrome_trace_json(events: &[TraceEvent], ns_per_cycle: u64) -> String {
-    let mut b = ChromeTraceBuilder::new();
-    b.add_process(0, "fx8", events, ns_per_cycle);
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,7 +588,9 @@ mod tests {
                 cycles: 50,
             },
         ];
-        let json = chrome_trace_json(&events, 170);
+        let mut b = ChromeTraceBuilder::new();
+        b.add_process(0, "fx8", &events, 170);
+        let json = b.finish();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"ph\":\"X\""));

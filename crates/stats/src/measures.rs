@@ -71,11 +71,6 @@ impl ConcurrencyMeasures {
         }
     }
 
-    /// Highest processor count in the distribution.
-    pub fn max_processors(&self) -> usize {
-        self.c.len() - 1
-    }
-
     /// `c_j`, zero for out-of-range `j`.
     pub fn c_j(&self, j: usize) -> f64 {
         self.c.get(j).copied().unwrap_or(0.0)

@@ -146,13 +146,6 @@ pub struct SerialKernel {
 }
 
 impl SerialKernel {
-    /// Rough cycles per generated block for macro timing.
-    pub fn est_cycles_per_block(&self) -> u64 {
-        self.compute as u64
-            + (self.hot_refs + self.stream_lines) as u64
-            + 15 * self.stream_lines as u64
-    }
-
     /// Pages of the hot set plus code.
     pub fn data_pages(&self, asid: Asid) -> Vec<PageId> {
         let mut pages = Vec::new();

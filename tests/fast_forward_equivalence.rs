@@ -153,7 +153,7 @@ proptest! {
             );
             c.run(40_000);
             let words = c.capture(128);
-            (c.state_digest(), words, c.now(), c.skip_counters().0)
+            (c.state_digest(), words, c.now(), c.engine_cycles().skipped)
         };
         let (d_on, w_on, n_on, _) = drive(true);
         let (d_off, w_off, n_off, sk_off) = drive(false);
