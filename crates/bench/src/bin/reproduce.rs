@@ -489,7 +489,7 @@ fn cmd_bench(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("measuring bench rows (engine / monitor / study / analysis)...");
+    eprintln!("measuring bench rows (engine / monitor / study / analysis / serde)...");
     let current = throughput::measure(1.0, StudyConfig::quick());
     let file = throughput::merge(previous, current, cfg!(feature = "audit"));
     print!("{}", throughput::render("baseline", &file.baseline));

@@ -13,7 +13,7 @@ use crate::throughput::{self, Layer, Row};
 use fx8_core::api::{JobState, JobStatus};
 use fx8_core::cache::SessionCache;
 use fx8_serve::{client, ServeConfig, Server};
-use serde::{Deserialize, Value};
+use serde::Value;
 use std::net::SocketAddr;
 use std::time::Instant;
 
@@ -151,8 +151,11 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     let serve_thread = std::thread::spawn(move || server.run());
 
     let num = |v: &Value, k: &str| -> Result<u64, String> {
-        u64::from_value(v.get(k).ok_or_else(|| format!("metrics lack {k}"))?)
-            .map_err(|e| format!("bad metrics field {k}: {e}"))
+        match v.get(k) {
+            Some(Value::Num(n)) => n.parse().map_err(|e| format!("bad metrics field {k}: {e}")),
+            Some(_) => Err(format!("bad metrics field {k}: not a number")),
+            None => Err(format!("metrics lack {k}")),
+        }
     };
     let cache_counters = || -> Result<(u64, u64), String> {
         let resp = client::request(addr, "GET", "/v1/metrics", None)

@@ -5,8 +5,9 @@
 //! windows agree. Simulation throughput (cycles simulated per wall second
 //! for the machine states the workload alternates between, plus a
 //! skip-heavy join-wait loop that showcases event-horizon fast-forward),
-//! DAS acquisition and reduction, a loop drain, and the analysis layer
-//! over the quick study all go through it; study walls are timed once.
+//! DAS acquisition and reduction, a loop drain, and the analysis and JSON
+//! layers over the quick study all go through it; study walls are timed
+//! once.
 //!
 //! Each number is a [`Row`] `{name, layer, unit, value, cov, windows}` —
 //! a per-subsystem claim carrying its own noise bound. `reproduce bench`
@@ -17,8 +18,8 @@
 //! name and carries every other row forward, and [`regression_outcomes`]
 //! gates rows generically through the per-layer [`GATES`] table.
 
-use fx8_core::api::RunHooks;
-use fx8_core::cache::SessionCache;
+use fx8_core::api::{JobResult, RunHooks};
+use fx8_core::cache::{CachedSession, SessionCache};
 use fx8_core::report;
 use fx8_core::scale::{ScaleConfig, ScaleStudy};
 use fx8_core::study::{Study, StudyConfig};
@@ -27,7 +28,7 @@ use fx8_sim::cluster::LoadKind;
 use fx8_sim::{Cluster, MachineConfig};
 use fx8_stats::summary::{mean, stddev};
 use fx8_workload::{kernels, WorkloadMix};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -44,17 +45,20 @@ pub enum Layer {
     Study,
     /// Tables, figures and the paper comparison over a finished study.
     Analysis,
+    /// JSON: writing job results, decoding session-cache entries.
+    Serde,
     /// The HTTP job service, measured by `reproduce hammer`.
     Serve,
 }
 
 impl Layer {
     /// Every layer, in report order.
-    const ALL: [Layer; 5] = [
+    const ALL: [Layer; 6] = [
         Layer::Engine,
         Layer::Monitor,
         Layer::Study,
         Layer::Analysis,
+        Layer::Serde,
         Layer::Serve,
     ];
 
@@ -65,26 +69,25 @@ impl Layer {
             Layer::Monitor => "monitor",
             Layer::Study => "study",
             Layer::Analysis => "analysis",
+            Layer::Serde => "serde",
             Layer::Serve => "serve",
         }
     }
 }
 
 impl Serialize for Layer {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
+    fn serialize(&self, out: &mut String) {
+        serde::write_str(self.as_str(), out);
     }
 }
 
 impl Deserialize for Layer {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let Value::Str(s) = v else {
-            return Err(serde::Error::invalid_type("layer name", v));
-        };
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        let s = de.str()?;
         Layer::ALL
             .into_iter()
             .find(|l| l.as_str() == s)
-            .ok_or_else(|| serde::Error::unknown_variant(s))
+            .ok_or_else(|| serde::Error::unknown_variant(&s))
     }
 }
 
@@ -235,8 +238,7 @@ pub fn load(path: &str) -> Result<BenchFile, BenchLoadError> {
         detail,
     };
     let text = std::str::from_utf8(&bytes).map_err(|e| parse_err(format!("not UTF-8: {e}")))?;
-    let v: Value = serde_json::from_str(text).map_err(|e| parse_err(e.to_string()))?;
-    let file = BenchFile::from_value(&v).map_err(|e| parse_err(e.to_string()))?;
+    let file: BenchFile = serde_json::from_str(text).map_err(|e| parse_err(e.to_string()))?;
     for (key, rows) in [
         ("baseline", &file.baseline),
         ("current", &file.current),
@@ -547,7 +549,7 @@ fn measure_run_adaptive(
 /// Measure every row: the four mounted-state engine rates (gated) with
 /// their skip ratios and the loop's dense ratio, a loop drain, DAS
 /// acquisition and reduction, the cold and warm `study_cfg` study and an
-/// incremental sweep, and the analysis layer over that study.
+/// incremental sweep, and the analysis and JSON layers over that study.
 /// Every timing runs under [`HARNESS`]. `min_wall_s` bounds the timing
 /// per measured kernel; `StudyConfig::quick()` is the persisted study
 /// (smoke tests pass something smaller).
@@ -658,7 +660,43 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> Vec<Row> {
         black_box(report::comparison(&study));
     });
     rows.push(Row::ms_per_op(Layer::Analysis, "comparison_ms", comparison));
+
+    // The JSON layer over the same study: decoding its sessions as the
+    // disk cache stores them, and writing its job result.
+    let entries: Vec<String> = cached_sessions(&study)
+        .iter()
+        .map(|s| serde_json::to_string(s).expect("session serializes"))
+        .collect();
+    let decode = ops_per_s(window_s, || {
+        for entry in &entries {
+            black_box(serde_json::from_str::<CachedSession>(entry).expect("entry decodes"));
+        }
+    });
+    rows.push(Row::ms_per_op(Layer::Serde, "entry_decode_ms", decode));
+    let comparison = report::comparison(&study);
+    let result = JobResult::Study { study, comparison };
+    let write = ops_per_s(window_s, || {
+        black_box(serde_json::to_string(&result).expect("result serializes"));
+    });
+    rows.push(Row::ms_per_op(Layer::Serde, "result_write_ms", write));
     rows
+}
+
+/// A study's sessions as the session cache stores them.
+fn cached_sessions(study: &Study) -> Vec<CachedSession> {
+    let random = study
+        .random_sessions
+        .iter()
+        .map(|result| CachedSession::Random {
+            result: result.clone(),
+        });
+    let captures = (study.triggered.iter().zip(&study.triggered_audits))
+        .chain(study.transitions.iter().zip(&study.transition_audits))
+        .map(|(captures, audit)| CachedSession::Captures {
+            captures: captures.clone(),
+            audit: audit.clone(),
+        });
+    random.chain(captures).collect()
 }
 
 /// Render rows as an aligned text block, one row per line.
@@ -1063,7 +1101,7 @@ mod tests {
     }
 
     /// Every row a measurement produces, in the order it produces them.
-    const MEASURED: [&str; 17] = [
+    const MEASURED: [&str; 19] = [
         "engine.idle_cycles_per_s",
         "engine.idle_skip_ratio",
         "engine.serial_cycles_per_s",
@@ -1081,6 +1119,8 @@ mod tests {
         "study.scale_sweep_wall_s",
         "analysis.full_report_ms",
         "analysis.comparison_ms",
+        "serde.entry_decode_ms",
+        "serde.result_write_ms",
     ];
 
     #[test]

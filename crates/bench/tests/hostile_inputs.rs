@@ -12,10 +12,12 @@
 //! test. Over HTTP, a mutant must also never draw a 5xx or hang.
 
 use fx8_bench::throughput;
-use fx8_core::api::{ApiError, JobRequest};
-use fx8_core::cache::SessionCache;
+use fx8_core::api::{codes, ApiError, JobRequest, JobSpec};
+use fx8_core::cache::{CachedSession, SessionCache};
+use fx8_core::study::StudyConfig;
 use fx8_serve::{ServeConfig, Server};
 use proptest::prelude::*;
+use serde::{Value, MAX_DEPTH};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -160,7 +162,7 @@ proptest! {
             Ok(req) => {
                 let _ = req.validate();
             }
-            Err(e) => prop_assert_eq!(e.code, fx8_core::api::codes::BAD_JSON),
+            Err(e) => prop_assert_eq!(e.code, codes::BAD_JSON),
         }
     }
 }
@@ -232,4 +234,126 @@ fn unmutated_inputs_are_valid() {
     assert!(JobRequest::from_json(text).unwrap().validate().is_ok());
     let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     assert!(throughput::load(bench).is_ok());
+}
+
+/// The request parser's verdict on `body`: the parsed request, or the
+/// code of its typed error.
+fn parse(body: &str) -> Result<JobRequest, String> {
+    JobRequest::from_json(body).map_err(|e| e.code)
+}
+
+/// Numbers follow the RFC 8259 grammar: a leading zero, a lone or inner
+/// sign, and a `.` or exponent without digits are malformed JSON, not
+/// numbers that `str::parse` happens to accept or reject.
+#[test]
+fn malformed_numbers_are_bad_json() {
+    for api in [
+        "01", "-01", "00", "-", "1-2", "1.", "+1", ".5", "1e", "1e+", "1.e3", "--1",
+    ] {
+        let body = format!(r#"{{"api":{api},"job":{{"study":"quick"}}}}"#);
+        assert_eq!(parse(&body).unwrap_err(), codes::BAD_JSON, "{body}");
+    }
+    for text in ["-", "1-2", "1.", "01", "[1-2]", "{\"a\":1.}"] {
+        assert!(
+            serde_json::from_str::<Value>(text).is_err(),
+            "{text:?} parsed"
+        );
+    }
+    assert_eq!(
+        parse(r#"{"api":1e0,"job":{"study":"quick"}}"#).unwrap_err(),
+        codes::BAD_JSON
+    );
+}
+
+/// Unknown keys are skipped, but a skipped value is still parsed: bad
+/// syntax or nesting past [`MAX_DEPTH`] inside one fails the document.
+#[test]
+fn unknown_fields_are_checked_not_ignored() {
+    let with_extra =
+        |extra: &str| format!(r#"{{"api":1,"extra":{extra},"job":{{"study":"quick"}}}}"#);
+    assert!(parse(&with_extra(r#"{"a":[1,2,{"b":null}],"c":"\u0041"}"#)).is_ok());
+    for bad in [
+        "[1,}",
+        "{\"a\" 1}",
+        "\"open",
+        "tru",
+        "01",
+        "[1,]",
+        "{\"a\":1,}",
+        "\"\\x\"",
+    ] {
+        assert_eq!(
+            parse(&with_extra(bad)).unwrap_err(),
+            codes::BAD_JSON,
+            "{bad}"
+        );
+    }
+    // The request object is one level, so the skipped value may nest
+    // MAX_DEPTH - 1 deep and no deeper.
+    let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+    assert!(parse(&with_extra(&nest(MAX_DEPTH - 1))).is_ok());
+    assert_eq!(
+        parse(&with_extra(&nest(MAX_DEPTH))).unwrap_err(),
+        codes::BAD_JSON
+    );
+    let deep_objects = "{\"k\":".repeat(MAX_DEPTH) + "0" + &"}".repeat(MAX_DEPTH);
+    assert_eq!(
+        parse(&with_extra(&deep_objects)).unwrap_err(),
+        codes::BAD_JSON
+    );
+}
+
+/// Of duplicate keys the first wins; the later ones are still parsed.
+#[test]
+fn duplicate_keys_keep_the_first() {
+    let req =
+        parse(r#"{"api":1,"api":2,"job":{"study":"quick"},"job":{"scale":"paper"}}"#).unwrap();
+    assert_eq!(req.api, 1);
+    assert_eq!(
+        req.job,
+        JobSpec::Study {
+            config: StudyConfig::quick()
+        }
+    );
+    assert_eq!(
+        parse(r#"{"api":1,"api":[,"job":{"study":"quick"}}"#).unwrap_err(),
+        codes::BAD_JSON
+    );
+    let v: Value = serde_json::from_str(r#"{"a":1,"a":2}"#).unwrap();
+    assert_eq!(v.get("a"), Some(&Value::Num("1".into())));
+}
+
+/// A data-carrying variant is an object with exactly one key.
+#[test]
+fn variant_objects_need_exactly_one_key() {
+    for job in [
+        r#"{"study":"quick","scale":"quick"}"#,
+        r#"{"study":"quick","study":"quick"}"#,
+        "{}",
+    ] {
+        let body = format!(r#"{{"api":1,"job":{job}}}"#);
+        assert_eq!(parse(&body).unwrap_err(), codes::BAD_JSON, "{body}");
+    }
+    let audit = r#"{"checked_cycles":0,"violations":[],"dropped_violations":0}"#;
+    let captures = format!(r#"{{"captures":[],"audit":{audit}}}"#);
+    let one = format!(r#"{{"Captures":{captures}}}"#);
+    assert!(serde_json::from_str::<CachedSession>(&one).is_ok());
+    let two = format!(r#"{{"Captures":{captures},"Captures":{captures}}}"#);
+    assert!(serde_json::from_str::<CachedSession>(&two).is_err());
+    assert!(serde_json::from_str::<CachedSession>("{}").is_err());
+    assert!(serde_json::from_str::<CachedSession>(r#""Captures""#).is_err());
+}
+
+/// A valid document followed by anything but whitespace is rejected.
+#[test]
+fn trailing_bytes_are_rejected() {
+    let body = std::str::from_utf8(QUICK_REQUEST).unwrap();
+    assert!(parse(&format!("{body} \r\n\t")).is_ok());
+    for tail in ["x", "}", "{}", ",", "0", " null"] {
+        assert_eq!(
+            parse(&format!("{body}{tail}")).unwrap_err(),
+            codes::BAD_JSON,
+            "{tail:?}"
+        );
+    }
 }

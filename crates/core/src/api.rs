@@ -28,7 +28,7 @@ use crate::report::{self, CompRow};
 use crate::scale::{ScaleConfig, ScaleStudy};
 use crate::study::{Study, StudyConfig};
 use fx8_sim::ConfigError;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Deserializer, Error as SerdeError, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -94,17 +94,17 @@ impl ApiError {
 
     /// The uniform wire envelope: `{"api":1,"error":{...}}`.
     pub fn envelope_json(&self) -> String {
-        let v = Value::Object(vec![
-            ("api".to_string(), API_VERSION.to_value()),
-            ("error".to_string(), self.to_value()),
-        ]);
-        serde_json::to_string(&v).expect("error envelope serializes")
+        let mut out = String::from("{\"api\":");
+        API_VERSION.serialize(&mut out);
+        out.push_str(",\"error\":");
+        self.serialize(&mut out);
+        out.push('}');
+        out
     }
 
     /// Parse an error envelope back into the typed error (for clients).
     pub fn from_envelope_json(json: &str) -> Option<ApiError> {
-        let v: Value = serde_json::from_str(json).ok()?;
-        ApiError::from_value(v.get("error")?).ok()
+        serde_json::from_str::<ErrorEnvelope>(json).ok()?.0
     }
 
     /// The HTTP status this error maps to. Shared by the server (response
@@ -138,6 +138,24 @@ impl std::fmt::Display for ApiError {
 }
 
 impl std::error::Error for ApiError {}
+
+/// The `error` member of an envelope, when it has one; every other key is
+/// skipped.
+struct ErrorEnvelope(Option<ApiError>);
+
+impl Deserialize for ErrorEnvelope {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let mut error = None;
+        de.object(|de, key| match key {
+            "error" if error.is_none() => {
+                error = Some(ApiError::deserialize(de)?);
+                Ok(())
+            }
+            _ => de.skip(),
+        })?;
+        Ok(ErrorEnvelope(error))
+    }
+}
 
 /// Dotted/underscored field paths become code-safe slugs:
 /// `cache.line_bytes` → `cache-line-bytes`.
@@ -244,64 +262,53 @@ impl JobRequest {
     }
 }
 
-/// Resolve a study payload: a full config object, or a preset name.
-fn study_payload(v: &Value) -> Result<StudyConfig, SerdeError> {
-    match v {
-        Value::Str(preset) => match preset.as_str() {
-            "quick" => Ok(StudyConfig::quick()),
-            "paper" => Ok(StudyConfig::paper()),
-            other => Err(SerdeError::custom(format!(
-                "unknown study preset {other:?} (expected \"quick\" or \"paper\")"
-            ))),
-        },
-        other => StudyConfig::from_value(other),
+/// Read a job payload: a full config object, or the name of a preset
+/// (`kind` names the job kind in the error for an unknown name).
+fn payload<C: Deserialize>(
+    de: &mut Deserializer<'_>,
+    kind: &str,
+    quick: fn() -> C,
+    paper: fn() -> C,
+) -> Result<C, SerdeError> {
+    if de.peek()? != b'"' {
+        return C::deserialize(de);
     }
-}
-
-/// Resolve a scale payload: a full config object, or a preset name.
-fn scale_payload(v: &Value) -> Result<ScaleConfig, SerdeError> {
-    match v {
-        Value::Str(preset) => match preset.as_str() {
-            "quick" => Ok(ScaleConfig::quick()),
-            "paper" => Ok(ScaleConfig::paper()),
-            other => Err(SerdeError::custom(format!(
-                "unknown scale preset {other:?} (expected \"quick\" or \"paper\")"
-            ))),
-        },
-        other => ScaleConfig::from_value(other),
+    match &*de.str()? {
+        "quick" => Ok(quick()),
+        "paper" => Ok(paper()),
+        other => Err(SerdeError::custom(format!(
+            "unknown {kind} preset {other:?} (expected \"quick\" or \"paper\")"
+        ))),
     }
 }
 
 impl Serialize for JobSpec {
-    fn to_value(&self) -> Value {
-        let (tag, payload) = match self {
-            JobSpec::Study { config } => ("study", config.to_value()),
-            JobSpec::Scale { config } => ("scale", config.to_value()),
-        };
-        Value::Object(vec![(tag.to_string(), payload)])
+    fn serialize(&self, out: &mut String) {
+        match self {
+            JobSpec::Study { config } => {
+                out.push_str("{\"study\":");
+                config.serialize(out);
+            }
+            JobSpec::Scale { config } => {
+                out.push_str("{\"scale\":");
+                config.serialize(out);
+            }
+        }
+        out.push('}');
     }
 }
 
 impl Deserialize for JobSpec {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Object(entries) = v else {
-            return Err(SerdeError::invalid_type("job object", v));
-        };
-        if entries.len() != 1 {
-            return Err(SerdeError::custom(
-                "job must carry exactly one of \"study\", \"scale\"",
-            ));
-        }
-        let (tag, payload) = &entries[0];
-        match tag.as_str() {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        de.variant("job object", |de, tag| match tag {
             "study" => Ok(JobSpec::Study {
-                config: study_payload(payload)?,
+                config: payload(de, "study", StudyConfig::quick, StudyConfig::paper)?,
             }),
             "scale" => Ok(JobSpec::Scale {
-                config: scale_payload(payload)?,
+                config: payload(de, "scale", ScaleConfig::quick, ScaleConfig::paper)?,
             }),
             other => Err(SerdeError::unknown_variant(other)),
-        }
+        })
     }
 }
 
@@ -328,48 +335,50 @@ pub enum JobResult {
 }
 
 impl Serialize for JobResult {
-    fn to_value(&self) -> Value {
-        let (tag, payload) = match self {
-            JobResult::Study { study, comparison } => (
-                "study",
-                Value::Object(vec![
-                    ("study".to_string(), study.to_value()),
-                    ("comparison".to_string(), comparison.to_value()),
-                ]),
-            ),
-            JobResult::Scale { study } => ("scale", study.to_value()),
-        };
-        Value::Object(vec![(tag.to_string(), payload)])
+    fn serialize(&self, out: &mut String) {
+        match self {
+            JobResult::Study { study, comparison } => {
+                out.push_str("{\"study\":{\"study\":");
+                study.serialize(out);
+                out.push_str(",\"comparison\":");
+                comparison.serialize(out);
+                out.push_str("}}");
+            }
+            JobResult::Scale { study } => {
+                out.push_str("{\"scale\":");
+                study.serialize(out);
+                out.push('}');
+            }
+        }
     }
 }
 
 impl Deserialize for JobResult {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Object(entries) = v else {
-            return Err(SerdeError::invalid_type("result object", v));
-        };
-        if entries.len() != 1 {
-            return Err(SerdeError::custom("result must carry exactly one variant"));
-        }
-        let (tag, payload) = &entries[0];
-        match tag.as_str() {
-            "study" => Ok(JobResult::Study {
-                study: Deserialize::from_value(
-                    payload
-                        .get("study")
-                        .ok_or_else(|| SerdeError::missing_field("result.study"))?,
-                )?,
-                comparison: Deserialize::from_value(
-                    payload
-                        .get("comparison")
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        de.variant("result object", |de, tag| match tag {
+            "study" => {
+                let (mut study, mut comparison) = (None, None);
+                de.object(|de, key| {
+                    match key {
+                        "study" if study.is_none() => study = Some(Study::deserialize(de)?),
+                        "comparison" if comparison.is_none() => {
+                            comparison = Some(Vec::<CompRow>::deserialize(de)?)
+                        }
+                        _ => de.skip()?,
+                    }
+                    Ok(())
+                })?;
+                Ok(JobResult::Study {
+                    study: study.ok_or_else(|| SerdeError::missing_field("result.study"))?,
+                    comparison: comparison
                         .ok_or_else(|| SerdeError::missing_field("result.comparison"))?,
-                )?,
-            }),
+                })
+            }
             "scale" => Ok(JobResult::Scale {
-                study: Deserialize::from_value(payload)?,
+                study: ScaleStudy::deserialize(de)?,
             }),
             other => Err(SerdeError::unknown_variant(other)),
-        }
+        })
     }
 }
 
@@ -422,17 +431,15 @@ impl JobState {
 }
 
 impl Serialize for JobState {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
+    fn serialize(&self, out: &mut String) {
+        serde::write_str(self.as_str(), out);
     }
 }
 
 impl Deserialize for JobState {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        match v {
-            Value::Str(s) => JobState::parse(s).ok_or_else(|| SerdeError::unknown_variant(s)),
-            other => Err(SerdeError::invalid_type("job state string", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let s = de.str()?;
+        JobState::parse(&s).ok_or_else(|| SerdeError::unknown_variant(&s))
     }
 }
 
@@ -461,46 +468,64 @@ pub struct JobStatus {
 }
 
 impl Serialize for JobStatus {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("api".to_string(), self.api.to_value()),
-            ("id".to_string(), self.id.to_value()),
-            ("state".to_string(), self.state.to_value()),
-            ("sessions_done".to_string(), self.sessions_done.to_value()),
-            ("sessions_total".to_string(), self.sessions_total.to_value()),
-            ("wall_s".to_string(), self.wall_s.to_value()),
-        ];
+    fn serialize(&self, out: &mut String) {
+        out.push_str("{\"api\":");
+        self.api.serialize(out);
+        out.push_str(",\"id\":");
+        self.id.serialize(out);
+        out.push_str(",\"state\":");
+        self.state.serialize(out);
+        out.push_str(",\"sessions_done\":");
+        self.sessions_done.serialize(out);
+        out.push_str(",\"sessions_total\":");
+        self.sessions_total.serialize(out);
+        out.push_str(",\"wall_s\":");
+        self.wall_s.serialize(out);
         if let Some(r) = &self.result {
-            fields.push(("result".to_string(), r.to_value()));
+            out.push_str(",\"result\":");
+            r.serialize(out);
         }
         if let Some(e) = &self.error {
-            fields.push(("error".to_string(), e.to_value()));
+            out.push_str(",\"error\":");
+            e.serialize(out);
         }
-        Value::Object(fields)
+        out.push('}');
     }
 }
 
 impl Deserialize for JobStatus {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let req = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| SerdeError::missing_field(&format!("JobStatus.{name}")))
-        };
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let (mut api, mut id, mut state) = (None, None, None);
+        let (mut sessions_done, mut sessions_total, mut wall_s) = (None, None, None);
+        let (mut result, mut error) = (None, None);
+        de.object(|de, key| {
+            match key {
+                "api" if api.is_none() => api = Some(u32::deserialize(de)?),
+                "id" if id.is_none() => id = Some(u64::deserialize(de)?),
+                "state" if state.is_none() => state = Some(JobState::deserialize(de)?),
+                "sessions_done" if sessions_done.is_none() => {
+                    sessions_done = Some(u64::deserialize(de)?)
+                }
+                "sessions_total" if sessions_total.is_none() => {
+                    sessions_total = Some(u64::deserialize(de)?)
+                }
+                "wall_s" if wall_s.is_none() => wall_s = Some(f64::deserialize(de)?),
+                "result" if result.is_none() => result = Some(JobResult::deserialize(de)?),
+                "error" if error.is_none() => error = Some(ApiError::deserialize(de)?),
+                _ => de.skip()?,
+            }
+            Ok(())
+        })?;
+        let req = |name: &str| SerdeError::missing_field(&format!("JobStatus.{name}"));
         Ok(JobStatus {
-            api: Deserialize::from_value(req("api")?)?,
-            id: Deserialize::from_value(req("id")?)?,
-            state: Deserialize::from_value(req("state")?)?,
-            sessions_done: Deserialize::from_value(req("sessions_done")?)?,
-            sessions_total: Deserialize::from_value(req("sessions_total")?)?,
-            wall_s: Deserialize::from_value(req("wall_s")?)?,
-            result: match v.get("result") {
-                Some(r) => Some(Deserialize::from_value(r)?),
-                None => None,
-            },
-            error: match v.get("error") {
-                Some(e) => Some(Deserialize::from_value(e)?),
-                None => None,
-            },
+            api: api.ok_or_else(|| req("api"))?,
+            id: id.ok_or_else(|| req("id"))?,
+            state: state.ok_or_else(|| req("state"))?,
+            sessions_done: sessions_done.ok_or_else(|| req("sessions_done"))?,
+            sessions_total: sessions_total.ok_or_else(|| req("sessions_total"))?,
+            wall_s: wall_s.ok_or_else(|| req("wall_s"))?,
+            result,
+            error,
         })
     }
 }

@@ -127,8 +127,8 @@ impl CacheStats {
     }
 }
 
-/// Versioned wrapper around every on-disk entry.
-#[derive(Debug, Serialize, Deserialize)]
+/// Versioned wrapper around every on-disk entry, as read back.
+#[derive(Debug, Deserialize)]
 struct DiskEntry {
     /// [`CACHE_FORMAT`] at write time.
     format: u32,
@@ -138,6 +138,15 @@ struct DiskEntry {
     key: String,
     /// The memoized session.
     session: CachedSession,
+}
+
+/// [`DiskEntry`] as written: the same fields, the session borrowed.
+#[derive(Serialize)]
+struct DiskEntryRef<'a> {
+    format: u32,
+    engine: u64,
+    key: String,
+    session: &'a CachedSession,
 }
 
 /// The content-addressed session cache: an in-process map over an
@@ -283,11 +292,11 @@ impl SessionCache {
             .insert(*key, session.clone());
         self.stores.fetch_add(1, Ordering::Relaxed);
         let Some(dir) = &self.dir else { return };
-        let entry = DiskEntry {
+        let entry = DiskEntryRef {
             format: CACHE_FORMAT,
             engine: self.engine_salt,
             key: key.to_hex(),
-            session: session.clone(),
+            session,
         };
         let json = serde_json::to_string(&entry).expect("cache entry serializes");
         // Atomic publish: write a unique temp file, then rename it over

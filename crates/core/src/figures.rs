@@ -6,7 +6,7 @@
 
 use crate::sample::{points_vs_cw, points_vs_pc, Sample};
 use crate::study::Study;
-use crate::tables::{analysis_samples, table3, table4};
+use crate::tables::{hw_samples, triggered_samples, Measure};
 use fx8_stats::chart::{hbar, hbar_labeled, model_curve, scatter};
 use fx8_stats::freq::{midpoints, FreqDist};
 use fx8_stats::regression::QuadModel;
@@ -97,18 +97,10 @@ pub fn fig7(study: &Study) -> String {
     s
 }
 
-/// The hardware samples Chapter 5 analyzes: random samples, then the
-/// all-active-triggered buffers (see [`analysis_samples`]).
-pub(crate) fn hw_samples(study: &Study) -> Vec<Sample> {
-    let (random, triggered) = analysis_samples(study);
-    let mut all = random;
-    all.extend(triggered);
-    all
-}
-
 /// Figure 8: scatter of Missrate vs Workload Concurrency.
 pub fn fig8(study: &Study) -> String {
-    let pts = points_vs_cw(&hw_samples(study), Sample::missrate);
+    let triggered = triggered_samples(study);
+    let pts = points_vs_cw(hw_samples(study, &triggered), Sample::missrate);
     scatter(
         "Figure 8. Missrate vs. Workload Concurrency",
         &pts,
@@ -121,7 +113,8 @@ pub fn fig8(study: &Study) -> String {
 
 /// Figure 9: scatter of Missrate vs Mean Concurrency Level.
 pub fn fig9(study: &Study) -> String {
-    let pts = points_vs_pc(&hw_samples(study), Sample::missrate);
+    let triggered = triggered_samples(study);
+    let pts = points_vs_pc(hw_samples(study, &triggered), Sample::missrate);
     scatter(
         "Figure 9. Missrate vs. Mean Concurrency Level",
         &pts,
@@ -141,14 +134,14 @@ pub const PC_BANDS: [(f64, f64); 3] = [(0.0, 6.0), (6.0, 7.5), (7.5, f64::INFINI
 /// band starting at 0 includes 0), in sample order; samples with no
 /// defined `x` are dropped. The one band filter behind the banded figures
 /// and the comparison's band medians.
-pub(crate) fn band_values(
-    samples: &[Sample],
+pub(crate) fn band_values<'s>(
+    samples: impl IntoIterator<Item = &'s Sample>,
     band: (f64, f64),
     x: impl Fn(&Sample) -> Option<f64>,
     y: impl Fn(&Sample) -> f64,
 ) -> Vec<f64> {
     samples
-        .iter()
+        .into_iter()
         .filter(|s| x(s).is_some_and(|x| (x > band.0 || band.0 == 0.0) && x <= band.1))
         .map(y)
         .collect()
@@ -183,7 +176,7 @@ pub fn banded_by_pc(
 }
 
 fn render_bands(
-    samples: &[Sample],
+    samples: &[&Sample],
     fig: &str,
     measure_name: &str,
     by_cw: bool,
@@ -197,6 +190,11 @@ fn render_bands(
     } else {
         (&PC_BANDS, "Pc")
     };
+    let x = if by_cw {
+        cw_axis
+    } else {
+        Sample::mean_concurrency_level
+    };
     for (i, &band) in bands.iter().enumerate() {
         let label = (b'a' + i as u8) as char;
         let hi = if band.1.is_infinite() {
@@ -206,11 +204,7 @@ fn render_bands(
         } else {
             format!("{} < {x_name} <= {}", band.0, band.1)
         };
-        let dist = if by_cw {
-            banded_by_cw(samples, band, y, mids)
-        } else {
-            banded_by_pc(samples, band, y, mids)
-        };
+        let dist = FreqDist::from_values(&band_values(samples.iter().copied(), band, x, y), mids);
         out.push_str(&hbar(
             &dist,
             &format!("Figure {fig} ({label}). Distribution of {measure_name}, {hi}"),
@@ -229,7 +223,7 @@ pub fn missrate_midpoints() -> Vec<f64> {
 /// Figure 10 (a–c): Missrate distributions binned by `C_w` band.
 pub fn fig10(study: &Study) -> String {
     render_bands(
-        &hw_samples(study),
+        &hw_samples(study, &triggered_samples(study)),
         "10",
         "Miss Rate",
         true,
@@ -242,7 +236,7 @@ pub fn fig10(study: &Study) -> String {
 /// Figure 11 (a–c): Missrate distributions binned by `P_c` band.
 pub fn fig11(study: &Study) -> String {
     render_bands(
-        &hw_samples(study),
+        &hw_samples(study, &triggered_samples(study)),
         "11",
         "Miss Rate",
         false,
@@ -270,23 +264,17 @@ fn model_figure(fig: &str, vs: &str, model: Option<&QuadModel>, x0: f64, x1: f64
 
 /// Figure 12: the fitted Missrate-vs-`C_w` model curve.
 pub fn fig12(study: &Study) -> String {
-    let table = table3(study);
-    model_figure(
-        "12",
-        "Missrate vs. Cw",
-        table.model("Median Miss Rate"),
-        0.0,
-        1.0,
-    )
+    let row = Measure::MissRate.fit(study, true);
+    model_figure("12", "Missrate vs. Cw", row.model.as_ref().ok(), 0.0, 1.0)
 }
 
 /// Figure 13: the fitted CE-Bus-Busy-vs-`C_w` model curve.
 pub fn fig13(study: &Study) -> String {
-    let table = table3(study);
+    let row = Measure::CeBusBusy.fit(study, true);
     model_figure(
         "13",
         "CE Bus Busy vs. Cw",
-        table.model("Median CE Bus Busy"),
+        row.model.as_ref().ok(),
         0.0,
         1.0,
     )
@@ -294,11 +282,11 @@ pub fn fig13(study: &Study) -> String {
 
 /// Figure 14: the fitted CE-Bus-Busy-vs-`P_c` model curve.
 pub fn fig14(study: &Study) -> String {
-    let table = table4(study);
+    let row = Measure::CeBusBusy.fit(study, false);
     model_figure(
         "14",
         "CE Bus Busy vs. Pc",
-        table.model("Median CE Bus Busy"),
+        row.model.as_ref().ok(),
         2.0,
         8.0,
     )
@@ -354,7 +342,8 @@ pub fn fig_a5(study: &Study) -> String {
 
 /// Figure B.1: scatter of CE Bus Busy vs Workload Concurrency.
 pub fn fig_b1(study: &Study) -> String {
-    let pts = points_vs_cw(&hw_samples(study), Sample::ce_bus_busy);
+    let triggered = triggered_samples(study);
+    let pts = points_vs_cw(hw_samples(study, &triggered), Sample::ce_bus_busy);
     scatter(
         "Figure B.1. CE Bus Busy vs. Workload Concurrency",
         &pts,
@@ -367,7 +356,8 @@ pub fn fig_b1(study: &Study) -> String {
 
 /// Figure B.2: scatter of CE Bus Busy vs Mean Concurrency Level.
 pub fn fig_b2(study: &Study) -> String {
-    let pts = points_vs_pc(&hw_samples(study), Sample::ce_bus_busy);
+    let triggered = triggered_samples(study);
+    let pts = points_vs_pc(hw_samples(study, &triggered), Sample::ce_bus_busy);
     scatter(
         "Figure B.2. CE Bus Busy vs. Mean Concurrency Level",
         &pts,
@@ -386,7 +376,7 @@ pub fn busy_midpoints() -> Vec<f64> {
 /// Figure B.3 (a–c): CE Bus Busy distributions binned by `C_w` band.
 pub fn fig_b3(study: &Study) -> String {
     render_bands(
-        &hw_samples(study),
+        &hw_samples(study, &triggered_samples(study)),
         "B.3",
         "CE Bus Busy",
         true,
@@ -399,7 +389,7 @@ pub fn fig_b3(study: &Study) -> String {
 /// Figure B.4 (a–c): CE Bus Busy distributions binned by `P_c` band.
 pub fn fig_b4(study: &Study) -> String {
     render_bands(
-        &hw_samples(study),
+        &hw_samples(study, &triggered_samples(study)),
         "B.4",
         "CE Bus Busy",
         false,
@@ -412,8 +402,7 @@ pub fn fig_b4(study: &Study) -> String {
 /// Figure B.5: scatter of Page Fault Rate vs Workload Concurrency
 /// (random samples only — the kernel counters exist only there).
 pub fn fig_b5(study: &Study) -> String {
-    let (random, _) = analysis_samples(study);
-    let pts = points_vs_cw(&random, Sample::page_fault_rate);
+    let pts = points_vs_cw(study.all_samples(), Sample::page_fault_rate);
     scatter(
         "Figure B.5. Page Fault Rate vs. Workload Concurrency",
         &pts,
@@ -426,8 +415,7 @@ pub fn fig_b5(study: &Study) -> String {
 
 /// Figure B.6: scatter of Page Fault Rate vs Mean Concurrency Level.
 pub fn fig_b6(study: &Study) -> String {
-    let (random, _) = analysis_samples(study);
-    let pts = points_vs_pc(&random, Sample::page_fault_rate);
+    let pts = points_vs_pc(study.all_samples(), Sample::page_fault_rate);
     scatter(
         "Figure B.6. Page Fault Rate vs. Mean Concurrency Level",
         &pts,
@@ -446,7 +434,7 @@ pub fn pfr_midpoints() -> Vec<f64> {
 /// Figure B.7 (a–c): Page Fault Rate distributions binned by `C_w` band.
 pub fn fig_b7(study: &Study) -> String {
     render_bands(
-        &analysis_samples(study).0,
+        &study.all_samples(),
         "B.7",
         "Page Fault Rate",
         true,
@@ -459,7 +447,7 @@ pub fn fig_b7(study: &Study) -> String {
 /// Figure B.8 (a–c): Page Fault Rate distributions binned by `P_c` band.
 pub fn fig_b8(study: &Study) -> String {
     render_bands(
-        &analysis_samples(study).0,
+        &study.all_samples(),
         "B.8",
         "Page Fault Rate",
         false,
@@ -471,11 +459,11 @@ pub fn fig_b8(study: &Study) -> String {
 
 /// Figure B.9: the fitted Page-Fault-Rate-vs-`C_w` model curve.
 pub fn fig_b9(study: &Study) -> String {
-    let table = table3(study);
+    let row = Measure::PageFaultRate.fit(study, true);
     model_figure(
         "B.9",
         "Page Fault Rate vs. Cw",
-        table.model("Median Page Fault Rate"),
+        row.model.as_ref().ok(),
         0.0,
         1.0,
     )
@@ -483,11 +471,11 @@ pub fn fig_b9(study: &Study) -> String {
 
 /// Figure B.10: the fitted Page-Fault-Rate-vs-`P_c` model curve.
 pub fn fig_b10(study: &Study) -> String {
-    let table = table4(study);
+    let row = Measure::PageFaultRate.fit(study, false);
     model_figure(
         "B.10",
         "Page Fault Rate vs. Pc",
-        table.model("Median Page Fault Rate"),
+        row.model.as_ref().ok(),
         2.0,
         8.0,
     )
@@ -581,7 +569,8 @@ mod tests {
     #[test]
     fn banded_distributions_partition_hw_samples() {
         let study = mini_study();
-        let samples = hw_samples(study);
+        let triggered = triggered_samples(study);
+        let samples: Vec<Sample> = hw_samples(study, &triggered).into_iter().cloned().collect();
         let mids = missrate_midpoints();
         let total: u64 = CW_BANDS
             .iter()
@@ -593,7 +582,8 @@ mod tests {
     #[test]
     fn pc_bands_cover_only_defined_samples() {
         let study = mini_study();
-        let samples = hw_samples(study);
+        let triggered = triggered_samples(study);
+        let samples: Vec<Sample> = hw_samples(study, &triggered).into_iter().cloned().collect();
         let mids = missrate_midpoints();
         let total: u64 = PC_BANDS
             .iter()

@@ -30,12 +30,12 @@ pub struct CompRow {
 }
 
 fn band_median(
-    samples: &[Sample],
+    samples: &[&Sample],
     band: (f64, f64),
     x: impl Fn(&Sample) -> Option<f64>,
     y: impl Fn(&Sample) -> f64,
 ) -> f64 {
-    median(&figures::band_values(samples, band, x, y)).unwrap_or(f64::NAN)
+    median(&figures::band_values(samples.iter().copied(), band, x, y)).unwrap_or(f64::NAN)
 }
 
 /// Extract every quantitative claim and its measured counterpart.
@@ -120,7 +120,8 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
     }
 
     // --- Figure 10: missrate medians by C_w band.
-    let hw = figures::hw_samples(study);
+    let triggered = tables::triggered_samples(study);
+    let hw = tables::hw_samples(study, &triggered);
     for (band, paper) in figures::CW_BANDS.iter().zip([0.001, 0.008, 0.023]) {
         rows.push(CompRow {
             id: "Figure 10".into(),

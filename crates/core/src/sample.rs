@@ -59,18 +59,24 @@ impl Sample {
 }
 
 /// Extract `(C_w, y)` points from samples via a selector.
-pub fn points_vs_cw(samples: &[Sample], y: impl Fn(&Sample) -> f64) -> Vec<(f64, f64)> {
+pub fn points_vs_cw<'s>(
+    samples: impl IntoIterator<Item = &'s Sample>,
+    y: impl Fn(&Sample) -> f64,
+) -> Vec<(f64, f64)> {
     samples
-        .iter()
+        .into_iter()
         .map(|s| (s.workload_concurrency(), y(s)))
         .collect()
 }
 
 /// Extract `(P_c, y)` points from samples (only samples where `P_c` is
 /// defined, exactly as the thesis's plots drop them).
-pub fn points_vs_pc(samples: &[Sample], y: impl Fn(&Sample) -> f64) -> Vec<(f64, f64)> {
+pub fn points_vs_pc<'s>(
+    samples: impl IntoIterator<Item = &'s Sample>,
+    y: impl Fn(&Sample) -> f64,
+) -> Vec<(f64, f64)> {
     samples
-        .iter()
+        .into_iter()
         .filter_map(|s| s.mean_concurrency_level().map(|pc| (pc, y(s))))
         .collect()
 }

@@ -131,8 +131,14 @@ impl RegressionTable {
 /// kernel counters (those sessions "dealt with hardware measurements
 /// only"), so they are returned separately.
 pub fn analysis_samples(study: &Study) -> (Vec<Sample>, Vec<Sample>) {
-    let random: Vec<Sample> = study.all_samples().into_iter().cloned().collect();
-    let triggered: Vec<Sample> = study
+    let random = study.all_samples().into_iter().cloned().collect();
+    (random, triggered_samples(study))
+}
+
+/// The all-active-triggered buffers as samples: session `1000 + i`, no
+/// kernel counters.
+pub(crate) fn triggered_samples(study: &Study) -> Vec<Sample> {
+    study
         .triggered
         .iter()
         .flat_map(|bufs| {
@@ -143,8 +149,13 @@ pub fn analysis_samples(study: &Study) -> (Vec<Sample>, Vec<Sample>) {
                 kernel: Default::default(),
             })
         })
-        .collect();
-    (random, triggered)
+        .collect()
+}
+
+/// The hardware samples Chapter 5 analyzes, borrowed: the study's random
+/// samples, then `triggered` (from [`triggered_samples`]).
+pub(crate) fn hw_samples<'s>(study: &'s Study, triggered: &'s [Sample]) -> Vec<&'s Sample> {
+    study.all_samples().into_iter().chain(triggered).collect()
 }
 
 /// Midpoints the thesis used for `C_w` (0.0, 0.1, ..., 1.0).
@@ -157,54 +168,71 @@ pub fn pc_midpoints() -> Vec<f64> {
     midpoints(2.0, 1.0, 7)
 }
 
+/// A system measure of Tables 3 and 4, in row order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Measure {
+    MissRate,
+    CeBusBusy,
+    PageFaultRate,
+}
+
+impl Measure {
+    const ALL: [Measure; 3] = [
+        Measure::MissRate,
+        Measure::CeBusBusy,
+        Measure::PageFaultRate,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Measure::MissRate => "Median Miss Rate",
+            Measure::CeBusBusy => "Median CE Bus Busy",
+            Measure::PageFaultRate => "Median Page Fault Rate",
+        }
+    }
+
+    /// Fit this measure's median regression model against `C_w`
+    /// (`vs_cw`) or `P_c`.
+    pub(crate) fn fit(self, study: &Study, vs_cw: bool) -> ModelRow {
+        let triggered;
+        let (samples, y): (Vec<&Sample>, fn(&Sample) -> f64) = match self {
+            Measure::MissRate | Measure::CeBusBusy => {
+                triggered = triggered_samples(study);
+                let y = if self == Measure::MissRate {
+                    Sample::missrate
+                } else {
+                    Sample::ce_bus_busy
+                };
+                (hw_samples(study, &triggered), y)
+            }
+            // Software counters exist only for the random samples.
+            Measure::PageFaultRate => (study.all_samples(), Sample::page_fault_rate),
+        };
+        let model = if vs_cw {
+            fit_median_model(&points_vs_cw(samples, y), &cw_midpoints())
+        } else {
+            fit_median_model(&points_vs_pc(samples, y), &pc_midpoints())
+        };
+        ModelRow {
+            measure: self.name().into(),
+            model,
+        }
+    }
+}
+
 /// Table 3: median regression models vs Workload Concurrency.
 pub fn table3(study: &Study) -> RegressionTable {
-    let (random, triggered) = analysis_samples(study);
-    let mut hw: Vec<Sample> = random.clone();
-    hw.extend(triggered);
-    let mids = cw_midpoints();
     RegressionTable {
         vs: "C_w".into(),
-        rows: vec![
-            ModelRow {
-                measure: "Median Miss Rate".into(),
-                model: fit_median_model(&points_vs_cw(&hw, Sample::missrate), &mids),
-            },
-            ModelRow {
-                measure: "Median CE Bus Busy".into(),
-                model: fit_median_model(&points_vs_cw(&hw, Sample::ce_bus_busy), &mids),
-            },
-            ModelRow {
-                measure: "Median Page Fault Rate".into(),
-                // Software counters exist only for the random samples.
-                model: fit_median_model(&points_vs_cw(&random, Sample::page_fault_rate), &mids),
-            },
-        ],
+        rows: Measure::ALL.map(|m| m.fit(study, true)).to_vec(),
     }
 }
 
 /// Table 4: median regression models vs Mean Concurrency Level.
 pub fn table4(study: &Study) -> RegressionTable {
-    let (random, triggered) = analysis_samples(study);
-    let mut hw: Vec<Sample> = random.clone();
-    hw.extend(triggered);
-    let mids = pc_midpoints();
     RegressionTable {
         vs: "P_c".into(),
-        rows: vec![
-            ModelRow {
-                measure: "Median Miss Rate".into(),
-                model: fit_median_model(&points_vs_pc(&hw, Sample::missrate), &mids),
-            },
-            ModelRow {
-                measure: "Median CE Bus Busy".into(),
-                model: fit_median_model(&points_vs_pc(&hw, Sample::ce_bus_busy), &mids),
-            },
-            ModelRow {
-                measure: "Median Page Fault Rate".into(),
-                model: fit_median_model(&points_vs_pc(&random, Sample::page_fault_rate), &mids),
-            },
-        ],
+        rows: Measure::ALL.map(|m| m.fit(study, false)).to_vec(),
     }
 }
 

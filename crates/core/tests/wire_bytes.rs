@@ -1,0 +1,265 @@
+//! Byte pins for everything this workspace writes as JSON.
+//!
+//! The serialized `JobResult`, the job status lines, the error envelope
+//! and the session-cache key (which hashes the serialized
+//! `SessionConfig`) are contracts: clients compare results byte for
+//! byte, and a cache directory written by an earlier build must keep
+//! hitting. Each is pinned here as an FNV-1a-128 digest plus its length,
+//! so a serializer change that moves a single byte fails `cargo test`.
+//!
+//! Audit builds (`--features audit`) fill the sessions' audit reports and
+//! fold the audit flag into the cache key, so those two pins carry a
+//! second value for that build.
+//!
+//! The property tests close the loop the other way: any [`Value`] and any
+//! cache payload survive `to_string` → `from_str` unchanged.
+
+use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult, JobState, JobStatus};
+use fx8_core::cache::{CachedSession, SessionCache, SessionKind};
+use fx8_core::experiment::{Capture, SessionConfig, SessionResult};
+use fx8_core::sample::Sample;
+use fx8_core::study::StudyConfig;
+use fx8_monitor::{EventCounts, KernelCounters};
+use fx8_sim::audit::{AuditReport, Violation};
+use fx8_sim::fingerprint::{CacheKeyHasher, AUDIT_BUILD};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use serde::Value;
+
+/// `(length, digest)` of `text`.
+fn digest(text: &str) -> (usize, String) {
+    let mut h = CacheKeyHasher::new();
+    h.write_str(text);
+    (text.len(), h.finish().to_hex())
+}
+
+/// The plain-build pin, or the audit-build one.
+fn pin(plain: (usize, &str), audit: (usize, &str)) -> (usize, String) {
+    let (len, hex) = if AUDIT_BUILD { audit } else { plain };
+    (len, hex.to_string())
+}
+
+/// A study with all three session kinds, small enough for a test.
+fn mini_result() -> JobResult {
+    let mut cfg = StudyConfig::quick();
+    cfg.n_random = 2;
+    cfg.session_hours = vec![0.02, 0.03];
+    cfg.n_triggered = 1;
+    cfg.captures_per_triggered = 2;
+    cfg.n_transition = 1;
+    cfg.captures_per_transition = 2;
+    api::execute(&JobRequest::study(cfg), None)
+        .expect("mini study runs")
+        .result
+}
+
+fn status(state: JobState, result: Option<JobResult>, error: Option<ApiError>) -> JobStatus {
+    JobStatus {
+        api: api::API_VERSION,
+        id: 42,
+        state,
+        sessions_done: 4,
+        sessions_total: 4,
+        wall_s: 1.25,
+        result,
+        error,
+    }
+}
+
+#[test]
+fn job_result_and_terminal_status_lines_are_pinned() {
+    let result = mini_result();
+    let json = serde_json::to_string(&result).unwrap();
+    assert_eq!(
+        digest(&json),
+        pin(
+            (4919, "464ab00734849a8cc33cfb404178e866"),
+            (4938, "04849b286c6a52215c4c9619f5a7e3da"),
+        ),
+        "serialized JobResult"
+    );
+
+    let done = status(JobState::Done, Some(result), None);
+    assert_eq!(
+        digest(&serde_json::to_string(&done).unwrap()),
+        pin(
+            (5012, "487072d74a5513ae2d567c3d1059ab1b"),
+            (5031, "3d5c5a19e560375918f69f2e2c457749"),
+        ),
+        "done status line"
+    );
+    let failed = status(
+        JobState::Failed,
+        None,
+        Some(ApiError::new(
+            "config/zero-mem-buses",
+            "invalid mem_buses: 0",
+        )),
+    );
+    let cancelled = status(JobState::Cancelled, None, Some(ApiError::cancelled()));
+    let lines = [
+        (failed, (159, "847a3df61bb5529e889ce06f47e7011f")),
+        (cancelled, (169, "e2c0d2f32009e16bb8b9ae79c6fae5eb")),
+    ];
+    for (status, (len, hex)) in lines {
+        let line = serde_json::to_string(&status).unwrap();
+        assert_eq!(digest(&line), (len, hex.to_string()), "{line}");
+    }
+}
+
+#[test]
+fn error_envelope_is_pinned() {
+    let envelope = ApiError::new(codes::QUEUE_FULL, "queue is full \"now\"\n").envelope_json();
+    assert_eq!(
+        digest(&envelope),
+        (82, "185ea0b8a22bd5f221902fa6ad60afd9".to_string()),
+        "{envelope}"
+    );
+}
+
+#[test]
+fn session_cache_key_is_pinned() {
+    let cache = SessionCache::in_memory();
+    let key = cache.key(SessionKind::Random, &SessionConfig::paper(1987), 3, 0);
+    let want = if AUDIT_BUILD {
+        "917eb726abdde7bd0e37fd9c3b451186"
+    } else {
+        "427526226ee3249c860d5693fa45706f"
+    };
+    assert_eq!(key.to_hex(), want);
+}
+
+/// Characters that stress the string codec: escapes, control bytes, and
+/// one- to four-byte UTF-8.
+const CHARS: [char; 14] = [
+    'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', 'é', '€', '𝄞',
+];
+
+fn arb_string(rng: &mut TestRng) -> String {
+    (0..rng.below(8))
+        .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+        .collect()
+}
+
+/// A number lexeme as the writer produces them: an unsigned or negative
+/// integer, or a finite float's `{:?}`.
+fn arb_number(rng: &mut TestRng) -> String {
+    match rng.below(3) {
+        0 => rng.next_u64().to_string(),
+        1 => (-((rng.next_u64() >> 1) as i64)).to_string(),
+        _ => {
+            let x = f64::from_bits(rng.next_u64());
+            format!("{:?}", if x.is_finite() { x } else { rng.unit_f64() })
+        }
+    }
+}
+
+fn arb_value(rng: &mut TestRng, depth: u32) -> Value {
+    match rng.below(if depth == 0 { 4 } else { 6 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.below(2) == 1),
+        2 => Value::Num(arb_number(rng)),
+        3 => Value::Str(arb_string(rng)),
+        4 => Value::Array(
+            (0..rng.below(4))
+                .map(|_| arb_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.below(4))
+                .map(|_| (arb_string(rng), arb_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+fn arb_counts(rng: &mut TestRng) -> EventCounts {
+    let n_ces = 1 + rng.below(8) as usize;
+    let mut counts = EventCounts::empty(n_ces);
+    for x in counts.num.iter_mut().chain(&mut counts.prof) {
+        *x = rng.next_u64() >> rng.below(64);
+    }
+    for x in counts.ceop.iter_mut().chain(&mut counts.membop) {
+        *x = rng.below(1 << 20);
+    }
+    counts.records = rng.next_u64();
+    counts
+}
+
+fn arb_audit(rng: &mut TestRng) -> AuditReport {
+    AuditReport {
+        checked_cycles: rng.next_u64(),
+        violations: (0..rng.below(3))
+            .map(|_| Violation {
+                cycle: rng.next_u64(),
+                component: arb_string(rng),
+                expected: arb_string(rng),
+                actual: arb_string(rng),
+            })
+            .collect(),
+        dropped_violations: rng.below(100),
+    }
+}
+
+fn arb_session(rng: &mut TestRng) -> CachedSession {
+    if rng.below(2) == 0 {
+        CachedSession::Random {
+            result: SessionResult {
+                session: rng.below(64) as usize,
+                samples: (0..rng.below(4))
+                    .map(|_| Sample {
+                        session: rng.below(64) as usize,
+                        at_cycle: rng.next_u64(),
+                        counts: arb_counts(rng),
+                        kernel: KernelCounters {
+                            page_faults_user: rng.next_u64(),
+                            page_faults_system: rng.below(1000),
+                        },
+                    })
+                    .collect(),
+                jobs_completed: rng.below(1000),
+                audit: arb_audit(rng),
+            },
+        }
+    } else {
+        CachedSession::Captures {
+            captures: (0..rng.below(4))
+                .map(|_| Capture {
+                    session: rng.below(64) as usize,
+                    at_cycle: rng.next_u64(),
+                    counts: arb_counts(rng),
+                })
+                .collect(),
+            audit: arb_audit(rng),
+        }
+    }
+}
+
+/// A [`Strategy`] from a sampling function.
+struct Sampled<F>(F);
+
+impl<T, F: Fn(&mut TestRng) -> T> Strategy for Sampled<F> {
+    type Value = T;
+
+    fn sample(&self, rng: &mut TestRng) -> T {
+        (self.0)(rng)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn any_value_round_trips_through_text(v in Sampled(|rng: &mut TestRng| arb_value(rng, 4))) {
+        let text = serde_json::to_string(&v).unwrap();
+        prop_assert_eq!(serde_json::from_str::<Value>(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn cache_payloads_round_trip_typed(session in Sampled(arb_session)) {
+        let text = serde_json::to_string(&session).unwrap();
+        let back: CachedSession = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        prop_assert_eq!(back, session);
+    }
+}

@@ -10,7 +10,9 @@
 
 use fx8_core::api::{self, ApiError, JobRequest, JobState, RunHooks, API_VERSION};
 use fx8_core::cache::SessionCache;
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -69,7 +71,9 @@ impl Job {
     /// Render the current status as one JSON line. The terminal `result`
     /// is spliced in preserialized, so this never walks the study tree.
     fn render(&self, inner: &JobInner, result: Option<&str>) -> Arc<String> {
-        let mut s = format!(
+        let mut s = String::with_capacity(160 + result.map_or(0, str::len));
+        let _ = write!(
+            s,
             "{{\"api\":{},\"id\":{},\"state\":\"{}\",\"sessions_done\":{},\"sessions_total\":{},\"wall_s\":{}",
             API_VERSION,
             self.id,
@@ -84,7 +88,7 @@ impl Job {
         }
         if let Some(e) = &inner.error {
             s.push_str(",\"error\":");
-            s.push_str(&serde_json::to_string(e).expect("api error serializes"));
+            e.serialize(&mut s);
         }
         s.push('}');
         Arc::new(s)
@@ -348,6 +352,34 @@ mod tests {
         let parsed: api::JobStatus = serde_json::from_str(&status).expect("status parses");
         assert_eq!(parsed.id, job.id);
         assert!(parsed.result.is_some());
+    }
+
+    /// Status lines are a wire contract: these bytes were recorded before
+    /// the serializer stopped building a value tree.
+    #[test]
+    fn status_line_bytes_are_pinned() {
+        let job = Job::new(9, tiny_request());
+        let mut inner = job.inner.lock().unwrap();
+        let queued =
+            r#"{"api":1,"id":9,"state":"queued","sessions_done":0,"sessions_total":1,"wall_s":0}"#;
+        assert_eq!(*job.render(&inner, None), queued);
+        inner.state = JobState::Failed;
+        inner.sessions_done = 1;
+        inner.wall_s = 0.5;
+        inner.error = Some(ApiError::new(
+            "config/zero-mem-buses",
+            "invalid \"mem_buses\":\t0",
+        ));
+        let failed = r#"{"api":1,"id":9,"state":"failed","sessions_done":1,"sessions_total":1,"wall_s":0.5,"error":{"code":"config/zero-mem-buses","message":"invalid \"mem_buses\":\t0"}}"#;
+        assert_eq!(*job.render(&inner, None), failed);
+        inner.state = JobState::Done;
+        inner.wall_s = 1e-7;
+        inner.error = None;
+        let done = r#"{"api":1,"id":9,"state":"done","sessions_done":1,"sessions_total":1,"wall_s":0.0000001,"result":{"scale":{"x":[1,2.5]}}}"#;
+        assert_eq!(
+            *job.render(&inner, Some(r#"{"scale":{"x":[1,2.5]}}"#)),
+            done
+        );
     }
 
     #[test]

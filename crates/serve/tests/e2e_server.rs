@@ -8,7 +8,7 @@ use fx8_core::cache::SessionCache;
 use fx8_core::study::StudyConfig;
 use fx8_serve::client;
 use fx8_serve::{ServeConfig, Server};
-use serde::{Deserialize, Value};
+use serde::Value;
 use std::net::SocketAddr;
 use std::time::Instant;
 
@@ -124,7 +124,10 @@ fn quick_study_over_tcp_matches_in_process_and_rides_the_cache() {
     let resp = client::request(addr, "GET", "/v1/metrics", None).unwrap();
     assert_eq!(resp.status, 200);
     let m: Value = serde_json::from_str(&resp.body_str()).unwrap();
-    let num = |v: &Value, k: &str| u64::from_value(v.get(k).unwrap()).unwrap();
+    let num = |v: &Value, k: &str| match v.get(k) {
+        Some(Value::Num(n)) => n.parse::<u64>().unwrap(),
+        other => panic!("metrics {k}: {other:?}"),
+    };
     assert_eq!(num(&m, "jobs_done"), 2);
     assert_eq!(num(&m, "jobs_failed"), 0);
     assert_eq!(num(&m, "responses_5xx"), 0);
