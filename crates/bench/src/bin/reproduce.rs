@@ -86,6 +86,7 @@
 
 use fx8_bench::hammer;
 use fx8_bench::throughput;
+use fx8_core::analysis::Analysis;
 use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult};
 use fx8_core::cache::{CacheStats, SessionCache};
 use fx8_core::observability::StudyObservability;
@@ -631,8 +632,9 @@ fn cmd_run(args: &Args) -> ExitCode {
         printed.push('\n');
     };
 
+    let analysis = Analysis::new(&study);
     for (id, render) in report::SECTIONS {
-        if let Some(text) = render(&study) {
+        if let Some(text) = render(&analysis) {
             emit(id, &text);
         }
     }

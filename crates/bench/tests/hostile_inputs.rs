@@ -10,12 +10,19 @@
 //! quotes and letters stretch strings). Every mutant must decode to a
 //! typed error or a valid value; a panic or a stack overflow fails the
 //! test. Over HTTP, a mutant must also never draw a 5xx or hang.
+//!
+//! A hostile *config* is a valid one the defaults never exercise: studies
+//! on machines narrower (or wider) than the 8-CE FX/8 must run, report
+//! and finish over HTTP like any other.
 
 use fx8_bench::throughput;
-use fx8_core::api::{codes, ApiError, JobRequest, JobSpec};
+use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult, JobSpec, JobState, JobStatus};
 use fx8_core::cache::{CachedSession, SessionCache};
+use fx8_core::figures;
+use fx8_core::report::render_full_report;
 use fx8_core::study::StudyConfig;
 use fx8_serve::{ServeConfig, Server};
+use fx8_sim::MachineConfig;
 use proptest::prelude::*;
 use serde::{Value, MAX_DEPTH};
 use std::io::{ErrorKind, Read, Write};
@@ -356,4 +363,77 @@ fn trailing_bytes_are_rejected() {
             "{tail:?}"
         );
     }
+}
+
+/// A small study on a scaled `n_ces`-wide machine: two short random
+/// sessions, one triggered and one transition session.
+fn study_of_width(n_ces: usize) -> StudyConfig {
+    StudyConfig {
+        machine: MachineConfig::scaled(n_ces),
+        n_random: 2,
+        session_hours: vec![0.02, 0.03],
+        n_triggered: 1,
+        captures_per_triggered: 2,
+        n_transition: 1,
+        captures_per_transition: 2,
+        ..StudyConfig::quick()
+    }
+}
+
+/// Every width `MachineConfig::scaled` accepts, narrow ones included,
+/// executes and renders its full report; the per-session activity
+/// histograms (Figures A.1/A.2) have one row per state `0..=n_ces`.
+#[test]
+fn studies_of_any_width_execute_and_report() {
+    for n_ces in [1, 2, 4, 7, 16] {
+        let out = api::execute(&JobRequest::study(study_of_width(n_ces)), None)
+            .unwrap_or_else(|e| panic!("{n_ces} CEs: {e}"));
+        let JobResult::Study { study, comparison } = out.result else {
+            panic!("{n_ces} CEs: a study request returned another result");
+        };
+        assert!(!comparison.is_empty(), "{n_ces} CEs");
+        assert!(render_full_report(&study).contains("Figure B.10"));
+        for session in [0, 1] {
+            let fig = figures::fig_a1_a2(&study, session);
+            let rows = fig.lines().filter(|l| l.contains('|')).count();
+            assert_eq!(
+                rows,
+                n_ces + 1,
+                "{n_ces} CEs, Figure A.{}:\n{fig}",
+                session + 1
+            );
+        }
+    }
+}
+
+/// A 4-CE study submitted over loopback HTTP runs to `done`.
+#[test]
+fn a_narrow_study_over_http_reaches_done() {
+    let server = Server::bind(
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            wait_timeout_ms: 60_000,
+            ..ServeConfig::default()
+        },
+        Some(SessionCache::in_memory()),
+    )
+    .expect("bind on port 0");
+    let (addr, handle) = (server.local_addr(), server.handle());
+    let serving = std::thread::spawn(move || server.run());
+    let body = serde_json::to_string(&JobRequest::study(study_of_width(4))).unwrap();
+    let submitted = fx8_serve::client::request(addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+    assert_eq!(submitted.status, 202, "{}", submitted.body_str());
+    let id = serde_json::from_str::<JobStatus>(&submitted.body_str())
+        .unwrap()
+        .id;
+    let path = format!("/v1/jobs/{id}?wait=1");
+    let done = fx8_serve::client::request(addr, "GET", &path, None).unwrap();
+    let status: JobStatus = serde_json::from_str(&done.body_str()).unwrap();
+    assert_eq!(status.state, JobState::Done, "{}", done.body_str());
+    handle.shutdown();
+    serving
+        .join()
+        .expect("server thread")
+        .expect("server drains");
 }

@@ -1,24 +1,29 @@
 //! Figures 3–14, A.1–A.5 and B.1–B.10, rendered in the thesis's SAS style.
 //!
-//! Every function takes the study's data and produces the text listing the
-//! corresponding figure shows; structured variants return the underlying
-//! distributions so tests and EXPERIMENTS.md can assert on the numbers.
+//! Every public function takes the study and produces the text listing the
+//! corresponding figure shows. The figures drawn from the samples read an
+//! [`Analysis`]: each has one body over it (`*_of`), which the full report
+//! calls with its one shared `Analysis`, and a `&Study` entry point that
+//! builds its own.
 
-use crate::sample::{points_vs_cw, points_vs_pc, Sample};
+use crate::analysis::{Analysis, Axis, Measure};
 use crate::study::Study;
-use crate::tables::{hw_samples, triggered_samples, Measure};
 use fx8_stats::chart::{hbar, hbar_labeled, model_curve, scatter};
 use fx8_stats::freq::{midpoints, FreqDist};
-use fx8_stats::regression::QuadModel;
+use std::ops::RangeInclusive;
 
 const PLOT_W: usize = 72;
 const PLOT_H: usize = 24;
 
-/// Histogram of records by active-processor count, descending order as in
-/// the thesis (Figures 3, A.1, A.2, 6).
-fn activity_histogram(title: &str, num: &[u64], lo: usize, hi: usize) -> String {
-    let labels: Vec<String> = (lo..=hi).rev().map(|j| format!("{j}")).collect();
-    let freq: Vec<u64> = (lo..=hi).rev().map(|j| num[j]).collect();
+/// Histogram of records by active-processor count over `states`, in
+/// descending order as in the thesis (Figures 3, A.1, A.2, 6). A state
+/// past the end of `num` saw no records.
+fn activity_histogram(title: &str, num: &[u64], states: RangeInclusive<usize>) -> String {
+    let labels: Vec<String> = states.clone().rev().map(|j| format!("{j}")).collect();
+    let freq: Vec<u64> = states
+        .rev()
+        .map(|j| num.get(j).copied().unwrap_or(0))
+        .collect();
     let mut s = format!("NUMBER OF PROCESSORS / {title}\n");
     s.push_str(&hbar_labeled("", &labels, &freq));
     s
@@ -27,102 +32,96 @@ fn activity_histogram(title: &str, num: &[u64], lo: usize, hi: usize) -> String 
 /// Figure 3: records with N processors active, all random sessions.
 pub fn fig3(study: &Study) -> String {
     let num = study.pooled_num();
-    activity_histogram("All Sessions", &num, 0, num.len() - 1)
+    activity_histogram("All Sessions", &num, 0..=num.len() - 1)
 }
 
 /// Figure 4 data: distribution of samples by Workload Concurrency.
-pub fn fig4_dist(study: &Study) -> FreqDist {
-    let cw: Vec<f64> = study
-        .all_samples()
-        .iter()
-        .map(|s| s.workload_concurrency())
-        .collect();
+pub(crate) fn fig4_dist(a: &Analysis) -> FreqDist {
+    let cw: Vec<f64> = a.random().iter().map(|p| p.cw).collect();
     FreqDist::from_values(&cw, &midpoints(0.0, 0.125, 9))
 }
 
 /// Figure 4: distribution of samples by Workload Concurrency.
 pub fn fig4(study: &Study) -> String {
+    fig4_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig4_of(a: &Analysis) -> String {
     hbar(
-        &fig4_dist(study),
+        &fig4_dist(a),
         "Figure 4. Distribution of Samples by Workload Concurrency / All Sessions",
         |m| format!("{m:.3}"),
     )
 }
 
-/// Figure 5 data: distribution of samples by Mean Concurrency Level
-/// (samples with `C_w = 0` are excluded — `P_c` is undefined there).
-pub fn fig5_dist(study: &Study) -> FreqDist {
-    let pc: Vec<f64> = study
-        .all_samples()
-        .iter()
-        .filter_map(|s| s.mean_concurrency_level())
-        .collect();
-    FreqDist::from_values(&pc, &midpoints(2.0, 1.0, 7))
+/// Figure 5: distribution of samples by Mean Concurrency Level (samples
+/// with `C_w = 0` are excluded — `P_c` is undefined there).
+pub fn fig5(study: &Study) -> String {
+    fig5_of(&Analysis::new(study))
 }
 
-/// Figure 5: distribution of samples by Mean Concurrency Level.
-pub fn fig5(study: &Study) -> String {
+pub(crate) fn fig5_of(a: &Analysis) -> String {
+    let pc: Vec<f64> = a.random().iter().filter_map(|p| p.pc).collect();
     hbar(
-        &fig5_dist(study),
+        &FreqDist::from_values(&pc, &midpoints(2.0, 1.0, 7)),
         "Figure 5. Distribution of Samples by Mean Concurrency Level / All Sessions",
         |m| format!("{m:.1}"),
     )
 }
 
-/// Figure 6 data: transition-period records with N processors active,
-/// restricted to the transition states 2..=7 as in the thesis.
-pub fn fig6_counts(study: &Study) -> Vec<u64> {
-    study.pooled_transition_counts().num
+/// The transition states of Figure 6: partial concurrency, from 2 CEs up
+/// to one short of all of them (2..=7 on the 8-CE FX/8; none below 3 CEs).
+pub(crate) fn transition_states(study: &Study) -> RangeInclusive<usize> {
+    2..=study.config.machine.n_ces.saturating_sub(1)
 }
 
-/// Figure 6: N-active histogram over concurrency transition periods.
+/// Figure 6: N-active histogram over concurrency transition periods,
+/// restricted to the transition states `2..=n_ces-1` as in the thesis.
 pub fn fig6(study: &Study) -> String {
-    let num = fig6_counts(study);
-    activity_histogram("Concurrency Transition Periods", &num, 2, 7)
-}
-
-/// Figure 7 data: per-processor activity during transition periods.
-pub fn fig7_counts(study: &Study) -> Vec<u64> {
-    study.pooled_transition_counts().prof
+    let num = study.pooled_transition_counts().num;
+    activity_histogram(
+        "Concurrency Transition Periods",
+        &num,
+        transition_states(study),
+    )
 }
 
 /// Figure 7: records active by processor number, transition periods.
 pub fn fig7(study: &Study) -> String {
-    let prof = fig7_counts(study);
+    let prof = study.pooled_transition_counts().prof;
     let labels: Vec<String> = (0..prof.len()).rev().map(|j| format!("CE {j}")).collect();
-    let freq: Vec<u64> = (0..prof.len()).rev().map(|j| prof[j]).collect();
+    let freq: Vec<u64> = prof.iter().rev().copied().collect();
     let mut s =
         String::from("Figure 7. Number of Records Active by Processor Number / Transitions\n");
     s.push_str(&hbar_labeled("", &labels, &freq));
     s
 }
 
+/// A letter-coded scatter of `measure` against `axis` (Figures 8, 9 and
+/// B.1, B.2, B.5, B.6).
+fn scatter_of(a: &Analysis, title: &str, measure: Measure, axis: Axis, y_label: &str) -> String {
+    let pts = a.points(measure, axis);
+    scatter(title, &pts, axis.symbol(), y_label, PLOT_W, PLOT_H)
+}
+
 /// Figure 8: scatter of Missrate vs Workload Concurrency.
 pub fn fig8(study: &Study) -> String {
-    let triggered = triggered_samples(study);
-    let pts = points_vs_cw(hw_samples(study, &triggered), Sample::missrate);
-    scatter(
-        "Figure 8. Missrate vs. Workload Concurrency",
-        &pts,
-        "C_w",
-        "MISSRATE",
-        PLOT_W,
-        PLOT_H,
-    )
+    fig8_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig8_of(a: &Analysis) -> String {
+    let title = "Figure 8. Missrate vs. Workload Concurrency";
+    scatter_of(a, title, Measure::MissRate, Axis::Cw, "MISSRATE")
 }
 
 /// Figure 9: scatter of Missrate vs Mean Concurrency Level.
 pub fn fig9(study: &Study) -> String {
-    let triggered = triggered_samples(study);
-    let pts = points_vs_pc(hw_samples(study, &triggered), Sample::missrate);
-    scatter(
-        "Figure 9. Missrate vs. Mean Concurrency Level",
-        &pts,
-        "P_c",
-        "MISSRATE",
-        PLOT_W,
-        PLOT_H,
-    )
+    fig9_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig9_of(a: &Analysis) -> String {
+    let title = "Figure 9. Missrate vs. Mean Concurrency Level";
+    scatter_of(a, title, Measure::MissRate, Axis::Pc, "MISSRATE")
 }
 
 /// Band boundaries the thesis used for `C_w` (Figures 10, B.3, B.7).
@@ -130,72 +129,23 @@ pub const CW_BANDS: [(f64, f64); 3] = [(0.0, 0.4), (0.4, 0.8), (0.8, f64::INFINI
 /// Band boundaries the thesis used for `P_c` (Figures 11, B.4, B.8).
 pub const PC_BANDS: [(f64, f64); 3] = [(0.0, 6.0), (6.0, 7.5), (7.5, f64::INFINITY)];
 
-/// The `y` values of the samples whose `x` lies in `band`, `(lo, hi]` (a
-/// band starting at 0 includes 0), in sample order; samples with no
-/// defined `x` are dropped. The one band filter behind the banded figures
-/// and the comparison's band medians.
-pub(crate) fn band_values<'s>(
-    samples: impl IntoIterator<Item = &'s Sample>,
-    band: (f64, f64),
-    x: impl Fn(&Sample) -> Option<f64>,
-    y: impl Fn(&Sample) -> f64,
-) -> Vec<f64> {
-    samples
-        .into_iter()
-        .filter(|s| x(s).is_some_and(|x| (x > band.0 || band.0 == 0.0) && x <= band.1))
-        .map(y)
-        .collect()
-}
-
-/// `C_w` as a band axis (always defined).
-pub(crate) fn cw_axis(s: &Sample) -> Option<f64> {
-    Some(s.workload_concurrency())
-}
-
-/// Distribution of a system measure within samples whose `C_w` lies in
-/// `(lo, hi]` (first band includes 0).
-pub fn banded_by_cw(
-    samples: &[Sample],
-    band: (f64, f64),
-    y: impl Fn(&Sample) -> f64,
-    mids: &[f64],
-) -> FreqDist {
-    FreqDist::from_values(&band_values(samples, band, cw_axis, y), mids)
-}
-
-/// Distribution of a system measure within samples whose `P_c` lies in
-/// `(lo, hi]` (samples without a defined `P_c` are dropped).
-pub fn banded_by_pc(
-    samples: &[Sample],
-    band: (f64, f64),
-    y: impl Fn(&Sample) -> f64,
-    mids: &[f64],
-) -> FreqDist {
-    let pc = Sample::mean_concurrency_level;
-    FreqDist::from_values(&band_values(samples, band, pc, y), mids)
-}
-
-fn render_bands(
-    samples: &[&Sample],
+/// Distributions of `measure` within each of `axis`'s bands, `(lo, hi]`
+/// (the first band includes 0).
+fn bands_of(
+    a: &Analysis,
     fig: &str,
     measure_name: &str,
-    by_cw: bool,
-    y: impl Fn(&Sample) -> f64 + Copy,
+    measure: Measure,
+    axis: Axis,
     mids: &[f64],
     fmt: impl Fn(f64) -> String + Copy,
 ) -> String {
     let mut out = String::new();
-    let (bands, x_name): (&[(f64, f64)], &str) = if by_cw {
-        (&CW_BANDS, "Cw")
-    } else {
-        (&PC_BANDS, "Pc")
+    let x_name = match axis {
+        Axis::Cw => "Cw",
+        Axis::Pc => "Pc",
     };
-    let x = if by_cw {
-        cw_axis
-    } else {
-        Sample::mean_concurrency_level
-    };
-    for (i, &band) in bands.iter().enumerate() {
+    for (i, &band) in axis.bands().iter().enumerate() {
         let label = (b'a' + i as u8) as char;
         let hi = if band.1.is_infinite() {
             format!("{x_name} > {}", band.0)
@@ -204,7 +154,7 @@ fn render_bands(
         } else {
             format!("{} < {x_name} <= {}", band.0, band.1)
         };
-        let dist = FreqDist::from_values(&band_values(samples.iter().copied(), band, x, y), mids);
+        let dist = FreqDist::from_values(&a.band(measure, axis, band), mids);
         out.push_str(&hbar(
             &dist,
             &format!("Figure {fig} ({label}). Distribution of {measure_name}, {hi}"),
@@ -222,35 +172,50 @@ pub fn missrate_midpoints() -> Vec<f64> {
 
 /// Figure 10 (a–c): Missrate distributions binned by `C_w` band.
 pub fn fig10(study: &Study) -> String {
-    render_bands(
-        &hw_samples(study, &triggered_samples(study)),
+    fig10_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig10_of(a: &Analysis) -> String {
+    let mids = missrate_midpoints();
+    bands_of(
+        a,
         "10",
         "Miss Rate",
-        true,
-        Sample::missrate,
-        &missrate_midpoints(),
+        Measure::MissRate,
+        Axis::Cw,
+        &mids,
         |m| format!("{m:.2}"),
     )
 }
 
 /// Figure 11 (a–c): Missrate distributions binned by `P_c` band.
 pub fn fig11(study: &Study) -> String {
-    render_bands(
-        &hw_samples(study, &triggered_samples(study)),
+    fig11_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig11_of(a: &Analysis) -> String {
+    let mids = missrate_midpoints();
+    bands_of(
+        a,
         "11",
         "Miss Rate",
-        false,
-        Sample::missrate,
-        &missrate_midpoints(),
+        Measure::MissRate,
+        Axis::Pc,
+        &mids,
         |m| format!("{m:.2}"),
     )
 }
 
-/// A fitted model's curve over `[x0, x1]`, or a notice when the fit
-/// degenerated (Figures 12–14, B.9 and B.10).
-fn model_figure(fig: &str, vs: &str, model: Option<&QuadModel>, x0: f64, x1: f64) -> String {
-    match model {
-        Some(m) => model_curve(
+/// The fitted model curve of `measure` against `axis`, over `C_w` in
+/// `[0, 1]` or `P_c` in `[2, 8]`, or a notice when the fit degenerated
+/// (Figures 12–14, B.9 and B.10).
+fn model_of(a: &Analysis, fig: &str, vs: &str, measure: Measure, axis: Axis) -> String {
+    let (x0, x1) = match axis {
+        Axis::Cw => (0.0, 1.0),
+        Axis::Pc => (2.0, 8.0),
+    };
+    match a.fit(measure, axis) {
+        Ok(m) => model_curve(
             &format!("Figure {fig}. Plot of Regression Model, {vs}"),
             m,
             x0,
@@ -258,114 +223,110 @@ fn model_figure(fig: &str, vs: &str, model: Option<&QuadModel>, x0: f64, x1: f64
             PLOT_W,
             16,
         ),
-        None => format!("Figure {fig}: model degenerate (insufficient occupied bins)\n"),
+        Err(_) => format!("Figure {fig}: model degenerate (insufficient occupied bins)\n"),
     }
 }
 
 /// Figure 12: the fitted Missrate-vs-`C_w` model curve.
 pub fn fig12(study: &Study) -> String {
-    let row = Measure::MissRate.fit(study, true);
-    model_figure("12", "Missrate vs. Cw", row.model.as_ref().ok(), 0.0, 1.0)
+    fig12_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig12_of(a: &Analysis) -> String {
+    model_of(a, "12", "Missrate vs. Cw", Measure::MissRate, Axis::Cw)
 }
 
 /// Figure 13: the fitted CE-Bus-Busy-vs-`C_w` model curve.
 pub fn fig13(study: &Study) -> String {
-    let row = Measure::CeBusBusy.fit(study, true);
-    model_figure(
-        "13",
-        "CE Bus Busy vs. Cw",
-        row.model.as_ref().ok(),
-        0.0,
-        1.0,
-    )
+    fig13_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig13_of(a: &Analysis) -> String {
+    model_of(a, "13", "CE Bus Busy vs. Cw", Measure::CeBusBusy, Axis::Cw)
 }
 
 /// Figure 14: the fitted CE-Bus-Busy-vs-`P_c` model curve.
 pub fn fig14(study: &Study) -> String {
-    let row = Measure::CeBusBusy.fit(study, false);
-    model_figure(
-        "14",
-        "CE Bus Busy vs. Pc",
-        row.model.as_ref().ok(),
-        2.0,
-        8.0,
-    )
+    fig14_of(&Analysis::new(study))
 }
 
-/// Figures A.1/A.2: per-session activity histograms (the thesis shows
-/// sessions 1 and 9 to illustrate day-to-day variation).
+pub(crate) fn fig14_of(a: &Analysis) -> String {
+    model_of(a, "14", "CE Bus Busy vs. Pc", Measure::CeBusBusy, Axis::Pc)
+}
+
+/// Figures A.1/A.2: per-session activity histograms over `0..=n_ces`
+/// (the thesis shows sessions 1 and 9 to illustrate day-to-day variation).
 pub fn fig_a1_a2(study: &Study, session: usize) -> String {
     let s = &study.random_sessions[session];
-    activity_histogram(&format!("Session {}", session + 1), &s.pooled_num(), 0, 8)
+    let states = 0..=study.config.machine.n_ces;
+    activity_histogram(&format!("Session {}", session + 1), &s.pooled_num(), states)
+}
+
+/// A distribution of the random samples by `measure` (Figures A.3–A.5).
+fn random_dist_of(
+    a: &Analysis,
+    title: &str,
+    measure: Measure,
+    mids: &[f64],
+    fmt: impl Fn(f64) -> String,
+) -> String {
+    let vals: Vec<f64> = a.random().iter().map(|p| measure.of(p)).collect();
+    hbar(&FreqDist::from_values(&vals, mids), title, fmt)
 }
 
 /// Figure A.3: distribution of samples by CE Bus Busy.
 pub fn fig_a3(study: &Study) -> String {
-    let vals: Vec<f64> = study
-        .all_samples()
-        .iter()
-        .map(|s| s.ce_bus_busy())
-        .collect();
-    let d = FreqDist::from_values(&vals, &midpoints(0.0, 0.05, 11));
-    hbar(
-        &d,
-        "Figure A.3. Distribution of Samples by CE Bus Busy",
-        |m| format!("{m:.2}"),
-    )
+    fig_a3_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_a3_of(a: &Analysis) -> String {
+    let title = "Figure A.3. Distribution of Samples by CE Bus Busy";
+    let mids = midpoints(0.0, 0.05, 11);
+    random_dist_of(a, title, Measure::CeBusBusy, &mids, |m| format!("{m:.2}"))
 }
 
 /// Figure A.4: distribution of samples by Miss Rate.
 pub fn fig_a4(study: &Study) -> String {
-    let vals: Vec<f64> = study.all_samples().iter().map(|s| s.missrate()).collect();
-    let d = FreqDist::from_values(&vals, &missrate_midpoints());
-    hbar(
-        &d,
-        "Figure A.4. Distribution of Samples by Miss Rate",
-        |m| format!("{m:.2}"),
-    )
+    fig_a4_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_a4_of(a: &Analysis) -> String {
+    let title = "Figure A.4. Distribution of Samples by Miss Rate";
+    let mids = missrate_midpoints();
+    random_dist_of(a, title, Measure::MissRate, &mids, |m| format!("{m:.2}"))
 }
 
 /// Figure A.5: distribution of samples by Page Fault Rate.
 pub fn fig_a5(study: &Study) -> String {
-    let vals: Vec<f64> = study
-        .all_samples()
-        .iter()
-        .map(|s| s.page_fault_rate())
-        .collect();
-    let d = FreqDist::from_values(&vals, &midpoints(0.0, 1000.0, 25));
-    hbar(
-        &d,
-        "Figure A.5. Distribution of Samples by Page Fault Rate",
-        |m| format!("{m:.0}"),
-    )
+    fig_a5_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_a5_of(a: &Analysis) -> String {
+    let title = "Figure A.5. Distribution of Samples by Page Fault Rate";
+    let mids = midpoints(0.0, 1000.0, 25);
+    random_dist_of(a, title, Measure::PageFaultRate, &mids, |m| {
+        format!("{m:.0}")
+    })
 }
 
 /// Figure B.1: scatter of CE Bus Busy vs Workload Concurrency.
 pub fn fig_b1(study: &Study) -> String {
-    let triggered = triggered_samples(study);
-    let pts = points_vs_cw(hw_samples(study, &triggered), Sample::ce_bus_busy);
-    scatter(
-        "Figure B.1. CE Bus Busy vs. Workload Concurrency",
-        &pts,
-        "C_w",
-        "CE BUS BUSY",
-        PLOT_W,
-        PLOT_H,
-    )
+    fig_b1_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b1_of(a: &Analysis) -> String {
+    let title = "Figure B.1. CE Bus Busy vs. Workload Concurrency";
+    scatter_of(a, title, Measure::CeBusBusy, Axis::Cw, "CE BUS BUSY")
 }
 
 /// Figure B.2: scatter of CE Bus Busy vs Mean Concurrency Level.
 pub fn fig_b2(study: &Study) -> String {
-    let triggered = triggered_samples(study);
-    let pts = points_vs_pc(hw_samples(study, &triggered), Sample::ce_bus_busy);
-    scatter(
-        "Figure B.2. CE Bus Busy vs. Mean Concurrency Level",
-        &pts,
-        "P_c",
-        "CE BUS BUSY",
-        PLOT_W,
-        PLOT_H,
-    )
+    fig_b2_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b2_of(a: &Analysis) -> String {
+    let title = "Figure B.2. CE Bus Busy vs. Mean Concurrency Level";
+    scatter_of(a, title, Measure::CeBusBusy, Axis::Pc, "CE BUS BUSY")
 }
 
 /// Midpoints for CE-bus-busy distributions (0.0..1.0 step 0.1).
@@ -375,26 +336,36 @@ pub fn busy_midpoints() -> Vec<f64> {
 
 /// Figure B.3 (a–c): CE Bus Busy distributions binned by `C_w` band.
 pub fn fig_b3(study: &Study) -> String {
-    render_bands(
-        &hw_samples(study, &triggered_samples(study)),
+    fig_b3_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b3_of(a: &Analysis) -> String {
+    let mids = busy_midpoints();
+    bands_of(
+        a,
         "B.3",
         "CE Bus Busy",
-        true,
-        Sample::ce_bus_busy,
-        &busy_midpoints(),
+        Measure::CeBusBusy,
+        Axis::Cw,
+        &mids,
         |m| format!("{m:.1}"),
     )
 }
 
 /// Figure B.4 (a–c): CE Bus Busy distributions binned by `P_c` band.
 pub fn fig_b4(study: &Study) -> String {
-    render_bands(
-        &hw_samples(study, &triggered_samples(study)),
+    fig_b4_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b4_of(a: &Analysis) -> String {
+    let mids = busy_midpoints();
+    bands_of(
+        a,
         "B.4",
         "CE Bus Busy",
-        false,
-        Sample::ce_bus_busy,
-        &busy_midpoints(),
+        Measure::CeBusBusy,
+        Axis::Pc,
+        &mids,
         |m| format!("{m:.1}"),
     )
 }
@@ -402,28 +373,22 @@ pub fn fig_b4(study: &Study) -> String {
 /// Figure B.5: scatter of Page Fault Rate vs Workload Concurrency
 /// (random samples only — the kernel counters exist only there).
 pub fn fig_b5(study: &Study) -> String {
-    let pts = points_vs_cw(study.all_samples(), Sample::page_fault_rate);
-    scatter(
-        "Figure B.5. Page Fault Rate vs. Workload Concurrency",
-        &pts,
-        "C_w",
-        "CE PAGE FAULT",
-        PLOT_W,
-        PLOT_H,
-    )
+    fig_b5_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b5_of(a: &Analysis) -> String {
+    let title = "Figure B.5. Page Fault Rate vs. Workload Concurrency";
+    scatter_of(a, title, Measure::PageFaultRate, Axis::Cw, "CE PAGE FAULT")
 }
 
 /// Figure B.6: scatter of Page Fault Rate vs Mean Concurrency Level.
 pub fn fig_b6(study: &Study) -> String {
-    let pts = points_vs_pc(study.all_samples(), Sample::page_fault_rate);
-    scatter(
-        "Figure B.6. Page Fault Rate vs. Mean Concurrency Level",
-        &pts,
-        "P_c",
-        "CE PAGE FAULT",
-        PLOT_W,
-        PLOT_H,
-    )
+    fig_b6_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b6_of(a: &Analysis) -> String {
+    let title = "Figure B.6. Page Fault Rate vs. Mean Concurrency Level";
+    scatter_of(a, title, Measure::PageFaultRate, Axis::Pc, "CE PAGE FAULT")
 }
 
 /// Midpoints for page-fault-rate distributions.
@@ -433,52 +398,46 @@ pub fn pfr_midpoints() -> Vec<f64> {
 
 /// Figure B.7 (a–c): Page Fault Rate distributions binned by `C_w` band.
 pub fn fig_b7(study: &Study) -> String {
-    render_bands(
-        &study.all_samples(),
-        "B.7",
-        "Page Fault Rate",
-        true,
-        Sample::page_fault_rate,
-        &pfr_midpoints(),
-        |m| format!("{m:.0}"),
-    )
+    fig_b7_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b7_of(a: &Analysis) -> String {
+    let (measure, mids) = (Measure::PageFaultRate, pfr_midpoints());
+    bands_of(a, "B.7", "Page Fault Rate", measure, Axis::Cw, &mids, |m| {
+        format!("{m:.0}")
+    })
 }
 
 /// Figure B.8 (a–c): Page Fault Rate distributions binned by `P_c` band.
 pub fn fig_b8(study: &Study) -> String {
-    render_bands(
-        &study.all_samples(),
-        "B.8",
-        "Page Fault Rate",
-        false,
-        Sample::page_fault_rate,
-        &pfr_midpoints(),
-        |m| format!("{m:.0}"),
-    )
+    fig_b8_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b8_of(a: &Analysis) -> String {
+    let (measure, mids) = (Measure::PageFaultRate, pfr_midpoints());
+    bands_of(a, "B.8", "Page Fault Rate", measure, Axis::Pc, &mids, |m| {
+        format!("{m:.0}")
+    })
 }
 
 /// Figure B.9: the fitted Page-Fault-Rate-vs-`C_w` model curve.
 pub fn fig_b9(study: &Study) -> String {
-    let row = Measure::PageFaultRate.fit(study, true);
-    model_figure(
-        "B.9",
-        "Page Fault Rate vs. Cw",
-        row.model.as_ref().ok(),
-        0.0,
-        1.0,
-    )
+    fig_b9_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b9_of(a: &Analysis) -> String {
+    let vs = "Page Fault Rate vs. Cw";
+    model_of(a, "B.9", vs, Measure::PageFaultRate, Axis::Cw)
 }
 
 /// Figure B.10: the fitted Page-Fault-Rate-vs-`P_c` model curve.
 pub fn fig_b10(study: &Study) -> String {
-    let row = Measure::PageFaultRate.fit(study, false);
-    model_figure(
-        "B.10",
-        "Page Fault Rate vs. Pc",
-        row.model.as_ref().ok(),
-        2.0,
-        8.0,
-    )
+    fig_b10_of(&Analysis::new(study))
+}
+
+pub(crate) fn fig_b10_of(a: &Analysis) -> String {
+    let vs = "Page Fault Rate vs. Pc";
+    model_of(a, "B.10", vs, Measure::PageFaultRate, Axis::Pc)
 }
 
 #[cfg(test)]
@@ -552,7 +511,7 @@ mod tests {
     #[test]
     fn fig4_distribution_covers_all_samples() {
         let study = mini_study();
-        let d = fig4_dist(study);
+        let d = fig4_dist(&Analysis::new(study));
         assert_eq!(d.total() as usize, study.all_samples().len());
     }
 
@@ -568,31 +527,22 @@ mod tests {
 
     #[test]
     fn banded_distributions_partition_hw_samples() {
-        let study = mini_study();
-        let triggered = triggered_samples(study);
-        let samples: Vec<Sample> = hw_samples(study, &triggered).into_iter().cloned().collect();
-        let mids = missrate_midpoints();
-        let total: u64 = CW_BANDS
-            .iter()
-            .map(|&b| banded_by_cw(&samples, b, Sample::missrate, &mids).total())
-            .sum();
-        assert_eq!(total as usize, samples.len(), "C_w bands must partition");
+        let a = Analysis::new(mini_study());
+        for m in Measure::ALL {
+            let total: usize = CW_BANDS.iter().map(|&b| a.band(m, Axis::Cw, b).len()).sum();
+            assert_eq!(total, a.rows(m).len(), "C_w bands must partition");
+        }
     }
 
     #[test]
     fn pc_bands_cover_only_defined_samples() {
-        let study = mini_study();
-        let triggered = triggered_samples(study);
-        let samples: Vec<Sample> = hw_samples(study, &triggered).into_iter().cloned().collect();
-        let mids = missrate_midpoints();
-        let total: u64 = PC_BANDS
-            .iter()
-            .map(|&b| banded_by_pc(&samples, b, Sample::missrate, &mids).total())
-            .sum();
-        let defined = samples
-            .iter()
-            .filter(|s| s.mean_concurrency_level().is_some())
-            .count();
-        assert_eq!(total as usize, defined);
+        let a = Analysis::new(mini_study());
+        for m in Measure::ALL {
+            let total: usize = PC_BANDS.iter().map(|&b| a.band(m, Axis::Pc, b).len()).sum();
+            let defined = a.rows(m).iter().filter(|p| p.pc.is_some()).count();
+            assert_eq!(total, defined);
+            assert_eq!(a.points(m, Axis::Pc).len(), defined);
+            assert_eq!(a.points(m, Axis::Cw).len(), a.rows(m).len());
+        }
     }
 }

@@ -21,6 +21,8 @@
 //!   in-process map over an optional content-addressed on-disk store;
 //! * [`executor`] — the longest-task-first work-stealing pool the study
 //!   and the width sweep share;
+//! * [`analysis`] — the shared input of Chapter 5: every sample reduced
+//!   to a row once, and each § 5.2 regression model fitted once;
 //! * [`tables`] — Tables 1–4 and A.1;
 //! * [`figures`] — Figures 3–14, A.1–A.5 and B.1–B.10;
 //! * [`report`] — the full text report and the paper-vs-measured
@@ -29,6 +31,7 @@
 //!   metrics/events pooled across the run, plus wall-clock
 //!   self-profiling of `Study::run`.
 
+pub mod analysis;
 pub mod api;
 pub mod cache;
 pub mod executor;

@@ -6,8 +6,8 @@
 //! behind EXPERIMENTS.md. Reproduction targets *shape*, not absolute
 //! numbers: the substrate is a simulator, not the CSRD machine.
 
+use crate::analysis::{Analysis, Axis, Measure};
 use crate::figures;
-use crate::sample::Sample;
 use crate::study::Study;
 use crate::tables;
 use fx8_stats::summary::median;
@@ -29,17 +29,9 @@ pub struct CompRow {
     pub note: String,
 }
 
-fn band_median(
-    samples: &[&Sample],
-    band: (f64, f64),
-    x: impl Fn(&Sample) -> Option<f64>,
-    y: impl Fn(&Sample) -> f64,
-) -> f64 {
-    median(&figures::band_values(samples.iter().copied(), band, x, y)).unwrap_or(f64::NAN)
-}
-
 /// Extract every quantitative claim and its measured counterpart.
 pub fn comparison(study: &Study) -> Vec<CompRow> {
+    let a = Analysis::new(study);
     let mut rows = Vec::new();
     let m = study.overall_measures();
 
@@ -67,11 +59,8 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
     });
 
     // --- Figure 4: burstiness of the sample-level C_w distribution.
-    let samples: Vec<Sample> = study.all_samples().into_iter().cloned().collect();
-    let zero = samples
-        .iter()
-        .filter(|s| s.workload_concurrency() == 0.0)
-        .count();
+    let samples = a.random();
+    let zero = samples.iter().filter(|p| p.cw == 0.0).count();
     rows.push(CompRow {
         id: "Figure 4".into(),
         metric: "% of samples with C_w = 0".into(),
@@ -81,10 +70,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
     });
 
     // --- Figure 5: concentration of P_c near full concurrency.
-    let defined: Vec<f64> = samples
-        .iter()
-        .filter_map(|s| s.mean_concurrency_level())
-        .collect();
+    let defined: Vec<f64> = samples.iter().filter_map(|p| p.pc).collect();
     let high = defined.iter().filter(|&&pc| pc > 6.5).count();
     rows.push(CompRow {
         id: "Figure 5".into(),
@@ -95,18 +81,21 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
     });
 
     // --- Figure 6: the 2-active dominance of transitions.
-    let tnum = study.pooled_transition_counts().num;
-    let transition_total: u64 = (2..8).map(|j| tnum[j]).sum();
+    let transitions = study.pooled_transition_counts();
+    let states = figures::transition_states(study);
+    let tnum = &transitions.num;
+    let transition_total: u64 = states.clone().map(|j| tnum[j]).sum();
+    let two_active = if states.contains(&2) { tnum[2] } else { 0 };
     rows.push(CompRow {
         id: "Figure 6".into(),
         metric: "% of transition states at 2-active".into(),
         paper: Some(52.43),
-        measured: 100.0 * tnum[2] as f64 / transition_total.max(1) as f64,
+        measured: 100.0 * two_active as f64 / transition_total.max(1) as f64,
         note: "2-concurrency dominates the drain of concurrent loops".into(),
     });
 
     // --- Figure 7: CE0/CE7 trail the drain.
-    let prof = study.pooled_transition_counts().prof;
+    let prof = &transitions.prof;
     if prof.len() == 8 {
         let ends = (prof[0] + prof[7]) as f64 / 2.0;
         let middle: f64 = (1..7).map(|j| prof[j] as f64).sum::<f64>() / 6.0;
@@ -120,9 +109,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
     }
 
     // --- Figure 10: missrate medians by C_w band.
-    let triggered = tables::triggered_samples(study);
-    let hw = tables::hw_samples(study, &triggered);
-    for (band, paper) in figures::CW_BANDS.iter().zip([0.001, 0.008, 0.023]) {
+    for (band, paper) in Axis::Cw.bands().iter().zip([0.001, 0.008, 0.023]) {
         rows.push(CompRow {
             id: "Figure 10".into(),
             metric: format!(
@@ -131,13 +118,13 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
                 band.1.min(1.0)
             ),
             paper: Some(paper),
-            measured: band_median(&hw, *band, figures::cw_axis, Sample::missrate),
+            measured: median(&a.band(Measure::MissRate, Axis::Cw, *band)).unwrap_or(f64::NAN),
             note: "median rises steeply with C_w".into(),
         });
     }
 
     // --- Figure 11: missrate medians by P_c band (flat).
-    for (band, paper) in figures::PC_BANDS.iter().zip([0.004, 0.017, 0.017]) {
+    for (band, paper) in Axis::Pc.bands().iter().zip([0.004, 0.017, 0.017]) {
         rows.push(CompRow {
             id: "Figure 11".into(),
             metric: format!(
@@ -146,15 +133,14 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
                 band.1.min(8.0)
             ),
             paper: Some(paper),
-            measured: band_median(&hw, *band, Sample::mean_concurrency_level, Sample::missrate),
+            measured: median(&a.band(Measure::MissRate, Axis::Pc, *band)).unwrap_or(f64::NAN),
             note: "little sensitivity to P_c between the upper bands".into(),
         });
     }
 
     // --- Tables 3/4: model quality and predictions.
-    let t3 = tables::table3(study);
-    let t4 = tables::table4(study);
-    if let Some(miss) = t3.model("Median Miss Rate") {
+    let model = |measure, axis| a.fit(measure, axis).as_ref().ok();
+    if let Some(miss) = model(Measure::MissRate, Axis::Cw) {
         rows.push(CompRow {
             id: "Table 3".into(),
             metric: "R^2, Missrate vs C_w".into(),
@@ -184,7 +170,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
             note: "'greater than triple increase'".into(),
         });
     }
-    if let Some(busy) = t3.model("Median CE Bus Busy") {
+    if let Some(busy) = model(Measure::CeBusBusy, Axis::Cw) {
         rows.push(CompRow {
             id: "Table 3".into(),
             metric: "R^2, CE Bus Busy vs C_w".into(),
@@ -200,7 +186,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
             note: "Figure 13 tops out near 0.33".into(),
         });
     }
-    if let Some(pfr) = t3.model("Median Page Fault Rate") {
+    if let Some(pfr) = model(Measure::PageFaultRate, Axis::Cw) {
         rows.push(CompRow {
             id: "Table 3".into(),
             metric: "R^2, Page Fault Rate vs C_w".into(),
@@ -209,7 +195,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
             note: "concave growth with C_w".into(),
         });
     }
-    if let Some(miss4) = t4.model("Median Miss Rate") {
+    if let Some(miss4) = model(Measure::MissRate, Axis::Pc) {
         rows.push(CompRow {
             id: "Table 4".into(),
             metric: "R^2, Missrate vs P_c".into(),
@@ -218,7 +204,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
             note: "the key negative result: Missrate barely depends on P_c".into(),
         });
     }
-    if let Some(busy4) = t4.model("Median CE Bus Busy") {
+    if let Some(busy4) = model(Measure::CeBusBusy, Axis::Pc) {
         rows.push(CompRow {
             id: "Table 4".into(),
             metric: "R^2, CE Bus Busy vs P_c".into(),
@@ -234,7 +220,7 @@ pub fn comparison(study: &Study) -> Vec<CompRow> {
             note: "'relatively constant bus activity after P_c = 6.0'".into(),
         });
     }
-    if let Some(pfr4) = t4.model("Median Page Fault Rate") {
+    if let Some(pfr4) = model(Measure::PageFaultRate, Axis::Pc) {
         rows.push(CompRow {
             id: "Table 4".into(),
             metric: "R^2, Page Fault Rate vs P_c".into(),
@@ -264,59 +250,66 @@ pub fn render_comparison(rows: &[CompRow]) -> String {
     s
 }
 
-/// Renders one section for a study; `None` when the study has no data
-/// for it (the per-session figures of a study without random sessions).
-pub type SectionRender = fn(&Study) -> Option<String>;
+/// Renders one section from a study's shared [`Analysis`]; `None` when
+/// the study has no data for it (the per-session figures of a study
+/// without random sessions).
+pub type SectionRender = fn(&Analysis) -> Option<String>;
 
 /// Every table and figure of the evaluation, in report order: the ID
 /// `reproduce run` accepts (matched case-insensitively) and its renderer.
 /// The one list behind both [`render_full_report`] and the CLI.
 pub const SECTIONS: &[(&str, SectionRender)] = &[
     ("table1", |_| Some(tables::table1())),
-    ("table2", |s| Some(tables::table2(s).render())),
-    ("table3", |s| Some(tables::table3(s).render())),
-    ("table4", |s| Some(tables::table4(s).render())),
-    ("tableA1", |s| {
-        Some(tables::render_table_a1(&tables::table_a1(s)))
+    ("table2", |a| Some(tables::table2(a.study).render())),
+    ("table3", |a| {
+        Some(tables::regression_table(a, Axis::Cw).render())
     }),
-    ("fig3", |s| Some(figures::fig3(s))),
-    ("fig4", |s| Some(figures::fig4(s))),
-    ("fig5", |s| Some(figures::fig5(s))),
-    ("fig6", |s| Some(figures::fig6(s))),
-    ("fig7", |s| Some(figures::fig7(s))),
-    ("fig8", |s| Some(figures::fig8(s))),
-    ("fig9", |s| Some(figures::fig9(s))),
-    ("fig10", |s| Some(figures::fig10(s))),
-    ("fig11", |s| Some(figures::fig11(s))),
-    ("fig12", |s| Some(figures::fig12(s))),
-    ("fig13", |s| Some(figures::fig13(s))),
-    ("fig14", |s| Some(figures::fig14(s))),
-    ("figA1", |s| {
-        (!s.random_sessions.is_empty()).then(|| figures::fig_a1_a2(s, 0))
+    ("table4", |a| {
+        Some(tables::regression_table(a, Axis::Pc).render())
     }),
-    ("figA2", |s| {
-        let last = s.random_sessions.len().checked_sub(1)?;
-        Some(figures::fig_a1_a2(s, last))
+    ("tableA1", |a| {
+        Some(tables::render_table_a1(&tables::table_a1(a.study)))
     }),
-    ("figA3", |s| Some(figures::fig_a3(s))),
-    ("figA4", |s| Some(figures::fig_a4(s))),
-    ("figA5", |s| Some(figures::fig_a5(s))),
-    ("figB1", |s| Some(figures::fig_b1(s))),
-    ("figB2", |s| Some(figures::fig_b2(s))),
-    ("figB3", |s| Some(figures::fig_b3(s))),
-    ("figB4", |s| Some(figures::fig_b4(s))),
-    ("figB5", |s| Some(figures::fig_b5(s))),
-    ("figB6", |s| Some(figures::fig_b6(s))),
-    ("figB7", |s| Some(figures::fig_b7(s))),
-    ("figB8", |s| Some(figures::fig_b8(s))),
-    ("figB9", |s| Some(figures::fig_b9(s))),
-    ("figB10", |s| Some(figures::fig_b10(s))),
+    ("fig3", |a| Some(figures::fig3(a.study))),
+    ("fig4", |a| Some(figures::fig4_of(a))),
+    ("fig5", |a| Some(figures::fig5_of(a))),
+    ("fig6", |a| Some(figures::fig6(a.study))),
+    ("fig7", |a| Some(figures::fig7(a.study))),
+    ("fig8", |a| Some(figures::fig8_of(a))),
+    ("fig9", |a| Some(figures::fig9_of(a))),
+    ("fig10", |a| Some(figures::fig10_of(a))),
+    ("fig11", |a| Some(figures::fig11_of(a))),
+    ("fig12", |a| Some(figures::fig12_of(a))),
+    ("fig13", |a| Some(figures::fig13_of(a))),
+    ("fig14", |a| Some(figures::fig14_of(a))),
+    ("figA1", |a| {
+        (!a.study.random_sessions.is_empty()).then(|| figures::fig_a1_a2(a.study, 0))
+    }),
+    ("figA2", |a| {
+        let last = a.study.random_sessions.len().checked_sub(1)?;
+        Some(figures::fig_a1_a2(a.study, last))
+    }),
+    ("figA3", |a| Some(figures::fig_a3_of(a))),
+    ("figA4", |a| Some(figures::fig_a4_of(a))),
+    ("figA5", |a| Some(figures::fig_a5_of(a))),
+    ("figB1", |a| Some(figures::fig_b1_of(a))),
+    ("figB2", |a| Some(figures::fig_b2_of(a))),
+    ("figB3", |a| Some(figures::fig_b3_of(a))),
+    ("figB4", |a| Some(figures::fig_b4_of(a))),
+    ("figB5", |a| Some(figures::fig_b5_of(a))),
+    ("figB6", |a| Some(figures::fig_b6_of(a))),
+    ("figB7", |a| Some(figures::fig_b7_of(a))),
+    ("figB8", |a| Some(figures::fig_b8_of(a))),
+    ("figB9", |a| Some(figures::fig_b9_of(a))),
+    ("figB10", |a| Some(figures::fig_b10_of(a))),
 ];
 
-/// Regenerate every table and figure as one document.
+/// Regenerate every table and figure as one document, all from one
+/// shared [`Analysis`].
 pub fn render_full_report(study: &Study) -> String {
+    let a = Analysis::new(study);
     let mut s = String::new();
-    for block in SECTIONS.iter().filter_map(|(_, render)| render(study)) {
+    for block in SECTIONS.iter().filter_map(|(_, render)| render(&a)) {
         s.push_str(&block);
         s.push('\n');
     }
@@ -385,6 +378,56 @@ mod tests {
         assert_eq!(unique.len(), ids.len(), "IDs must be unique ignoring case");
         // Tables 1-4 and A.1, Figures 3-14, A.1-A.5 and B.1-B.10.
         assert_eq!(SECTIONS.len(), 5 + 12 + 5 + 10);
+    }
+
+    /// The report's shared `Analysis` renders every section exactly as
+    /// the section's own `&Study` entry point does.
+    #[test]
+    fn shared_sections_match_their_study_entry_points() {
+        let study = mini_study();
+        let s = &study;
+        let last = s.random_sessions.len() - 1;
+        let blocks = [
+            tables::table1(),
+            tables::table2(s).render(),
+            tables::table3(s).render(),
+            tables::table4(s).render(),
+            tables::render_table_a1(&tables::table_a1(s)),
+            figures::fig3(s),
+            figures::fig4(s),
+            figures::fig5(s),
+            figures::fig6(s),
+            figures::fig7(s),
+            figures::fig8(s),
+            figures::fig9(s),
+            figures::fig10(s),
+            figures::fig11(s),
+            figures::fig12(s),
+            figures::fig13(s),
+            figures::fig14(s),
+            figures::fig_a1_a2(s, 0),
+            figures::fig_a1_a2(s, last),
+            figures::fig_a3(s),
+            figures::fig_a4(s),
+            figures::fig_a5(s),
+            figures::fig_b1(s),
+            figures::fig_b2(s),
+            figures::fig_b3(s),
+            figures::fig_b4(s),
+            figures::fig_b5(s),
+            figures::fig_b6(s),
+            figures::fig_b7(s),
+            figures::fig_b8(s),
+            figures::fig_b9(s),
+            figures::fig_b10(s),
+        ];
+        assert_eq!(blocks.len(), SECTIONS.len());
+        let a = Analysis::new(s);
+        for ((id, render), block) in SECTIONS.iter().zip(&blocks) {
+            assert_eq!(render(&a).as_ref(), Some(block), "section {id}");
+        }
+        let joined: String = blocks.iter().map(|b| format!("{b}\n")).collect();
+        assert_eq!(render_full_report(s), joined);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! simultaneously with the hardware measurements." A [`Sample`] is that
 //! grouped unit: the merged event counts of its snapshots, the kernel
 //! counter delta over the interval, and every derived measure the analysis
-//! chapters use.
+//! chapters use. A `Point` is one sample reduced to those measures once,
+//! the row the analysis reads.
 
 use fx8_monitor::{EventCounts, KernelCounters};
 use fx8_sim::Cycle;
-use fx8_stats::measures::ConcurrencyMeasures;
+use fx8_stats::measures::cw_pc;
 use serde::{Deserialize, Serialize};
 
 /// One five-minute sample of the workload.
@@ -26,19 +27,14 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// Concurrency measures of this sample's record distribution.
-    pub fn measures(&self) -> ConcurrencyMeasures {
-        ConcurrencyMeasures::from_counts(&self.counts.num)
-    }
-
     /// Workload Concurrency `C_w` (eq. 4.2).
     pub fn workload_concurrency(&self) -> f64 {
-        self.measures().workload_concurrency
+        cw_pc(&self.counts.num).0
     }
 
     /// Mean Concurrency Level `P_c` (eq. 4.4), when defined.
     pub fn mean_concurrency_level(&self) -> Option<f64> {
-        self.measures().mean_concurrency_level
+        cw_pc(&self.counts.num).1
     }
 
     /// Cache miss rate over the sample's records.
@@ -58,27 +54,42 @@ impl Sample {
     }
 }
 
-/// Extract `(C_w, y)` points from samples via a selector.
-pub fn points_vs_cw<'s>(
-    samples: impl IntoIterator<Item = &'s Sample>,
-    y: impl Fn(&Sample) -> f64,
-) -> Vec<(f64, f64)> {
-    samples
-        .into_iter()
-        .map(|s| (s.workload_concurrency(), y(s)))
-        .collect()
+/// One sample reduced to the five numbers Chapter 5 analyzes, derived
+/// once from borrowed counts: the row every figure, table and comparison
+/// reads instead of re-deriving them from the [`Sample`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Point {
+    /// Workload Concurrency `C_w` (eq. 4.2).
+    pub cw: f64,
+    /// Mean Concurrency Level `P_c` (eq. 4.4), when defined.
+    pub pc: Option<f64>,
+    /// Cache miss rate.
+    pub miss: f64,
+    /// CE bus busy fraction.
+    pub busy: f64,
+    /// Page Fault Rate (zero for triggered buffers, which carry no
+    /// kernel counters).
+    pub faults: f64,
 }
 
-/// Extract `(P_c, y)` points from samples (only samples where `P_c` is
-/// defined, exactly as the thesis's plots drop them).
-pub fn points_vs_pc<'s>(
-    samples: impl IntoIterator<Item = &'s Sample>,
-    y: impl Fn(&Sample) -> f64,
-) -> Vec<(f64, f64)> {
-    samples
-        .into_iter()
-        .filter_map(|s| s.mean_concurrency_level().map(|pc| (pc, y(s))))
-        .collect()
+impl Point {
+    /// The row of one reduced buffer and its interval's page faults.
+    pub(crate) fn new(counts: &EventCounts, faults: u64) -> Self {
+        let (cw, pc) = cw_pc(&counts.num);
+        Point {
+            cw,
+            pc,
+            miss: counts.missrate(),
+            busy: counts.ce_bus_busy(),
+            faults: faults as f64,
+        }
+    }
+}
+
+impl From<&Sample> for Point {
+    fn from(s: &Sample) -> Self {
+        Point::new(&s.counts, s.kernel.total_faults())
+    }
 }
 
 #[cfg(test)]
@@ -114,11 +125,17 @@ mod tests {
     #[test]
     fn pc_points_drop_undefined_samples() {
         let concurrent = sample_with(vec![0, 0, 0, 0, 0, 0, 0, 0, 10], 0, 10, 0);
-        let serial = sample_with(vec![5, 5, 0, 0, 0, 0, 0, 0, 0], 0, 10, 0);
-        let samples = vec![concurrent, serial];
-        let pts = points_vs_pc(&samples, Sample::missrate);
-        assert_eq!(pts.len(), 1, "serial sample has undefined P_c");
-        let pts_cw = points_vs_cw(&samples, Sample::missrate);
-        assert_eq!(pts_cw.len(), 2);
+        let serial = sample_with(vec![5, 5, 0, 0, 0, 0, 0, 0, 0], 0, 10, 7);
+        let (c, s) = (Point::from(&concurrent), Point::from(&serial));
+        assert_eq!(c.pc, Some(8.0));
+        assert_eq!(s.pc, None, "serial sample has undefined P_c");
+        assert_eq!((s.cw, s.faults), (0.0, 7.0));
+        for (sample, row) in [(&concurrent, c), (&serial, s)] {
+            assert_eq!(row.cw, sample.workload_concurrency());
+            assert_eq!(row.pc, sample.mean_concurrency_level());
+            assert_eq!(row.miss, sample.missrate());
+            assert_eq!(row.busy, sample.ce_bus_busy());
+            assert_eq!(row.faults, sample.page_fault_rate());
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Tables 1–4 and A.1.
 
-use crate::sample::{points_vs_cw, points_vs_pc, Sample};
+use crate::analysis::{Analysis, Axis, Measure};
 use crate::study::Study;
 use fx8_stats::freq::midpoints;
-use fx8_stats::measures::ConcurrencyMeasures;
-use fx8_stats::regression::{fit_median_model, FitError, QuadModel};
+use fx8_stats::measures::{cw_pc, ConcurrencyMeasures};
+use fx8_stats::regression::{FitError, QuadModel};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -125,39 +125,6 @@ impl RegressionTable {
     }
 }
 
-/// The samples Chapter 5 analyzes: the random-sampling samples plus the
-/// all-active-triggered buffers ("the combination of random sampling and
-/// high concurrency measurement periods"). Triggered buffers carry no
-/// kernel counters (those sessions "dealt with hardware measurements
-/// only"), so they are returned separately.
-pub fn analysis_samples(study: &Study) -> (Vec<Sample>, Vec<Sample>) {
-    let random = study.all_samples().into_iter().cloned().collect();
-    (random, triggered_samples(study))
-}
-
-/// The all-active-triggered buffers as samples: session `1000 + i`, no
-/// kernel counters.
-pub(crate) fn triggered_samples(study: &Study) -> Vec<Sample> {
-    study
-        .triggered
-        .iter()
-        .flat_map(|bufs| {
-            bufs.iter().map(|c| Sample {
-                session: 1000 + c.session,
-                at_cycle: c.at_cycle,
-                counts: c.counts.clone(),
-                kernel: Default::default(),
-            })
-        })
-        .collect()
-}
-
-/// The hardware samples Chapter 5 analyzes, borrowed: the study's random
-/// samples, then `triggered` (from [`triggered_samples`]).
-pub(crate) fn hw_samples<'s>(study: &'s Study, triggered: &'s [Sample]) -> Vec<&'s Sample> {
-    study.all_samples().into_iter().chain(triggered).collect()
-}
-
 /// Midpoints the thesis used for `C_w` (0.0, 0.1, ..., 1.0).
 pub fn cw_midpoints() -> Vec<f64> {
     midpoints(0.0, 0.1, 11)
@@ -168,72 +135,27 @@ pub fn pc_midpoints() -> Vec<f64> {
     midpoints(2.0, 1.0, 7)
 }
 
-/// A system measure of Tables 3 and 4, in row order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Measure {
-    MissRate,
-    CeBusBusy,
-    PageFaultRate,
-}
-
-impl Measure {
-    const ALL: [Measure; 3] = [
-        Measure::MissRate,
-        Measure::CeBusBusy,
-        Measure::PageFaultRate,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Measure::MissRate => "Median Miss Rate",
-            Measure::CeBusBusy => "Median CE Bus Busy",
-            Measure::PageFaultRate => "Median Page Fault Rate",
-        }
-    }
-
-    /// Fit this measure's median regression model against `C_w`
-    /// (`vs_cw`) or `P_c`.
-    pub(crate) fn fit(self, study: &Study, vs_cw: bool) -> ModelRow {
-        let triggered;
-        let (samples, y): (Vec<&Sample>, fn(&Sample) -> f64) = match self {
-            Measure::MissRate | Measure::CeBusBusy => {
-                triggered = triggered_samples(study);
-                let y = if self == Measure::MissRate {
-                    Sample::missrate
-                } else {
-                    Sample::ce_bus_busy
-                };
-                (hw_samples(study, &triggered), y)
-            }
-            // Software counters exist only for the random samples.
-            Measure::PageFaultRate => (study.all_samples(), Sample::page_fault_rate),
-        };
-        let model = if vs_cw {
-            fit_median_model(&points_vs_cw(samples, y), &cw_midpoints())
-        } else {
-            fit_median_model(&points_vs_pc(samples, y), &pc_midpoints())
-        };
-        ModelRow {
-            measure: self.name().into(),
-            model,
-        }
+/// A regression table: the three § 5.2 models against `axis`.
+pub(crate) fn regression_table(a: &Analysis, axis: Axis) -> RegressionTable {
+    RegressionTable {
+        vs: axis.symbol().into(),
+        rows: Measure::ALL
+            .map(|m| ModelRow {
+                measure: m.name().into(),
+                model: a.fit(m, axis).clone(),
+            })
+            .to_vec(),
     }
 }
 
 /// Table 3: median regression models vs Workload Concurrency.
 pub fn table3(study: &Study) -> RegressionTable {
-    RegressionTable {
-        vs: "C_w".into(),
-        rows: Measure::ALL.map(|m| m.fit(study, true)).to_vec(),
-    }
+    regression_table(&Analysis::new(study), Axis::Cw)
 }
 
 /// Table 4: median regression models vs Mean Concurrency Level.
 pub fn table4(study: &Study) -> RegressionTable {
-    RegressionTable {
-        vs: "P_c".into(),
-        rows: Measure::ALL.map(|m| m.fit(study, false)).to_vec(),
-    }
+    regression_table(&Analysis::new(study), Axis::Pc)
 }
 
 /// One row of Table A.1: a session's mean concurrency measures.
@@ -255,11 +177,11 @@ pub fn table_a1(study: &Study) -> Vec<SessionMeans> {
         .random_sessions
         .iter()
         .map(|s| {
-            let m = ConcurrencyMeasures::from_counts(&s.pooled_num());
+            let (cw, pc) = cw_pc(&s.pooled_num());
             SessionMeans {
                 session: s.session,
-                cw: m.workload_concurrency,
-                pc: m.mean_concurrency_level,
+                cw,
+                pc,
                 samples: s.samples.len(),
             }
         })
@@ -345,20 +267,25 @@ mod tests {
     #[test]
     fn analysis_samples_split_random_and_triggered() {
         let study = mini_study();
-        let (random, triggered) = analysis_samples(&study);
-        assert_eq!(random.len(), study.all_samples().len());
+        let a = Analysis::new(&study);
+        let samples = study.all_samples();
+        assert_eq!(a.random().len(), samples.len());
+        for (row, sample) in a.random().iter().zip(samples) {
+            assert_eq!(*row, crate::sample::Point::from(sample));
+        }
+        let triggered = &a.hardware()[a.random().len()..];
         assert_eq!(
             triggered.len(),
             study.triggered.iter().map(Vec::len).sum::<usize>()
         );
-        // Triggered buffers are concentrated near full concurrency.
-        for t in &triggered {
-            assert!(
-                t.workload_concurrency() > 0.5,
-                "cw {}",
-                t.workload_concurrency()
-            );
+        // Triggered buffers are concentrated near full concurrency and
+        // carry no kernel counters.
+        for t in triggered {
+            assert!(t.cw > 0.5, "cw {}", t.cw);
+            assert_eq!(t.faults, 0.0);
         }
+        assert_eq!(a.rows(Measure::PageFaultRate), a.random());
+        assert_eq!(a.rows(Measure::MissRate), a.hardware());
     }
 
     #[test]

@@ -12,16 +12,20 @@
 //! second value for that build.
 //!
 //! The property tests close the loop the other way: any [`Value`] and any
-//! cache payload survive `to_string` → `from_str` unchanged.
+//! cache payload survive `to_string` → `from_str` unchanged. The rendered
+//! report rests on the concurrency measures, so a last property pins the
+//! allocation-free `C_w`/`P_c` to the vector-building formula bit for bit.
 
 use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult, JobState, JobStatus};
 use fx8_core::cache::{CachedSession, SessionCache, SessionKind};
 use fx8_core::experiment::{Capture, SessionConfig, SessionResult};
+use fx8_core::report::{comparison, render_comparison, render_full_report};
 use fx8_core::sample::Sample;
 use fx8_core::study::StudyConfig;
 use fx8_monitor::{EventCounts, KernelCounters};
 use fx8_sim::audit::{AuditReport, Violation};
 use fx8_sim::fingerprint::{CacheKeyHasher, AUDIT_BUILD};
+use fx8_stats::measures::{cw_pc, ConcurrencyMeasures};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::Value;
@@ -127,6 +131,36 @@ fn session_cache_key_is_pinned() {
         "427526226ee3249c860d5693fa45706f"
     };
     assert_eq!(key.to_hex(), want);
+}
+
+/// The rendered analysis of the quick study widened to six random
+/// sessions, enough for every Table 3 and Table 4 model to fit: the full
+/// report and the paper-vs-measured comparison.
+#[test]
+fn report_and_comparison_text_are_pinned() {
+    let mut cfg = StudyConfig::quick();
+    cfg.n_random = 6;
+    cfg.session_hours = vec![0.35; 6];
+    let study = match api::execute(&JobRequest::study(cfg), None)
+        .expect("quick study runs")
+        .result
+    {
+        JobResult::Study { study, .. } => study,
+        other => panic!("a study request returned {other:?}"),
+    };
+    let report = render_full_report(&study);
+    assert!(!report.contains("no fit"), "Tables 3/4 must fit:\n{report}");
+    assert!(!report.contains("degenerate"), "Figures 12-14 must fit");
+    assert_eq!(
+        digest(&report),
+        (62135, "105cd0460b19278be175883305223c7b".to_string()),
+        "render_full_report"
+    );
+    assert_eq!(
+        digest(&render_comparison(&comparison(&study))),
+        (2733, "620dd6c7b3b858b14c90bce50c9c3fa6".to_string()),
+        "render_comparison"
+    );
 }
 
 /// Characters that stress the string codec: escapes, control bytes, and
@@ -235,6 +269,45 @@ fn arb_session(rng: &mut TestRng) -> CachedSession {
     }
 }
 
+/// `num[j]` for a machine of 1 to 64 CEs (widths 2..=65): all zero, all
+/// serial (only `j = 0, 1`), or arbitrary counts with many empty bins.
+fn arb_num(rng: &mut TestRng) -> Vec<u64> {
+    let width = 2 + rng.below(64) as usize;
+    let kind = rng.below(4);
+    (0..width)
+        .map(|j| match kind {
+            0 => 0,
+            1 if j >= 2 => 0,
+            _ if rng.below(3) == 0 => 0,
+            _ => rng.next_u64() >> (20 + rng.below(44)),
+        })
+        .collect()
+}
+
+/// Equations 4.2 and 4.4 as the vector-building code computed them: the
+/// full `c_j` vector, `C_w` summed from it, then the `c_{j|c}` vector and
+/// `P_c` summed from that.
+fn cw_pc_by_vectors(num: &[u64]) -> (f64, Option<f64>) {
+    let total: u64 = num.iter().sum();
+    if total == 0 {
+        return (0.0, None);
+    }
+    let c: Vec<f64> = num.iter().map(|&k| k as f64 / total as f64).collect();
+    let cw: f64 = c.iter().skip(2).sum();
+    if cw <= 0.0 {
+        return (cw, None);
+    }
+    let cond: Vec<f64> = c
+        .iter()
+        .enumerate()
+        .map(|(j, &cj)| if j >= 2 { cj / cw } else { 0.0 })
+        .collect();
+    (
+        cw,
+        Some(cond.iter().enumerate().map(|(j, &p)| j as f64 * p).sum()),
+    )
+}
+
 /// A [`Strategy`] from a sampling function.
 struct Sampled<F>(F);
 
@@ -261,5 +334,18 @@ proptest! {
         let back: CachedSession = serde_json::from_str(&text).unwrap();
         prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
         prop_assert_eq!(back, session);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn allocation_free_measures_match_the_vectors_bit_for_bit(num in Sampled(arb_num)) {
+        let bits = |(cw, pc): (f64, Option<f64>)| (cw.to_bits(), pc.map(f64::to_bits));
+        let m = ConcurrencyMeasures::from_counts(&num);
+        let fast = bits(cw_pc(&num));
+        prop_assert_eq!(fast, bits((m.workload_concurrency, m.mean_concurrency_level)));
+        prop_assert_eq!(fast, bits(cw_pc_by_vectors(&num)));
     }
 }

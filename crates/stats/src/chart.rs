@@ -10,6 +10,7 @@
 
 use crate::freq::FreqDist;
 use crate::regression::QuadModel;
+use std::fmt::Write as _;
 
 /// Maximum bar length in characters.
 const BAR_WIDTH: usize = 60;
@@ -26,8 +27,9 @@ pub fn hbar(dist: &FreqDist, title: &str, label_fmt: impl Fn(f64) -> String) -> 
     let cpct = dist.cum_percent();
     let labels: Vec<String> = dist.midpoints.iter().map(|&m| label_fmt(m)).collect();
     let lw = labels.iter().map(String::len).max().unwrap_or(0).max(8);
-    out.push_str(&format!(
-        "{:lw$}  {:bw$}  {:>8} {:>8} {:>8} {:>8}\n",
+    let _ = writeln!(
+        out,
+        "{:lw$}  {:bw$}  {:>8} {:>8} {:>8} {:>8}",
         "MIDPOINT",
         "",
         "FREQ",
@@ -36,23 +38,25 @@ pub fn hbar(dist: &FreqDist, title: &str, label_fmt: impl Fn(f64) -> String) -> 
         "CUM.PCT",
         lw = lw,
         bw = BAR_WIDTH
-    ));
+    );
+    let stars = "*".repeat(BAR_WIDTH);
     for i in 0..dist.freq.len() {
         let bar_len = ((dist.freq[i] as f64 / max as f64) * BAR_WIDTH as f64).round() as usize;
-        out.push_str(&format!(
-            "{:lw$} |{:bw$}| {:>8} {:>8} {:>8.2} {:>8.2}\n",
+        let _ = writeln!(
+            out,
+            "{:lw$} |{:bw$}| {:>8} {:>8} {:>8.2} {:>8.2}",
             labels[i],
-            "*".repeat(bar_len),
+            &stars[..bar_len],
             dist.freq[i],
             cum[i],
             pct[i],
             cpct[i],
             lw = lw,
             bw = BAR_WIDTH
-        ));
+        );
     }
     if let (Some(mean), Some(median)) = (dist.mean_midpoint(), dist.median_midpoint()) {
-        out.push_str(&format!("MEAN: {mean:.4}   MEDIAN: {median:.4}\n"));
+        let _ = writeln!(out, "MEAN: {mean:.4}   MEDIAN: {median:.4}");
     }
     out
 }
@@ -66,6 +70,7 @@ pub fn hbar_labeled(title: &str, labels: &[String], freq: &[u64]) -> String {
     let total: u64 = freq.iter().sum();
     let max = freq.iter().copied().max().unwrap_or(0).max(1);
     let lw = labels.iter().map(String::len).max().unwrap_or(0).max(8);
+    let stars = "*".repeat(BAR_WIDTH);
     for (label, &f) in labels.iter().zip(freq) {
         let bar_len = ((f as f64 / max as f64) * BAR_WIDTH as f64).round() as usize;
         let pct = if total == 0 {
@@ -73,15 +78,16 @@ pub fn hbar_labeled(title: &str, labels: &[String], freq: &[u64]) -> String {
         } else {
             100.0 * f as f64 / total as f64
         };
-        out.push_str(&format!(
-            "{:lw$} |{:bw$}| {:>10} {:>7.2}%\n",
+        let _ = writeln!(
+            out,
+            "{:lw$} |{:bw$}| {:>10} {:>7.2}%",
             label,
-            "*".repeat(bar_len),
+            &stars[..bar_len],
             f,
             pct,
             lw = lw,
             bw = BAR_WIDTH
-        ));
+        );
     }
     out
 }
@@ -111,23 +117,24 @@ pub fn scatter(
         let row = scale(y, y0, y1, height);
         grid[height - 1 - row][col] += 1;
     }
-    out.push_str(&format!("{y_label}\n"));
+    let _ = writeln!(out, "{y_label}");
     for (r, row) in grid.iter().enumerate() {
         let y_val = y1 - (y1 - y0) * r as f64 / (height - 1) as f64;
-        out.push_str(&format!("{y_val:>10.4} |"));
+        let _ = write!(out, "{y_val:>10.4} |");
         for &n in row {
             out.push(letter(n));
         }
         out.push('\n');
     }
-    out.push_str(&format!("{:>10} +{}\n", "", "-".repeat(width)));
-    out.push_str(&format!(
-        "{:>10}  {:<w$.4}{:>.4}   ({x_label})\n",
+    let _ = writeln!(out, "{:>10} +{}", "", "-".repeat(width));
+    let _ = writeln!(
+        out,
+        "{:>10}  {:<w$.4}{:>.4}   ({x_label})",
         "",
         x0,
         x1,
         w = width.saturating_sub(6)
-    ));
+    );
     out
 }
 
@@ -148,10 +155,11 @@ pub fn model_curve(
         })
         .collect();
     let mut out = scatter(title, &points, "x", "fitted", width, height);
-    out.push_str(&format!(
-        "MODEL: y = {:+.4e}*x {:+.4e}*x^2 {:+.4e}   R^2 = {:.2}\n",
+    let _ = writeln!(
+        out,
+        "MODEL: y = {:+.4e}*x {:+.4e}*x^2 {:+.4e}   R^2 = {:.2}",
         model.b1, model.b2, model.c, model.r2
-    ));
+    );
     out
 }
 

@@ -140,6 +140,10 @@ pub fn nearest_bin(v: f64, midpoints: &[f64]) -> usize {
         if d <= best_d {
             best = i;
             best_d = d;
+        } else {
+            // Past `v` the distance only grows (rounding is monotone), so
+            // no later midpoint can be nearer.
+            break;
         }
     }
     best
@@ -176,6 +180,33 @@ mod tests {
         let mids = [0.0, 1.0];
         assert_eq!(nearest_bin(0.5, &mids), 1);
         assert_eq!(nearest_bin(0.4999, &mids), 0);
+    }
+
+    #[test]
+    fn early_exit_matches_a_full_scan() {
+        let full = |v: f64, mids: &[f64]| {
+            let mut best = 0;
+            for (i, &m) in mids.iter().enumerate() {
+                if (v - m).abs() <= (v - mids[best]).abs() {
+                    best = i;
+                }
+            }
+            best
+        };
+        for mids in [
+            midpoints(0.0, 0.1, 11),
+            midpoints(2.0, 1.0, 7),
+            midpoints(0.0, 0.01, 11),
+            midpoints(0.0, 2000.0, 13),
+        ] {
+            let step = mids[1] - mids[0];
+            // Steps of 1/40 bin from a bin below the range to a bin above
+            // it: every midpoint and halfway tie, up to rounding.
+            for i in -40..=40 * mids.len() as i32 {
+                let v = mids[0] + step * f64::from(i) / 40.0;
+                assert_eq!(nearest_bin(v, &mids), full(v, &mids), "{v} in {mids:?}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,28 @@ pub struct ConcurrencyMeasures {
     pub total_records: u64,
 }
 
+/// Workload Concurrency `C_w` (eq. 4.2) and Mean Concurrency Level `P_c`
+/// (eq. 4.4) straight from `num[j]`, without building the `c_j` vectors.
+/// The one formula behind [`ConcurrencyMeasures::from_counts`], so the two
+/// agree bit for bit. `(0.0, None)` when there are no records.
+pub fn cw_pc(num: &[u64]) -> (f64, Option<f64>) {
+    let total: u64 = num.iter().sum();
+    if total == 0 {
+        return (0.0, None);
+    }
+    // An empty bin's share is exactly +0.0 in both sums, so skipping its
+    // divisions (most bins of most samples) leaves every bit unchanged.
+    let c = |k: u64| if k == 0 { 0.0 } else { k as f64 / total as f64 };
+    let cw: f64 = num.iter().skip(2).map(|&k| c(k)).sum();
+    let pc = (cw > 0.0).then(|| {
+        num.iter()
+            .enumerate()
+            .map(|(j, &k)| j as f64 * if j >= 2 && k != 0 { c(k) / cw } else { 0.0 })
+            .sum()
+    });
+    (cw, pc)
+}
+
 impl ConcurrencyMeasures {
     /// Compute the measures from `num[j]` = records with `j` processors
     /// active, `j = 0..=P`.
@@ -40,27 +62,19 @@ impl ConcurrencyMeasures {
             "need counts for at least 0 and 1 processors"
         );
         let total: u64 = num.iter().sum();
-        if total == 0 {
-            return ConcurrencyMeasures {
-                c: vec![0.0; num.len()],
-                workload_concurrency: 0.0,
-                conditional: Vec::new(),
-                mean_concurrency_level: None,
-                total_records: 0,
-            };
-        }
-        let c: Vec<f64> = num.iter().map(|&k| k as f64 / total as f64).collect();
-        let cw: f64 = c.iter().skip(2).sum();
-        let (conditional, pc) = if cw > 0.0 {
-            let cond: Vec<f64> = c
+        let (cw, pc) = cw_pc(num);
+        let c: Vec<f64> = if total == 0 {
+            vec![0.0; num.len()]
+        } else {
+            num.iter().map(|&k| k as f64 / total as f64).collect()
+        };
+        let conditional = match pc {
+            Some(_) => c
                 .iter()
                 .enumerate()
                 .map(|(j, &cj)| if j >= 2 { cj / cw } else { 0.0 })
-                .collect();
-            let pc = cond.iter().enumerate().map(|(j, &p)| j as f64 * p).sum();
-            (cond, Some(pc))
-        } else {
-            (Vec::new(), None)
+                .collect(),
+            None => Vec::new(),
         };
         ConcurrencyMeasures {
             c,
