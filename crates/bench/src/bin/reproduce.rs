@@ -57,7 +57,8 @@
 //!   `--requests` warm requests each; prints p50 latency and req/s and
 //!   (unless `--no-record`) records them as `serve.*` rows in
 //!   `BENCH_throughput.json`. Exits nonzero if the warm-hit rate falls
-//!   below 90% or any 5xx was served — CI's serve-smoke gate.
+//!   below 90%, any 5xx was served, or the server started more than four
+//!   connection threads per client — CI's serve-smoke gate.
 //!
 //! `run`, `scale` and `serve` memoize session results in a
 //! content-addressed cache (the simulator is bit-deterministic, so a
@@ -809,7 +810,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
 
 /// Load-test an in-process server and (unless `--no-record`) fold the
 /// serve numbers into `BENCH_throughput.json`. Exits nonzero if a CI gate
-/// (warm-hit rate, 5xx) fails.
+/// (warm-hit rate, 5xx, connection threads per client) fails.
 fn cmd_hammer(args: &Args) -> ExitCode {
     let defaults = hammer::HammerOptions::default();
     let opts = hammer::HammerOptions {
@@ -826,8 +827,13 @@ fn cmd_hammer(args: &Args) -> ExitCode {
     print!("{}", report.render());
     // The greppable line CI and scripts parse.
     println!(
-        "hammer-stats: warm_p50_ms={:.3} req_per_s={:.1} warm_hit_rate={:.3} responses_5xx={}",
-        report.warm_p50_ms, report.req_per_s, report.warm_hit_rate, report.responses_5xx
+        "hammer-stats: warm_p50_ms={:.3} req_per_s={:.1} warm_hit_rate={:.3} responses_5xx={} \
+         connection_threads={}",
+        report.warm_p50_ms,
+        report.req_per_s,
+        report.warm_hit_rate,
+        report.responses_5xx,
+        report.connection_threads
     );
     if !args.has("--no-record") {
         match hammer::record(BENCH_PATH, &report) {

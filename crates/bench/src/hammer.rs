@@ -6,8 +6,9 @@
 //! path end to end: TCP connect, HTTP parse, queue, cache lookup, result
 //! splice, response. Reports client-observed p50 latency and request
 //! throughput, plus the server's own counters for gating (warm-hit rate,
-//! 5xx count). CI's serve-smoke job runs this and fails on a cold-path
-//! regression dressed up as a cache.
+//! 5xx count, connection threads started). CI's serve-smoke job runs this
+//! and fails on a cold-path regression dressed up as a cache, or on a
+//! server that starts a thread per connection again.
 
 use crate::throughput::{self, Layer, Row};
 use fx8_core::api::{JobState, JobStatus};
@@ -53,11 +54,22 @@ pub struct HammerReport {
     pub responses_5xx: u64,
     /// Warm requests issued.
     pub warm_requests: usize,
+    /// Concurrent client threads.
+    pub concurrency: usize,
+    /// Connection threads the server started over the whole run.
+    pub connection_threads: u64,
 }
+
+/// Connection threads the server may start per client thread. Clients
+/// send one request per connection and one at a time, so a server that
+/// reuses its threads needs about one per client, however many requests
+/// they send.
+pub const THREADS_PER_CLIENT: u64 = 4;
 
 impl HammerReport {
     /// The CI gate: every warm request served, ≥90% of cache lookups hit,
-    /// and not a single 5xx.
+    /// not a single 5xx, and at most [`THREADS_PER_CLIENT`] connection
+    /// threads started per client.
     pub fn gate_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if self.warm_hit_rate < 0.9 {
@@ -70,6 +82,13 @@ impl HammerReport {
             failures.push(format!(
                 "{} 5xx responses (gate is zero)",
                 self.responses_5xx
+            ));
+        }
+        let bound = THREADS_PER_CLIENT * self.concurrency.max(1) as u64;
+        if self.connection_threads > bound {
+            failures.push(format!(
+                "{} connection threads started for {} clients (gate is {bound})",
+                self.connection_threads, self.concurrency
             ));
         }
         failures
@@ -90,13 +109,15 @@ impl HammerReport {
     pub fn render(&self) -> String {
         format!(
             "hammer: {} warm requests\n  cold job: {:.2} s\n  warm p50: {:.2} ms\n  \
-             throughput: {:.0} req/s\n  warm-hit rate: {:.1}%\n  5xx: {}\n",
+             throughput: {:.0} req/s\n  warm-hit rate: {:.1}%\n  5xx: {}\n  \
+             connection threads: {}\n",
             self.warm_requests,
             self.cold_wall_s,
             self.warm_p50_ms,
             self.req_per_s,
             self.warm_hit_rate * 100.0,
             self.responses_5xx,
+            self.connection_threads,
         )
     }
 }
@@ -201,13 +222,14 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     }
     let wall = t0.elapsed().as_secs_f64();
 
-    // Server-side counters for the gates: the warm phase's cache delta
-    // and the run's 5xx count.
+    // Server-side counters for the gates: the warm phase's cache delta,
+    // the run's 5xx count and its connection threads.
     let resp = client::request(addr, "GET", "/v1/metrics", None)
         .map_err(|e| format!("metrics failed: {e}"))?;
     let metrics: Value =
         serde_json::from_str(&resp.body_str()).map_err(|e| format!("bad metrics: {e}"))?;
     let responses_5xx = num(&metrics, "responses_5xx")?;
+    let connection_threads = num(&metrics, "connection_threads")?;
     let (hits_all, misses_all) = cache_counters()?;
     let hits = (hits_all - hits_cold) as f64;
     let misses = (misses_all - misses_cold) as f64;
@@ -230,6 +252,8 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
         warm_hit_rate,
         responses_5xx,
         warm_requests: total,
+        concurrency: opts.concurrency.max(1),
+        connection_threads,
     })
 }
 
@@ -258,17 +282,21 @@ mod tests {
             warm_hit_rate: 0.98,
             responses_5xx: 0,
             warm_requests: 100,
+            concurrency: 4,
+            connection_threads: 16,
         };
         assert!(good.gate_failures().is_empty());
         let bad = HammerReport {
             warm_hit_rate: 0.5,
             responses_5xx: 3,
+            connection_threads: 17,
             ..good
         };
         let failures = bad.gate_failures();
-        assert_eq!(failures.len(), 2);
+        assert_eq!(failures.len(), 3);
         assert!(failures[0].contains("90%"));
         assert!(failures[1].contains("5xx"));
+        assert!(failures[2].contains("17 connection threads"));
     }
 
     #[test]
@@ -285,7 +313,12 @@ mod tests {
         assert!(report.warm_hit_rate > 0.9, "all-warm rerun should hit");
         assert_eq!(report.responses_5xx, 0);
         assert!(report.warm_p50_ms > 0.0);
-        assert!(report.gate_failures().is_empty());
+        assert!(report.connection_threads >= 1);
+        assert!(
+            report.gate_failures().is_empty(),
+            "{:?}",
+            report.gate_failures()
+        );
     }
 
     #[test]
@@ -298,6 +331,8 @@ mod tests {
             warm_hit_rate: 1.0,
             responses_5xx: 0,
             warm_requests: 40,
+            concurrency: 2,
+            connection_threads: 2,
         };
         let engine = Row::new(Layer::Engine, "loop_cycles_per_s", "cycles/s", 9.0);
         let stale = Row::new(Layer::Serve, "warm_p50_ms", "ms", 99.0);

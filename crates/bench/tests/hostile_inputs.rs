@@ -13,7 +13,9 @@
 //!
 //! A hostile *config* is a valid one the defaults never exercise: studies
 //! on machines narrower (or wider) than the 8-CE FX/8 must run, report
-//! and finish over HTTP like any other.
+//! and finish over HTTP like any other. A hostile *id* is one the server
+//! issued and has since dropped from its bounded record of finished jobs:
+//! it must answer a typed envelope, never a 500.
 
 use fx8_bench::throughput;
 use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult, JobSpec, JobState, JobStatus};
@@ -431,6 +433,72 @@ fn a_narrow_study_over_http_reaches_done() {
     let done = fx8_serve::client::request(addr, "GET", &path, None).unwrap();
     let status: JobStatus = serde_json::from_str(&done.body_str()).unwrap();
     assert_eq!(status.state, JobState::Done, "{}", done.body_str());
+    handle.shutdown();
+    serving
+        .join()
+        .expect("server thread")
+        .expect("server drains");
+}
+
+/// Polling a job the server has dropped from its bounded record of
+/// finished jobs answers a typed `410 job/expired`, on every job route,
+/// never a 500; an id never issued stays `404 job/not-found`.
+#[test]
+fn an_evicted_job_id_answers_expired() {
+    let jobs = fx8_serve::jobs::MAX_FINISHED_JOBS + 2;
+    let server = Server::bind(
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_depth: jobs,
+            wait_timeout_ms: 60_000,
+            ..ServeConfig::default()
+        },
+        Some(SessionCache::in_memory()),
+    )
+    .expect("bind on port 0");
+    let (addr, handle) = (server.local_addr(), server.handle());
+    let serving = std::thread::spawn(move || server.run());
+    let request = |method: &str, path: &str, body: Option<&str>| {
+        fx8_serve::client::request(addr, method, path, body).expect("loopback answers")
+    };
+    let body = serde_json::to_string(&JobRequest::study(StudyConfig {
+        n_random: 1,
+        session_hours: vec![0.02],
+        n_triggered: 0,
+        n_transition: 0,
+        ..StudyConfig::quick()
+    }))
+    .unwrap();
+    let mut last = 0;
+    for _ in 0..jobs {
+        let submitted = request("POST", "/v1/jobs", Some(&body));
+        assert_eq!(submitted.status, 202, "{}", submitted.body_str());
+        last = serde_json::from_str::<JobStatus>(&submitted.body_str())
+            .unwrap()
+            .id;
+    }
+    // One worker finishes jobs in id order and retires each before it
+    // starts the next, so once the last is done the first is gone.
+    let done = request("GET", &format!("/v1/jobs/{last}?wait=1"), None);
+    let status: JobStatus = serde_json::from_str(&done.body_str()).unwrap();
+    assert_eq!(status.state, JobState::Done, "{}", done.body_str());
+    for (method, path) in [
+        ("GET", "/v1/jobs/1"),
+        ("GET", "/v1/jobs/1?wait=1"),
+        ("GET", "/v1/jobs/1/events"),
+        ("POST", "/v1/jobs/1/cancel"),
+        ("DELETE", "/v1/jobs/1"),
+    ] {
+        let resp = request(method, path, None);
+        assert_eq!(resp.status, 410, "{method} {path}: {}", resp.body_str());
+        let e = ApiError::from_envelope_json(&resp.body_str()).expect("typed envelope");
+        assert_eq!(e.code, codes::JOB_EXPIRED);
+    }
+    let resp = request("GET", &format!("/v1/jobs/{}", last + 1), None);
+    assert_eq!(resp.status, 404, "{}", resp.body_str());
+    // Job 2 goes as the last job retires; job 3 is kept.
+    assert_eq!(request("GET", "/v1/jobs/3", None).status, 200);
     handle.shutdown();
     serving
         .join()

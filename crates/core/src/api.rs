@@ -71,6 +71,9 @@ pub mod codes {
     pub const JOB_NOT_FOUND: &str = "job/not-found";
     /// The job was cancelled before it completed.
     pub const JOB_CANCELLED: &str = "job/cancelled";
+    /// The job finished and has since been dropped from the server's
+    /// bounded record of finished jobs.
+    pub const JOB_EXPIRED: &str = "job/expired";
 }
 
 /// A typed failure with a stable machine-readable `code` and a human
@@ -115,6 +118,7 @@ impl ApiError {
             codes::TOO_LARGE => 413,
             codes::TIMEOUT => 408,
             codes::NOT_FOUND | codes::JOB_NOT_FOUND => 404,
+            codes::JOB_EXPIRED => 410,
             codes::BAD_METHOD => 405,
             codes::SHUTTING_DOWN => 503,
             codes::INTERNAL => 500,
@@ -693,6 +697,7 @@ mod tests {
         assert_eq!(status(codes::TOO_LARGE), 413);
         assert_eq!(status(codes::TIMEOUT), 408);
         assert_eq!(status(codes::JOB_NOT_FOUND), 404);
+        assert_eq!(status(codes::JOB_EXPIRED), 410);
         assert_eq!(status(codes::BAD_METHOD), 405);
         assert_eq!(status(codes::SHUTTING_DOWN), 503);
         assert_eq!(status(codes::BAD_JSON), 400);

@@ -263,12 +263,25 @@ impl SessionCache {
         h.finish()
     }
 
+    /// Look a key up in the in-process map alone. A hit counts as a hit;
+    /// an absent key counts nothing, so a caller that then takes
+    /// [`SessionCache::lookup`] still counts exactly one hit or miss.
+    pub fn lookup_memory(&self, key: &Fingerprint) -> Option<CachedSession> {
+        let hit = self
+            .mem
+            .lock()
+            .expect("cache map poisoned")
+            .get(key)
+            .cloned()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
     /// Look a key up in both layers. A disk hit is promoted into the
     /// in-process map; anything unreadable on disk counts as a miss.
     pub fn lookup(&self, key: &Fingerprint) -> Option<CachedSession> {
-        if let Some(hit) = self.mem.lock().expect("cache map poisoned").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit.clone());
+        if let Some(hit) = self.lookup_memory(key) {
+            return Some(hit);
         }
         if let Some(entry) = self.disk_lookup(key) {
             self.mem
@@ -472,6 +485,22 @@ mod tests {
         assert!(c.lookup(&k).is_some());
         let d = c.stats().since(&before);
         assert_eq!((d.hits, d.misses, d.stores), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_memory_lookup_counts_hits_but_never_misses() {
+        let c = SessionCache::in_memory();
+        let k = c.key(SessionKind::Random, &cfg(), 0, 0);
+        assert!(c.lookup_memory(&k).is_none());
+        assert_eq!(
+            c.stats(),
+            CacheStats::default(),
+            "an absent key counts nothing"
+        );
+        c.store(&k, &sample_entry());
+        assert_eq!(c.lookup_memory(&k), Some(sample_entry()));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.stores), (1, 0, 1));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! all-active-triggered sessions, and five transition-triggered sessions.
 //! Sessions are independent measurements (different days, different
 //! seeds), so the study runs them in parallel with scoped threads — the
-//! results are bit-identical to a serial run.
+//! results are bit-identical to a serial run. Sessions already in the
+//! session cache's in-process map skip the pool and resolve inline.
 
 use crate::api::{ApiError, RunHooks};
 use crate::cache::{CacheStats, CachedSession, SessionCache, SessionKind};
@@ -17,6 +18,7 @@ use crate::observability::{SessionObservability, StudyObservability};
 use crate::sample::Sample;
 use fx8_monitor::EventCounts;
 use fx8_sim::audit::{AuditReport, Violation};
+use fx8_sim::fingerprint::Fingerprint;
 use fx8_sim::{ConfigError, MachineConfig};
 use fx8_stats::measures::ConcurrencyMeasures;
 use fx8_workload::WorkloadMix;
@@ -185,29 +187,37 @@ impl SessionTask {
         self.kind.label(self.idx)
     }
 
-    /// Run the session, consulting the cache first when one is given. A
-    /// hit returns the memoized payload as stored, bit-identical to a fresh
-    /// run, under an observability slice flagged `cache_hit` (empty
-    /// metrics: no cycles were stepped). A miss computes, stores, and
-    /// returns.
-    pub(crate) fn run(
+    /// This session's cache key.
+    fn key(&self, cache: &SessionCache) -> Fingerprint {
+        cache.key(self.kind, &self.cfg, self.idx, self.captures)
+    }
+
+    /// A looked-up payload, if it has this session's shape. A payload of
+    /// the other shape under an identical key can only mean a fingerprint
+    /// collision or a tampered store; the session then recomputes.
+    fn accept(&self, hit: CachedSession) -> Option<CachedSession> {
+        let random = matches!(hit, CachedSession::Random { .. });
+        (random == (self.kind == SessionKind::Random)).then_some(hit)
+    }
+
+    /// Run the session, consulting the cache under `key` first when one
+    /// is given. A hit returns the memoized payload as stored,
+    /// bit-identical to a fresh run, under an observability slice flagged
+    /// `cache_hit` (empty metrics: no cycles were stepped). A miss
+    /// computes, stores, and returns.
+    fn run(
         &self,
-        cache: Option<&SessionCache>,
+        cache: Option<(&SessionCache, &Fingerprint)>,
     ) -> (CachedSession, SessionObservability) {
-        let Some(cache) = cache else {
+        let Some((cache, key)) = cache else {
             return self.compute();
         };
         let started = std::time::Instant::now();
-        let key = cache.key(self.kind, &self.cfg, self.idx, self.captures);
-        if let Some(hit) = cache.lookup(&key) {
-            // A payload of the other shape under an identical key can only
-            // mean a fingerprint collision or a tampered store; recompute.
-            if matches!(hit, CachedSession::Random { .. }) == (self.kind == SessionKind::Random) {
-                return (hit, SessionObservability::cached(self.label(), started));
-            }
+        if let Some(hit) = cache.lookup(key).and_then(|hit| self.accept(hit)) {
+            return (hit, SessionObservability::cached(self.label(), started));
         }
         let (data, obs) = self.compute();
-        cache.store(&key, &data);
+        cache.store(key, &data);
         (data, obs)
     }
 
@@ -243,12 +253,18 @@ pub struct Study {
     pub transition_audits: Vec<AuditReport>,
 }
 
-/// Run session tasks through the longest-first pool, each consulting
-/// `cache` first when one is given. Cancellation is checked before each
-/// session starts (running sessions are never torn). Each finished
-/// session's observability slice is relabeled `label(task)`, and `hooks`
-/// hears about it under that same label. Returns the payloads and slices
-/// in task order plus this run's cache-counter delta.
+/// Run session tasks, each consulting `cache` first when one is given.
+/// Cancellation is checked before each session starts (running sessions
+/// are never torn). Each finished session's observability slice is
+/// labeled `label(task)`, and `hooks` hears about it under that same
+/// label. Returns the payloads and slices in task order plus this run's
+/// cache-counter delta.
+///
+/// Sessions whose payload is in the cache's in-process map resolve first,
+/// inline on the calling thread: a warm study starts no thread at all.
+/// Only the rest (disk reads and simulations) go to the longest-first
+/// pool. Each session computes its key once and counts one hit or miss
+/// either way.
 pub(crate) fn run_sessions(
     tasks: &[SessionTask],
     label: impl Fn(&SessionTask) -> String + Sync,
@@ -258,24 +274,50 @@ pub(crate) fn run_sessions(
 ) -> Result<(Vec<(CachedSession, SessionObservability)>, CacheStats), ApiError> {
     let done = std::sync::atomic::AtomicUsize::new(0);
     let before = cache.map(SessionCache::stats);
+    let mut outputs: Vec<Option<(CachedSession, SessionObservability)>> =
+        tasks.iter().map(|_| None).collect();
+    let mut pending: Vec<(usize, Option<Fingerprint>)> = Vec::new();
+    for (i, t) in tasks.iter().enumerate() {
+        let Some(cache) = cache else {
+            pending.push((i, None));
+            continue;
+        };
+        if hooks.is_cancelled() {
+            return Err(ApiError::cancelled());
+        }
+        let started = std::time::Instant::now();
+        let key = t.key(cache);
+        match cache.lookup_memory(&key).and_then(|hit| t.accept(hit)) {
+            Some(hit) => {
+                let obs = SessionObservability::cached(label(t), started);
+                hooks.session_done(&done, tasks.len(), &obs.label, true);
+                outputs[i] = Some((hit, obs));
+            }
+            None => pending.push((i, Some(key))),
+        }
+    }
     // Work queue: a pool sized to the host pulls the heaviest remaining
     // session first, so total wall time is bounded by the single heaviest
     // session instead of by thread oversubscription. A cancelled session
     // leaves `None` in its slot.
-    let outputs = executor::run_longest_first(
-        tasks,
-        SessionTask::weight,
-        |t| {
+    let ran = executor::run_longest_first(
+        &pending,
+        |&(i, _)| tasks[i].weight(),
+        |(i, key)| {
             if hooks.is_cancelled() {
                 return None;
             }
-            let (data, mut obs) = t.run(cache);
+            let t = &tasks[*i];
+            let (data, mut obs) = t.run(cache.zip(key.as_ref()));
             obs.label = label(t);
             hooks.session_done(&done, tasks.len(), &obs.label, obs.cache_hit);
             Some((data, obs))
         },
         parallel,
     );
+    for (&(i, _), out) in pending.iter().zip(ran) {
+        outputs[i] = out;
+    }
     let outputs = outputs
         .into_iter()
         .collect::<Option<Vec<_>>>()

@@ -7,13 +7,14 @@
 //! truncated entries, foreign keys, a bumped engine-version salt — and
 //! assert every attack degrades to a recompute, never to a wrong result.
 
-use fx8_core::api::RunHooks;
+use fx8_core::api::{codes, CancelToken, RunHooks, SessionDone};
 use fx8_core::cache::{CachedSession, SessionCache, SessionKind};
 use fx8_core::experiment::SessionConfig;
 use fx8_core::observability::StudyObservability;
 use fx8_core::study::{Study, StudyConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// A unique scratch directory under the system temp dir. Not auto-cleaned
 /// (test scratch under tmp), but unique per call so tests never collide.
@@ -169,6 +170,83 @@ fn engine_salt_bump_invalidates_stored_entries() {
     assert_eq!(v2.stats().invalid_entries, 1);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A re-run on a warm in-process map resolves every session inline: the
+/// same bytes as the cold run, one hit per session, and every progress
+/// callback on the calling thread (no pool thread was started).
+#[test]
+fn warm_memory_run_resolves_inline_on_the_calling_thread() {
+    let cache = SessionCache::in_memory();
+    let (cold, cold_obs) = run_against(&cache);
+    assert_eq!(cold_obs.cache.misses, MINI_SESSIONS);
+
+    let threads = Mutex::new(Vec::new());
+    let on_session = |_: SessionDone| threads.lock().unwrap().push(std::thread::current().id());
+    let hooks = RunHooks {
+        cancel: None,
+        on_session: Some(&on_session),
+    };
+    let (warm, warm_obs) = Study::run(mini_study(), Some(&cache), &hooks).expect("uncancelled");
+    assert_eq!(
+        serde_json::to_string(&warm).unwrap(),
+        serde_json::to_string(&cold).unwrap()
+    );
+    assert_eq!(warm_obs.cache.hits, MINI_SESSIONS);
+    assert_eq!(warm_obs.cache.misses, 0);
+    let labels: Vec<&str> = warm_obs.sessions.iter().map(|s| s.label.as_str()).collect();
+    assert_eq!(
+        labels,
+        ["random 0", "random 1", "triggered 0", "transition 0"]
+    );
+    let threads = threads.into_inner().unwrap();
+    assert_eq!(threads.len() as u64, MINI_SESSIONS);
+    let caller = std::thread::current().id();
+    assert!(threads.iter().all(|&t| t == caller), "{threads:?}");
+}
+
+/// Half the sessions in the in-process map, the other half only on disk:
+/// the inline pass and the pool together still take exactly one hit per
+/// session, and the study is unchanged.
+#[test]
+fn half_warm_run_takes_one_hit_per_session() {
+    let dir = scratch_dir("half");
+    let (cold, _) = run_against(&SessionCache::at_dir(&dir));
+
+    // A fresh cache over the same store; a study of the random sessions
+    // alone promotes exactly those entries into its in-process map.
+    let cache = SessionCache::at_dir(&dir);
+    let randoms = StudyConfig {
+        n_triggered: 0,
+        n_transition: 0,
+        ..mini_study()
+    };
+    let (_, obs) = Study::run(randoms, Some(&cache), &RunHooks::default()).expect("uncancelled");
+    assert_eq!((obs.cache.hits, obs.cache.misses), (2, 0));
+
+    let (warm, obs) = run_against(&cache);
+    assert_eq!(warm, cold);
+    assert_eq!(obs.cache.hits, MINI_SESSIONS);
+    assert_eq!(obs.cache.misses, 0);
+    assert_eq!(obs.cache.invalid_entries, 0);
+    assert!(obs.sessions.iter().all(|s| s.cache_hit));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Cancellation is checked before every session, inline hits included.
+#[test]
+fn a_cancelled_all_hit_run_is_cancelled() {
+    let cache = SessionCache::in_memory();
+    run_against(&cache);
+    let token = CancelToken::new();
+    token.cancel();
+    let hooks = RunHooks {
+        cancel: Some(&token),
+        on_session: None,
+    };
+    let err = Study::run(mini_study(), Some(&cache), &hooks).unwrap_err();
+    assert_eq!(err.code, codes::JOB_CANCELLED);
 }
 
 proptest! {

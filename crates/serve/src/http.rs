@@ -223,6 +223,7 @@ pub fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        410 => "Gone",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
@@ -278,7 +279,7 @@ mod tests {
 
     #[test]
     fn reasons_cover_the_emitted_statuses() {
-        for s in [200, 202, 400, 404, 405, 408, 413, 422, 429, 500, 503] {
+        for s in [200, 202, 400, 404, 405, 408, 410, 413, 422, 429, 500, 503] {
             assert_ne!(reason(s), "Unknown", "status {s}");
         }
     }

@@ -14,7 +14,7 @@ use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The mutable half of a job, guarded by its mutex.
@@ -61,11 +61,17 @@ impl Job {
             }),
             cv: Condvar::new(),
         });
-        let mut inner = job.inner.lock().unwrap();
+        let mut inner = job.lock();
         let line = job.render(&inner, None);
         inner.events.push(line);
         drop(inner);
         job
+    }
+
+    /// The job's mutable half. A panic while it was held (see [`guarded`])
+    /// leaves whole status lines behind, so a poisoned lock is taken as is.
+    fn lock(&self) -> MutexGuard<'_, JobInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Render the current status as one JSON line. The terminal `result`
@@ -97,7 +103,7 @@ impl Job {
     /// Apply a mutation, emit its status line (with `result` spliced in,
     /// for the terminal `done` line), and wake every waiter.
     fn mutate(&self, result: Option<&str>, f: impl FnOnce(&mut JobInner)) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         f(&mut inner);
         let line = self.render(&inner, result);
         inner.events.push(line);
@@ -107,8 +113,7 @@ impl Job {
 
     /// The latest status line (what `GET /v1/jobs/{id}` returns).
     pub fn status_json(&self) -> Arc<String> {
-        let inner = self.inner.lock().unwrap();
-        inner
+        self.lock()
             .events
             .last()
             .expect("jobs are born with a line")
@@ -117,7 +122,7 @@ impl Job {
 
     /// Current lifecycle state.
     pub fn state(&self) -> JobState {
-        self.inner.lock().unwrap().state
+        self.lock().state
     }
 
     /// Ask the job to stop. Queued jobs cancel before running; running
@@ -129,24 +134,22 @@ impl Job {
     /// Block until the job is terminal or `timeout` passes; returns
     /// whether it is terminal.
     pub fn wait_terminal(&self, timeout: Duration) -> bool {
-        let inner = self.inner.lock().unwrap();
         let (inner, _) = self
             .cv
-            .wait_timeout_while(inner, timeout, |i| !i.state.is_terminal())
-            .unwrap();
+            .wait_timeout_while(self.lock(), timeout, |i| !i.state.is_terminal())
+            .unwrap_or_else(PoisonError::into_inner);
         inner.state.is_terminal()
     }
 
     /// Status lines after index `from`, blocking up to `timeout` for a
     /// new one. Returns `(lines, next_index, terminal)`.
     pub fn events_after(&self, from: usize, timeout: Duration) -> (Vec<Arc<String>>, usize, bool) {
-        let inner = self.inner.lock().unwrap();
         let (inner, _) = self
             .cv
-            .wait_timeout_while(inner, timeout, |i| {
+            .wait_timeout_while(self.lock(), timeout, |i| {
                 i.events.len() <= from && !i.state.is_terminal()
             })
-            .unwrap();
+            .unwrap_or_else(PoisonError::into_inner);
         let lines: Vec<Arc<String>> = inner.events.get(from..).unwrap_or(&[]).to_vec();
         (lines, inner.events.len(), inner.state.is_terminal())
     }
@@ -201,11 +204,40 @@ pub fn run(job: &Job, cache: Option<&SessionCache>) {
     }
 }
 
+/// Run `exec` on `job` behind an unwind guard. A panic inside it ends
+/// the job `failed` with [`api::codes::INTERNAL`] instead of leaving it
+/// `running` for good, and the calling worker lives on to run the next.
+pub fn guarded(job: &Job, exec: impl FnOnce(&Job)) {
+    let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec(job))) else {
+        return;
+    };
+    let what = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message");
+    let error = ApiError::new(
+        api::codes::INTERNAL,
+        format!("job execution panicked: {what}"),
+    );
+    job.mutate(None, |i| {
+        i.state = JobState::Failed;
+        i.error = Some(error);
+    });
+}
+
+/// Finished jobs kept for polling. Past this many, the oldest finished job
+/// is dropped and its id answers [`api::codes::JOB_EXPIRED`].
+pub const MAX_FINISHED_JOBS: usize = 1024;
+
 /// The bounded registry: accepted jobs by id plus the FIFO feeding the
 /// workers. `queue_depth` bounds *waiting* jobs only — with `w` workers,
-/// at most `queue_depth + w` jobs are admitted-but-unfinished.
+/// at most `queue_depth + w` jobs are admitted-but-unfinished — and
+/// [`MAX_FINISHED_JOBS`] bounds the finished ones kept.
 pub struct JobStore {
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    /// Ids of the finished jobs still in `jobs`, oldest first.
+    finished: Mutex<VecDeque<u64>>,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_cv: Condvar,
     next_id: AtomicU64,
@@ -218,6 +250,7 @@ impl JobStore {
     pub fn new(queue_depth: usize) -> JobStore {
         JobStore {
             jobs: Mutex::new(HashMap::new()),
+            finished: Mutex::new(VecDeque::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
@@ -254,9 +287,36 @@ impl JobStore {
         Ok(job)
     }
 
-    /// Look up an accepted job by id.
-    pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.jobs.lock().unwrap().get(&id).cloned()
+    /// Look up an accepted job by id. Ids are handed out in order and
+    /// never reused, so an issued id that is no longer held belongs to a
+    /// finished job that [`JobStore::retire`] dropped.
+    pub fn get(&self, id: u64) -> Result<Arc<Job>, ApiError> {
+        if let Some(job) = self.jobs.lock().unwrap().get(&id) {
+            return Ok(job.clone());
+        }
+        if id > 0 && id < self.next_id.load(Ordering::Relaxed) {
+            return Err(ApiError::new(
+                api::codes::JOB_EXPIRED,
+                format!(
+                    "job {id} finished and was dropped; the server keeps the last {MAX_FINISHED_JOBS} finished jobs"
+                ),
+            ));
+        }
+        Err(ApiError::new(
+            api::codes::JOB_NOT_FOUND,
+            format!("no job with id {id}"),
+        ))
+    }
+
+    /// Record that `job` reached a terminal state, dropping the oldest
+    /// finished job once more than [`MAX_FINISHED_JOBS`] are kept.
+    pub fn retire(&self, job: &Job) {
+        let mut finished = self.finished.lock().unwrap();
+        finished.push_back(job.id);
+        if finished.len() > MAX_FINISHED_JOBS {
+            let oldest = finished.pop_front().expect("over the bound, so not empty");
+            self.jobs.lock().unwrap().remove(&oldest);
+        }
     }
 
     /// Waiting jobs right now.
@@ -380,6 +440,49 @@ mod tests {
             *job.render(&inner, Some(r#"{"scale":{"x":[1,2.5]}}"#)),
             done
         );
+    }
+
+    #[test]
+    fn a_panic_inside_the_guard_fails_the_job() {
+        let job = Job::new(1, tiny_request());
+        guarded(&job, |job| {
+            job.mutate(None, |i| i.state = JobState::Running);
+            panic!("boom");
+        });
+        assert_eq!(job.state(), JobState::Failed);
+        let status: api::JobStatus = serde_json::from_str(&job.status_json()).unwrap();
+        let error = status.error.expect("a failed job carries its error");
+        assert_eq!(error.code, api::codes::INTERNAL);
+        assert!(error.message.contains("boom"), "{}", error.message);
+
+        // A panic while the job's own lock is held poisons it; the guard
+        // still gets the job to its terminal line.
+        let job = Job::new(2, tiny_request());
+        guarded(&job, |job| job.mutate(None, |_| panic!("inside the lock")));
+        assert_eq!(job.state(), JobState::Failed);
+        assert!(job.wait_terminal(Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn finished_jobs_past_the_bound_expire_oldest_first() {
+        let store = JobStore::new(MAX_FINISHED_JOBS + 2);
+        let jobs: Vec<Arc<Job>> = (0..MAX_FINISHED_JOBS + 2)
+            .map(|_| store.submit(tiny_request()).unwrap())
+            .collect();
+        // Finish all but the first, newest first, then the first.
+        for job in jobs[1..].iter().rev().chain(&jobs[..1]) {
+            store.retire(job);
+        }
+        let code = |id| store.get(id).map(|j| j.id).map_err(|e| e.code);
+        // The two finished first (the last two ids) were dropped.
+        let last = jobs.len() as u64;
+        assert_eq!(code(last), Err(api::codes::JOB_EXPIRED.to_string()));
+        assert_eq!(code(last - 1), Err(api::codes::JOB_EXPIRED.to_string()));
+        assert_eq!(code(last - 2), Ok(last - 2));
+        assert_eq!(code(1), Ok(1));
+        assert_eq!(code(0), Err(api::codes::JOB_NOT_FOUND.to_string()));
+        assert_eq!(code(last + 1), Err(api::codes::JOB_NOT_FOUND.to_string()));
+        assert_eq!(store.jobs.lock().unwrap().len(), MAX_FINISHED_JOBS);
     }
 
     #[test]

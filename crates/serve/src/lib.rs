@@ -1,10 +1,12 @@
 //! # fx8-serve — the study as a service
 //!
 //! A std-only HTTP/1.1 job server over the shared session cache: no
-//! async runtime, no external HTTP crate — `std::net::TcpListener`, a
-//! thread per connection, and a fixed pool of job workers draining a
-//! **bounded** queue into `fx8_core::executor` via the unified
-//! [`fx8_core::api`] entry point. Every capability of the `reproduce`
+//! async runtime, no external HTTP crate — `std::net::TcpListener`,
+//! connection threads that are reused (a thread that finished its
+//! connection parks for the next one; a new thread starts only when none
+//! is parked), and a fixed pool of job workers draining a **bounded**
+//! queue into `fx8_core::executor` via the unified [`fx8_core::api`]
+//! entry point. Every capability of the `reproduce`
 //! CLI is a wire capability because both build the same
 //! [`JobRequest`] and execute it through the
 //! same [`fx8_core::api::execute_with`].
@@ -14,10 +16,10 @@
 //! | route | behavior |
 //! |---|---|
 //! | `POST /v1/jobs` | submit a `JobRequest`; `202` with the queued status, `429 + Retry-After` when the queue is full |
-//! | `GET /v1/jobs/{id}` | poll status; `?wait=1` long-polls until terminal |
+//! | `GET /v1/jobs/{id}` | poll status; `?wait=1` long-polls until terminal; `410 job/expired` once the job has left the bounded record of finished jobs |
 //! | `GET /v1/jobs/{id}/events` | NDJSON stream: every status line as it happens |
 //! | `POST /v1/jobs/{id}/cancel`, `DELETE /v1/jobs/{id}` | request cancellation |
-//! | `GET /v1/metrics` | request/job/cache counters |
+//! | `GET /v1/metrics` | request/job/cache counters, connection threads started |
 //! | `GET /v1/healthz` | liveness + accepting flag |
 //! | `POST /v1/shutdown` | graceful drain: stop accepting, finish queued jobs, exit |
 //!
@@ -30,12 +32,17 @@ pub mod jobs;
 use fx8_core::api::{self, codes, ApiError, JobRequest, JobState};
 use fx8_core::cache::SessionCache;
 use jobs::JobStore;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How long a connection thread that finished its connection waits for
+/// the next accepted one before it exits.
+const CONN_IDLE: Duration = Duration::from_secs(10);
 
 /// Everything tunable about a server.
 #[derive(Debug, Clone)]
@@ -87,6 +94,8 @@ struct ServerState {
     store: JobStore,
     cache: Option<SessionCache>,
     metrics: Metrics,
+    /// Connection threads parked between connections.
+    conns: Parked<TcpStream>,
     /// Set only after the queue has drained; tells the accept loop to
     /// exit. Until then HTTP stays up so pollers can collect results.
     accept_done: AtomicBool,
@@ -111,7 +120,7 @@ impl ServerState {
             "{{\"api\":{},\"http_requests\":{},\"jobs_submitted\":{},\"jobs_done\":{},\
              \"jobs_failed\":{},\"jobs_cancelled\":{},\"rejected_busy\":{},\
              \"responses_4xx\":{},\"responses_5xx\":{},\"queue_len\":{},\
-             \"accepting\":{},\"cache\":{}}}",
+             \"accepting\":{},\"connection_threads\":{},\"cache\":{}}}",
             api::API_VERSION,
             get(&m.http_requests),
             get(&m.jobs_submitted),
@@ -123,6 +132,7 @@ impl ServerState {
             get(&m.responses_5xx),
             self.store.queue_len(),
             self.store.is_accepting(),
+            self.conns.spawned.load(Ordering::Relaxed),
             cache_json,
         )
     }
@@ -169,12 +179,15 @@ impl Server {
             addr,
             cache,
             metrics: Metrics::default(),
+            conns: Parked::new(CONN_IDLE),
             accept_done: AtomicBool::new(false),
         });
         let workers = (0..workers_n)
             .map(|_| {
                 let state = state.clone();
-                std::thread::spawn(move || worker_loop(&state))
+                std::thread::spawn(move || {
+                    worker_loop(&state, |job| jobs::run(job, state.cache.as_ref()));
+                })
             })
             .collect();
         Ok(Server {
@@ -212,8 +225,14 @@ impl Server {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let state = state.clone();
-                std::thread::spawn(move || handle_connection(&state, stream));
+                if let Some(stream) = state.conns.hand_off(stream) {
+                    let state = state.clone();
+                    std::thread::spawn(move || {
+                        state
+                            .conns
+                            .serve(stream, |stream| handle_connection(&state, stream));
+                    });
+                }
             }
         });
         for w in self.workers {
@@ -224,20 +243,128 @@ impl Server {
         // wakes it to observe the flag.
         let _ = TcpStream::connect(self.state.addr);
         let _ = accept.join();
+        self.state.conns.close();
         Ok(())
     }
 }
 
-/// One worker: pull jobs until the store closes and drains.
-fn worker_loop(state: &ServerState) {
+/// One worker: pull jobs and `exec` each until the store closes and
+/// drains. A job whose execution panics ends `failed`; the worker goes
+/// on to the next.
+fn worker_loop(state: &ServerState, exec: impl Fn(&jobs::Job)) {
     while let Some(job) = state.store.next_job() {
-        jobs::run(&job, state.cache.as_ref());
+        jobs::guarded(&job, &exec);
         let counter = match job.state() {
             JobState::Done => &state.metrics.jobs_done,
             JobState::Cancelled => &state.metrics.jobs_cancelled,
             _ => &state.metrics.jobs_failed,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        state.store.retire(&job);
+    }
+}
+
+/// Threads that finished one item (a connection) and wait for the next.
+/// [`Parked::hand_off`] gives an item to a parked thread and returns it
+/// only when none is parked, for the caller to start a thread on. So a
+/// thread starts only when every thread is busy, an item never waits
+/// behind a busy one, and how many run at once stays unbounded.
+struct Parked<T> {
+    state: Mutex<ParkedState<T>>,
+    cv: Condvar,
+    /// How long a parked thread waits for an item before it exits.
+    idle: Duration,
+    /// Threads started so far (every item `hand_off` returned).
+    spawned: AtomicU64,
+}
+
+struct ParkedState<T> {
+    /// Parked threads not yet promised an item.
+    waiting: usize,
+    /// Items handed to parked threads and not yet taken.
+    handed: VecDeque<T>,
+    /// Set once no more items come; parked threads exit.
+    closed: bool,
+}
+
+impl<T> Parked<T> {
+    fn new(idle: Duration) -> Self {
+        Parked {
+            state: Mutex::new(ParkedState {
+                waiting: 0,
+                handed: VecDeque::new(),
+                closed: false,
+            }),
+            cv: Condvar::new(),
+            idle,
+            spawned: AtomicU64::new(0),
+        }
+    }
+
+    /// A panicking item handler holds no lock, so a poisoned one is whole.
+    fn lock(&self) -> MutexGuard<'_, ParkedState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Give `item` to a parked thread, or count a thread start and return
+    /// the item for the caller to run [`Parked::serve`] on, on a new
+    /// thread.
+    fn hand_off(&self, item: T) -> Option<T> {
+        let mut state = self.lock();
+        if state.waiting == 0 {
+            drop(state);
+            self.spawned.fetch_add(1, Ordering::Relaxed);
+            return Some(item);
+        }
+        state.waiting -= 1;
+        state.handed.push_back(item);
+        drop(state);
+        self.cv.notify_one();
+        None
+    }
+
+    /// Run `handle` on `item`, then on every item handed to this thread,
+    /// until it has waited `idle` for one or the pool is closed. If
+    /// `handle` panics the thread ends before it parks again, so it is
+    /// never counted as waiting.
+    fn serve(&self, mut item: T, handle: impl Fn(&mut T)) {
+        loop {
+            handle(&mut item);
+            match self.park(item) {
+                Some(next) => item = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Count this thread as waiting, drop the finished item (for a
+    /// connection, its close is what the peer sees, so a client that
+    /// sends its next request at once finds this thread parked), and wait
+    /// for the next item.
+    fn park(&self, done: T) -> Option<T> {
+        let mut state = self.lock();
+        if state.closed {
+            return None;
+        }
+        state.waiting += 1;
+        drop(state);
+        drop(done);
+        let (mut state, _) = self
+            .cv
+            .wait_timeout_while(self.lock(), self.idle, |s| s.handed.is_empty() && !s.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        let next = state.handed.pop_front();
+        if next.is_none() {
+            state.waiting -= 1;
+        }
+        next
+    }
+
+    /// Release every parked thread: each serves what it was already
+    /// handed, then exits.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
     }
 }
 
@@ -280,14 +407,15 @@ fn drain(stream: &mut TcpStream) {
 }
 
 /// Serve one connection: keep-alive loop of read → route → respond.
-fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+/// The caller closes the stream.
+fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
     let limits = http::Limits {
         max_body_bytes: state.cfg.max_body_bytes,
         read_timeout: Duration::from_millis(state.cfg.read_timeout_ms.max(1)),
         ..http::Limits::default()
     };
     loop {
-        let req = match http::read_request(&mut stream, &limits) {
+        let req = match http::read_request(stream, &limits) {
             Ok(req) => req,
             Err(http::RecvError::Closed) => return,
             Err(http::RecvError::Timeout { bytes_so_far: 0 }) => return,
@@ -296,8 +424,8 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
                     codes::TIMEOUT,
                     format!("request stalled after {bytes_so_far} bytes"),
                 );
-                send_error(state, &mut stream, &e);
-                drain(&mut stream);
+                send_error(state, stream, &e);
+                drain(stream);
                 return;
             }
             Err(http::RecvError::TooLarge { what, limit }) => {
@@ -305,20 +433,20 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
                     codes::TOO_LARGE,
                     format!("request {what} exceeds the {limit}-byte limit"),
                 );
-                send_error(state, &mut stream, &e);
-                drain(&mut stream);
+                send_error(state, stream, &e);
+                drain(stream);
                 return;
             }
             Err(http::RecvError::Malformed(msg)) => {
                 let e = ApiError::new(codes::BAD_JSON, format!("malformed request: {msg}"));
-                send_error(state, &mut stream, &e);
-                drain(&mut stream);
+                send_error(state, stream, &e);
+                drain(stream);
                 return;
             }
         };
         state.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
         let close = req.wants_close();
-        let streamed = route(state, &mut stream, &req);
+        let streamed = route(state, stream, &req);
         if streamed || close || !state.store.is_accepting() {
             return;
         }
@@ -430,10 +558,7 @@ fn lookup(state: &ServerState, id: &str) -> Result<Arc<jobs::Job>, ApiError> {
     let id: u64 = id
         .parse()
         .map_err(|_| ApiError::new(codes::JOB_NOT_FOUND, format!("bad job id {id:?}")))?;
-    state
-        .store
-        .get(id)
-        .ok_or_else(|| ApiError::new(codes::JOB_NOT_FOUND, format!("no job with id {id}")))
+    state.store.get(id)
 }
 
 /// Stream a job's status lines as NDJSON until it is terminal. The
@@ -457,6 +582,118 @@ fn stream_events(state: &ServerState, stream: &mut TcpStream, job: &jobs::Job) {
         if terminal && lines.is_empty() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fx8_core::study::StudyConfig;
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
+    use std::time::Instant;
+
+    /// Poll `cond` until it holds; fail after 10 s.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Hand `item` to `pool`, starting a thread when none is parked. The
+    /// handler reports each item on `tx` and panics on 0.
+    fn start(pool: &Arc<Parked<u32>>, tx: &mpsc::Sender<u32>, item: u32) -> Option<JoinHandle<()>> {
+        let item = pool.hand_off(item)?;
+        let (pool, tx) = (pool.clone(), tx.clone());
+        Some(std::thread::spawn(move || {
+            pool.serve(item, |&mut x| {
+                assert_ne!(x, 0, "the test handler panics on item 0");
+                tx.send(x).unwrap();
+            });
+        }))
+    }
+
+    fn waiting(pool: &Parked<u32>) -> usize {
+        pool.lock().waiting
+    }
+
+    #[test]
+    fn parked_threads_are_reused_and_a_panic_never_counts_as_waiting() {
+        let pool = Arc::new(Parked::new(Duration::from_secs(60)));
+        let (tx, rx) = mpsc::channel();
+        let first = start(&pool, &tx, 1).expect("nothing parked: a thread starts");
+        assert_eq!(rx.recv().unwrap(), 1);
+        eventually("the first thread to park", || waiting(&pool) == 1);
+
+        // Handed to the parked thread, whose handler panics on it.
+        assert!(start(&pool, &tx, 0).is_none());
+        assert!(first.join().is_err(), "the handler panicked");
+        assert_eq!(waiting(&pool), 0, "a thread that panicked is not parked");
+
+        let second = start(&pool, &tx, 2).expect("nothing parked: a thread starts");
+        assert_eq!(rx.recv().unwrap(), 2);
+        eventually("the second thread to park", || waiting(&pool) == 1);
+        for item in 3..20 {
+            assert!(start(&pool, &tx, item).is_none(), "item {item} reuses");
+            assert_eq!(rx.recv().unwrap(), item);
+            eventually("the thread to park again", || waiting(&pool) == 1);
+        }
+        assert_eq!(pool.spawned.load(Ordering::Relaxed), 2);
+
+        pool.close();
+        second
+            .join()
+            .expect("a closed pool releases its parked thread");
+        assert_eq!(waiting(&pool), 0);
+    }
+
+    #[test]
+    fn a_parked_thread_exits_after_its_idle_wait() {
+        let pool = Arc::new(Parked::new(Duration::from_millis(20)));
+        let (tx, rx) = mpsc::channel();
+        let first = start(&pool, &tx, 1).expect("a thread starts");
+        assert_eq!(rx.recv().unwrap(), 1);
+        first.join().expect("the idle thread exits cleanly");
+        assert_eq!(waiting(&pool), 0);
+        let second = start(&pool, &tx, 2).expect("nothing parked: a thread starts");
+        assert_eq!(rx.recv().unwrap(), 2);
+        second.join().unwrap();
+        assert_eq!(pool.spawned.load(Ordering::Relaxed), 2);
+    }
+
+    /// A panicking execution fails its job with `server/internal`, counts
+    /// in `jobs_failed`, and the worker runs the next job.
+    #[test]
+    fn a_worker_survives_a_panicking_job() {
+        let state = ServerState {
+            cfg: ServeConfig::default(),
+            addr: "127.0.0.1:0".parse().unwrap(),
+            store: JobStore::new(4),
+            cache: None,
+            metrics: Metrics::default(),
+            conns: Parked::new(CONN_IDLE),
+            accept_done: AtomicBool::new(false),
+        };
+        let mut cfg = StudyConfig::quick();
+        cfg.n_random = 1;
+        cfg.session_hours = vec![0.05];
+        cfg.n_triggered = 0;
+        cfg.n_transition = 0;
+        let panics = state.store.submit(JobRequest::study(cfg.clone())).unwrap();
+        let runs = state.store.submit(JobRequest::study(cfg)).unwrap();
+        state.store.close();
+        worker_loop(&state, |job| {
+            assert_ne!(job.id, panics.id, "the first job's execution panics");
+            jobs::run(job, None);
+        });
+        assert_eq!(panics.state(), JobState::Failed);
+        assert!(panics.status_json().contains(codes::INTERNAL));
+        assert_eq!(runs.state(), JobState::Done);
+        let m = &state.metrics;
+        assert_eq!(m.jobs_failed.load(Ordering::Relaxed), 1);
+        assert_eq!(m.jobs_done.load(Ordering::Relaxed), 1);
     }
 }
 

@@ -190,3 +190,38 @@ fn cancel_and_shutdown_are_graceful() {
 
     handle.shutdown();
 }
+
+/// Connection threads are reused: a client that sends one request per
+/// connection, one after another, is served by the thread that served
+/// its previous connection, so 50 requests start at most two threads.
+#[test]
+fn sequential_requests_reuse_connection_threads() {
+    let (addr, handle) = spawn_server(test_config());
+    let body = r#"{"api":1,"job":{"study":"quick"}}"#;
+    let job = parse_status(
+        &client::request(addr, "POST", "/v1/jobs", Some(body))
+            .unwrap()
+            .body_str(),
+    );
+    let wait = format!("/v1/jobs/{}?wait=1", job.id);
+    for i in 2..50 {
+        let path = if i % 2 == 0 {
+            "/v1/healthz"
+        } else {
+            wait.as_str()
+        };
+        let resp = client::request(addr, "GET", path, None).unwrap();
+        assert_eq!(resp.status, 200, "{path}: {}", resp.body_str());
+    }
+    let resp = client::request(addr, "GET", "/v1/metrics", None).unwrap();
+    let m: Value = serde_json::from_str(&resp.body_str()).unwrap();
+    let threads = match m.get("connection_threads") {
+        Some(Value::Num(n)) => n.parse::<u64>().unwrap(),
+        other => panic!("metrics connection_threads: {other:?}"),
+    };
+    assert!(
+        (1..=2).contains(&threads),
+        "50 sequential requests started {threads} connection threads"
+    );
+    handle.shutdown();
+}
