@@ -746,6 +746,30 @@ mod tests {
         assert_eq!(e.code, "config/range-session-hours");
     }
 
+    /// A body at fx8-serve's default 1 MiB limit made of empty arrays is
+    /// parsed when they sit under an unknown key (skipped, allocating
+    /// nothing) and rejected at the first one in a typed field.
+    #[test]
+    fn an_empty_array_flood_parses_or_fails_typed() {
+        let flood = |head: &str, tail: &str| {
+            let n = ((1 << 20) - head.len() - tail.len() - 1) / 3;
+            format!("{head}[{}[]]{tail}", "[],".repeat(n - 1))
+        };
+        let skipped = flood(r#"{"api":1,"extra":"#, r#","job":{"study":"quick"}}"#);
+        assert!(skipped.len() <= 1 << 20 && skipped.len() > (1 << 20) - 3);
+        let req = JobRequest::from_json(&skipped).expect("unknown key skipped");
+        assert_eq!(req, JobRequest::study(StudyConfig::quick()));
+
+        let typed = flood(r#"{"api":1,"job":{"study":{"session_hours":"#, "}}}");
+        let e = JobRequest::from_json(&typed).unwrap_err();
+        assert_eq!(e.code, codes::BAD_JSON);
+        assert!(
+            e.message.contains("expected f64, found array"),
+            "{}",
+            e.message
+        );
+    }
+
     #[test]
     fn job_status_serialization_omits_absent_result() {
         let status = JobStatus {
