@@ -16,6 +16,10 @@
 //! and finish over HTTP like any other. A hostile *id* is one the server
 //! issued and has since dropped from its bounded record of finished jobs:
 //! it must answer a typed envelope, never a 500.
+//!
+//! A hostile *cache entry* parses and carries a valid header, but its
+//! payload breaks the shape its session produces: the entry must count
+//! as invalid and be recomputed, never trusted into the report.
 
 use fx8_bench::throughput;
 use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult, JobSpec, JobState, JobStatus};
@@ -23,12 +27,16 @@ use fx8_core::cache::{CachedSession, SessionCache};
 use fx8_core::figures;
 use fx8_core::report::render_full_report;
 use fx8_core::study::StudyConfig;
+use fx8_monitor::EventCounts;
 use fx8_serve::{ServeConfig, Server};
-use fx8_sim::MachineConfig;
+use fx8_sim::{MachineConfig, ProbeWord};
 use proptest::prelude::*;
 use serde::{Value, MAX_DEPTH};
+use std::fs;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Duration;
 
 const BENCH_FILE: &[u8] = include_bytes!("../../../BENCH_throughput.json");
@@ -504,4 +512,118 @@ fn an_evicted_job_id_answers_expired() {
         .join()
         .expect("server thread")
         .expect("server drains");
+}
+
+/// `reproduce run --quick --cache-stats` against the cache in `dir`: the
+/// `cache-stats:` counter line, and the report sections before the
+/// wall-clock `observability` block.
+fn run_quick_against(dir: &Path) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["run", "--quick", "--cache-stats", "--cache-dir"])
+        .arg(dir)
+        .output()
+        .expect("reproduce runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    let (stats, report) = stdout.split_once('\n').expect("a counter line");
+    let report = report.split("==================== observability").next();
+    (stats.to_string(), report.unwrap_or_default().to_string())
+}
+
+/// Rewrite the payload of the first cache entry in `dir` (in file-name
+/// order) that `edit` accepts, keeping the entry's header as written.
+fn tamper_first(dir: &Path, edit: fn(&mut CachedSession) -> bool) {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    for path in paths {
+        let text = fs::read_to_string(&path).expect("entry reads");
+        let Ok(Value::Object(mut fields)) = serde_json::from_str::<Value>(&text) else {
+            panic!("{} is not an object", path.display());
+        };
+        let (_, slot) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "session")
+            .expect("entry has a payload");
+        let json = serde_json::to_string(&*slot).unwrap();
+        let mut session: CachedSession = serde_json::from_str(&json).expect("payload parses");
+        if edit(&mut session) {
+            *slot = serde_json::from_str(&serde_json::to_string(&session).unwrap()).unwrap();
+            fs::write(
+                &path,
+                serde_json::to_string(&Value::Object(fields)).unwrap(),
+            )
+            .unwrap();
+            return;
+        }
+    }
+    panic!("no entry in {} to edit", dir.display());
+}
+
+/// Run the quick study into a clean cache, copy that cache, rewrite one
+/// entry of the copy through `edit` (header kept, so it still parses and
+/// matches its key) and re-run against the copy. The re-run must count
+/// the entry invalid, recompute that one session and print the report of
+/// the clean run, byte for byte; the recomputed store overwrites the
+/// entry, so a third run hits everywhere.
+fn assert_recomputed(name: &str, edit: fn(&mut CachedSession) -> bool) {
+    let root = std::env::temp_dir().join(format!("fx8_{name}_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    let (clean, dir) = (root.join("clean"), root.join("edited"));
+    let (stats, report) = run_quick_against(&clean);
+    assert_eq!(stats, "cache-stats: hits=0 misses=7 stores=7 invalid=0");
+    fs::create_dir_all(&dir).unwrap();
+    for entry in fs::read_dir(&clean).unwrap() {
+        let path = entry.unwrap().path();
+        fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    tamper_first(&dir, edit);
+    let (stats, rerun) = run_quick_against(&dir);
+    assert_eq!(stats, "cache-stats: hits=6 misses=1 stores=1 invalid=1");
+    assert!(rerun == report, "the report differs from a clean run's");
+    let (stats, _) = run_quick_against(&dir);
+    assert_eq!(stats, "cache-stats: hits=7 misses=0 stores=0 invalid=0");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A sample whose `num` histogram is cut from 9 bins to 3.
+#[test]
+fn a_cache_entry_with_a_cut_histogram_is_recomputed() {
+    assert_recomputed("num_cut", |s| match s {
+        CachedSession::Random { result } => {
+            result.samples[0].counts.num.truncate(3);
+            true
+        }
+        _ => false,
+    });
+}
+
+/// A sample whose record count no longer matches its histogram.
+#[test]
+fn a_cache_entry_with_inflated_records_is_recomputed() {
+    assert_recomputed("records_inflated", |s| match s {
+        CachedSession::Random { result } => {
+            result.samples[0].counts.records = 999_999;
+            true
+        }
+        _ => false,
+    });
+}
+
+/// Captures reduced on a 4-CE machine under an 8-CE session's key: every
+/// count is self-consistent, only the width is wrong.
+#[test]
+fn a_cache_entry_of_the_wrong_width_is_recomputed() {
+    assert_recomputed("wrong_width", |s| match s {
+        CachedSession::Captures { captures, .. } if !captures.is_empty() => {
+            for c in captures {
+                c.counts = EventCounts::reduce(&[ProbeWord::idle(c.at_cycle); 512], 4);
+            }
+            true
+        }
+        _ => false,
+    });
 }

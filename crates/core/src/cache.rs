@@ -17,10 +17,12 @@
 //!   half-entry where a reader expects a whole one.
 //!
 //! Every disk entry carries a versioned header (format version, engine
-//! version, its own key echoed back). Anything unexpected — truncated
-//! file, failed parse, header mismatch, foreign key — is treated as a
-//! *miss* and recomputed; the cache can degrade but never corrupt a
-//! study. See DESIGN.md §13 for the full correctness argument.
+//! version, its own key echoed back), and every lookup checks the payload
+//! against the shape its session produces before it counts a hit.
+//! Anything unexpected — truncated file, failed parse, header mismatch,
+//! foreign key, a payload that fails its check — is treated as a *miss*
+//! and recomputed; the cache can degrade but never corrupt a study. See
+//! DESIGN.md §13 for the full correctness argument.
 
 use crate::experiment::{Capture, SessionConfig, SessionResult};
 use fx8_sim::audit::AuditReport;
@@ -263,27 +265,41 @@ impl SessionCache {
         h.finish()
     }
 
-    /// Look a key up in the in-process map alone. A hit counts as a hit;
-    /// an absent key counts nothing, so a caller that then takes
-    /// [`SessionCache::lookup`] still counts exactly one hit or miss.
-    pub fn lookup_memory(&self, key: &Fingerprint) -> Option<CachedSession> {
+    /// Look a key up in the in-process map alone. A stored payload that
+    /// `fits` accepts counts as a hit; anything else counts nothing, so a
+    /// caller that then takes [`SessionCache::lookup`] still counts
+    /// exactly one hit or miss.
+    pub fn lookup_memory(
+        &self,
+        key: &Fingerprint,
+        fits: impl Fn(&CachedSession) -> bool,
+    ) -> Option<CachedSession> {
         let hit = self
             .mem
             .lock()
             .expect("cache map poisoned")
             .get(key)
+            .filter(|s| fits(s))
             .cloned()?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(hit)
     }
 
-    /// Look a key up in both layers. A disk hit is promoted into the
-    /// in-process map; anything unreadable on disk counts as a miss.
-    pub fn lookup(&self, key: &Fingerprint) -> Option<CachedSession> {
-        if let Some(hit) = self.lookup_memory(key) {
+    /// Look a key up in both layers, trusting only a payload that `fits`
+    /// accepts: the caller's check of the shape its session produces runs
+    /// before a hit is counted. A disk hit is promoted into the in-process
+    /// map; a disk entry that is unreadable or fails `fits` counts as
+    /// invalid and as a miss, and the caller's recomputed store overwrites
+    /// it.
+    pub fn lookup(
+        &self,
+        key: &Fingerprint,
+        fits: impl Fn(&CachedSession) -> bool,
+    ) -> Option<CachedSession> {
+        if let Some(hit) = self.lookup_memory(key, &fits) {
             return Some(hit);
         }
-        if let Some(entry) = self.disk_lookup(key) {
+        if let Some(entry) = self.disk_lookup(key, &fits) {
             self.mem
                 .lock()
                 .expect("cache map poisoned")
@@ -337,7 +353,11 @@ impl SessionCache {
         dir.join(format!("{}.json", key.to_hex()))
     }
 
-    fn disk_lookup(&self, key: &Fingerprint) -> Option<CachedSession> {
+    fn disk_lookup(
+        &self,
+        key: &Fingerprint,
+        fits: impl Fn(&CachedSession) -> bool,
+    ) -> Option<CachedSession> {
         let dir = self.dir.as_ref()?;
         let path = self.entry_path(dir, key);
         let bytes = match std::fs::read_to_string(&path) {
@@ -354,6 +374,7 @@ impl SessionCache {
         if entry.format != CACHE_FORMAT
             || entry.engine != self.engine_salt
             || entry.key != key.to_hex()
+            || !fits(&entry.session)
         {
             self.invalid.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -384,9 +405,9 @@ mod tests {
     fn in_memory_round_trip_counts_hits_and_misses() {
         let c = SessionCache::in_memory();
         let k = c.key(SessionKind::Random, &cfg(), 0, 0);
-        assert!(c.lookup(&k).is_none());
+        assert!(c.lookup(&k, |_| true).is_none());
         c.store(&k, &sample_entry());
-        assert_eq!(c.lookup(&k), Some(sample_entry()));
+        assert_eq!(c.lookup(&k, |_| true), Some(sample_entry()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -479,10 +500,10 @@ mod tests {
     fn stats_delta_isolates_one_study() {
         let c = SessionCache::in_memory();
         let k = c.key(SessionKind::Random, &cfg(), 0, 0);
-        assert!(c.lookup(&k).is_none());
+        assert!(c.lookup(&k, |_| true).is_none());
         c.store(&k, &sample_entry());
         let before = c.stats();
-        assert!(c.lookup(&k).is_some());
+        assert!(c.lookup(&k, |_| true).is_some());
         let d = c.stats().since(&before);
         assert_eq!((d.hits, d.misses, d.stores), (1, 0, 0));
     }
@@ -491,16 +512,35 @@ mod tests {
     fn a_memory_lookup_counts_hits_but_never_misses() {
         let c = SessionCache::in_memory();
         let k = c.key(SessionKind::Random, &cfg(), 0, 0);
-        assert!(c.lookup_memory(&k).is_none());
+        assert!(c.lookup_memory(&k, |_| true).is_none());
         assert_eq!(
             c.stats(),
             CacheStats::default(),
             "an absent key counts nothing"
         );
         c.store(&k, &sample_entry());
-        assert_eq!(c.lookup_memory(&k), Some(sample_entry()));
+        assert_eq!(c.lookup_memory(&k, |_| true), Some(sample_entry()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 0, 1));
+    }
+
+    #[test]
+    fn a_payload_that_fails_the_check_is_never_a_hit() {
+        let dir = std::env::temp_dir().join(format!("fx8_cache_fits_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = SessionCache::at_dir(&dir);
+        let k = c.key(SessionKind::Triggered, &cfg(), 0, 0);
+        c.store(&k, &sample_entry());
+        // The in-process map: no hit and no miss counted.
+        assert!(c.lookup_memory(&k, |_| false).is_none());
+        assert_eq!(c.stats().hits, 0);
+        // A fresh process reads the disk entry: invalid, and a miss.
+        let fresh = SessionCache::at_dir(&dir);
+        assert!(fresh.lookup(&k, |_| false).is_none());
+        let s = fresh.stats();
+        assert_eq!((s.hits, s.misses, s.invalid_entries), (0, 1, 1));
+        assert_eq!(fresh.lookup(&k, |_| true), Some(sample_entry()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   transition from eight active processors to fewer (the end of
 //!   concurrent loops).
 
-use crate::cache::SessionKind;
+use crate::cache::{CachedSession, SessionKind};
 use crate::observability::SessionObservability;
 use crate::sample::Sample;
 use fx8_monitor::{DasConfig, DasMonitor, EventCounts, KernelStats, Trigger};
@@ -115,6 +115,12 @@ impl SessionConfig {
         self.machine.seconds_to_cycles(self.hours * 3600.0)
     }
 
+    /// Samples a random session takes: one per whole interval of the
+    /// horizon, at least one.
+    fn sample_count(&self) -> u64 {
+        (self.horizon_cycles() / self.interval_cycles().max(1)).max(1)
+    }
+
     /// Build the driver: machine + arrival schedule.
     fn make_driver(&self) -> SessionDriver {
         let mut cluster = Cluster::new(self.machine.clone(), self.seed);
@@ -200,6 +206,45 @@ impl Capture {
     }
 }
 
+/// Whether a payload read back from a session cache has the shape the
+/// runner of `kind` gives under `cfg` with a budget of `captures`: a
+/// random session holds exactly its configured sample count, a capture
+/// list is no longer than its budget, every [`EventCounts`] is as wide as
+/// the machine and obeys the conservation laws
+/// ([`EventCounts::validate`]), and `at_cycle` never decreases. Counts
+/// that obey all of this but are still wrong cannot be told apart here.
+pub(crate) fn payload_fits(
+    kind: SessionKind,
+    cfg: &SessionConfig,
+    captures: usize,
+    payload: &CachedSession,
+) -> bool {
+    let counts_fit = |c: &EventCounts| c.n_ces == cfg.machine.n_ces && c.validate().is_ok();
+    match (kind, payload) {
+        (SessionKind::Random, CachedSession::Random { result }) => {
+            let samples = &result.samples;
+            samples.len() as u64 == cfg.sample_count()
+                && samples.iter().all(|s| counts_fit(&s.counts))
+                && in_time_order(samples.iter().map(|s| s.at_cycle))
+        }
+        (
+            SessionKind::Triggered | SessionKind::Transition,
+            CachedSession::Captures { captures: list, .. },
+        ) => {
+            list.len() <= captures
+                && list.iter().all(|c| counts_fit(&c.counts))
+                && in_time_order(list.iter().map(|c| c.at_cycle))
+        }
+        _ => false,
+    }
+}
+
+/// Whether the stamps `at` never decrease.
+fn in_time_order(mut at: impl Iterator<Item = Cycle>) -> bool {
+    let mut last = 0;
+    at.all(|t| std::mem::replace(&mut last, t) <= t)
+}
+
 /// Run one random-sampling session (§ 3.5, first measurement type),
 /// also returning the session's observability slice (trace metrics,
 /// events, wall clock). Observation never steers the simulated trajectory.
@@ -220,7 +265,7 @@ pub fn run_random_session(
     // current clock, so a one-cycle interval degenerates to back-to-back
     // snapshots rather than a backwards clock.
     let interval = cfg.interval_cycles().max(1);
-    let n_samples = (cfg.horizon_cycles() / interval).max(1);
+    let n_samples = cfg.sample_count();
     let snap_spacing = interval / (cfg.snapshots_per_sample as u64 + 1);
     let mut samples = Vec::with_capacity(n_samples as usize);
 

@@ -192,12 +192,12 @@ impl SessionTask {
         cache.key(self.kind, &self.cfg, self.idx, self.captures)
     }
 
-    /// A looked-up payload, if it has this session's shape. A payload of
-    /// the other shape under an identical key can only mean a fingerprint
-    /// collision or a tampered store; the session then recomputes.
-    fn accept(&self, hit: CachedSession) -> Option<CachedSession> {
-        let random = matches!(hit, CachedSession::Random { .. });
-        (random == (self.kind == SessionKind::Random)).then_some(hit)
+    /// Whether a looked-up payload has the shape this session's runner
+    /// gives (`experiment::payload_fits`). A cache checks it before it
+    /// counts a hit, so a payload that fails is a miss and the session
+    /// recomputes.
+    fn fits(&self, payload: &CachedSession) -> bool {
+        crate::experiment::payload_fits(self.kind, &self.cfg, self.captures, payload)
     }
 
     /// Run the session, consulting the cache under `key` first when one
@@ -213,7 +213,7 @@ impl SessionTask {
             return self.compute();
         };
         let started = std::time::Instant::now();
-        if let Some(hit) = cache.lookup(key).and_then(|hit| self.accept(hit)) {
+        if let Some(hit) = cache.lookup(key, |p| self.fits(p)) {
             return (hit, SessionObservability::cached(self.label(), started));
         }
         let (data, obs) = self.compute();
@@ -287,7 +287,7 @@ pub(crate) fn run_sessions(
         }
         let started = std::time::Instant::now();
         let key = t.key(cache);
-        match cache.lookup_memory(&key).and_then(|hit| t.accept(hit)) {
+        match cache.lookup_memory(&key, |p| t.fits(p)) {
             Some(hit) => {
                 let obs = SessionObservability::cached(label(t), started);
                 hooks.session_done(&done, tasks.len(), &obs.label, true);

@@ -48,14 +48,15 @@ fn machine(dense: bool) -> MachineConfig {
     cfg
 }
 
-/// Drive a loop workload with dense stepping on and off through an
-/// interleaved run/capture schedule and assert the trajectories are
-/// bit-identical. Returns the dense-stepped cycle count of the on-run.
-fn assert_dense_identical(run_cycles: u64) -> u64 {
+/// Drive the load `mount` places with dense stepping on and off through
+/// an interleaved run/capture schedule and assert the trajectories are
+/// bit-identical. Returns the on-run's cluster for the caller's
+/// non-vacuity checks.
+fn assert_dense_identical(mount: impl Fn(&mut Cluster), run_cycles: u64) -> Cluster {
     let drive = |cfg: MachineConfig| {
         let mut c = Cluster::new(cfg, 42);
         c.set_ip_intensity(0.12);
-        c.mount_loop(loop_body(1), 0, 50_000, serial_code(1), 1);
+        mount(&mut c);
         let mut words = Vec::new();
         // Interleave quiet runs with captures so dense windows both open
         // (run) and get cut short by probe deadlines (capture).
@@ -63,24 +64,74 @@ fn assert_dense_identical(run_cycles: u64) -> u64 {
             c.run(run_cycles / 4);
             words.extend(c.capture(100));
         }
-        let dense = c.engine_cycles().dense;
-        (c.state_digest(), words, dense)
+        (c.state_digest(), words, c)
     };
-    let (d_on, w_on, dense_on) = drive(machine(true));
-    let (d_off, w_off, dense_off) = drive(machine(false));
-    assert_eq!(dense_off, 0, "knob off must never dense-step");
+    let (d_on, w_on, on) = drive(machine(true));
+    let (d_off, w_off, off) = drive(machine(false));
+    assert_eq!(
+        off.engine_cycles().dense,
+        0,
+        "knob off must never dense-step"
+    );
     assert_eq!(d_on, d_off, "dense stepping diverged the machine state");
     assert_eq!(w_on, w_off, "dense stepping diverged the probe stream");
-    dense_on
+    on
 }
 
 #[test]
 fn cluster_trajectory_bit_identical_with_dense_stepping() {
-    let dense = assert_dense_identical(40_000);
+    let on = assert_dense_identical(
+        |c| c.mount_loop(loop_body(1), 0, 50_000, serial_code(1), 1),
+        40_000,
+    );
+    let dense = on.engine_cycles().dense;
     if cfg!(feature = "audit") {
         assert_eq!(dense, 0, "audit builds never dense-step");
     } else {
         assert!(dense > 20_000, "loop barely dense-stepped: {dense}");
+    }
+}
+
+/// Mount a dependent loop: each iteration parks on the CCB sync register
+/// (`AwaitSync`) and ends by posting to it (`PostSync`), and its streams
+/// touch cold pages.
+fn mount_dependent_loop(c: &mut Cluster) {
+    use fx8_workload::kernels::{glue_serial, LoopKernel};
+    let kernel = LoopKernel {
+        name: "dependent".into(),
+        iters: 1_000_000,
+        panel_lines: 64,
+        panel_refs: 12,
+        stream_lines: 4,
+        store_lines: 2,
+        // Fewer compute instructions than panel references: the body
+        // ends on its stores, so the post follows a grant or a miss
+        // wake inside a running window.
+        compute: 8,
+        code_bytes: 512,
+        dependence: Some(0.5),
+        variance: 0.0,
+    };
+    let (body, after) = (kernel.instantiate(1), glue_serial().instantiate(1));
+    c.mount_loop(body, 0, 1_000_000, after, 1);
+}
+
+/// A dependent loop on a cold machine: lanes park on the sync register,
+/// post to it while higher lanes wait in the same window (seen the same
+/// cycle) and take page faults (with their kernel charge), all while the
+/// dense kernel owns the stretches the fast-forward engine cannot take.
+#[test]
+fn dependent_loop_bit_identical_with_dense_stepping() {
+    let on = assert_dense_identical(mount_dependent_loop, 40_000);
+    let sync_waits = on.ccb_stats().sync_wait_cycles;
+    let faults = on.vm().total_faults().total();
+    assert!(sync_waits > 0, "the loop never waited on the sync register");
+    assert!(faults > 0, "the loop never faulted");
+    let dense = on.engine_cycles().dense;
+    if cfg!(feature = "audit") {
+        assert_eq!(dense, 0, "audit builds never dense-step");
+    } else {
+        assert!(dense > 0, "the dependent loop never dense-stepped");
     }
 }
 
@@ -154,35 +205,43 @@ fn dense_stepping_identical_across_arbitration_disciplines() {
 /// engines must stay bit-identical at every scaling-study width, not just
 /// on the measured 8-CE machine. Each width runs the scaled preset with a
 /// little bank contention so the packed-counter group chunking (one SWAR
-/// word per 8 lanes) carries real weight above width 8.
+/// word per 8 lanes) carries real weight above width 8, under both an
+/// independent and a dependent loop (at width 64 the top lane's post
+/// builds its mask of higher lanes at the edge of the lane word).
 #[test]
 fn cluster_trajectory_bit_identical_at_sampled_widths() {
-    for width in [2usize, 8, 16, 32, 64] {
-        let drive = |dense: bool, ff: bool| {
-            let mut cfg = MachineConfig::scaled(width);
-            cfg.dense_stepping = dense;
-            cfg.fast_forward = ff;
-            cfg.cache_hit_cycles = 3;
-            let mut c = Cluster::new(cfg, 42 + width as u64);
-            c.set_ip_intensity(0.12);
-            c.mount_loop(loop_body(1), 0, 20_000, serial_code(1), 1);
-            let mut words = Vec::new();
-            for _ in 0..3 {
-                c.run(12_000);
-                words.extend(c.capture(100));
-            }
-            (c.state_digest(), words)
-        };
-        let all_on = drive(true, true);
-        let scalar = drive(false, false);
-        assert_eq!(
-            all_on, scalar,
-            "width {width}: dense+fast-forward diverged from scalar"
-        );
-        let ff_only = drive(false, true);
-        assert_eq!(ff_only, scalar, "width {width}: fast-forward diverged");
-        let dense_only = drive(true, false);
-        assert_eq!(dense_only, scalar, "width {width}: dense diverged");
+    let strided: fn(&mut Cluster) = |c| c.mount_loop(loop_body(1), 0, 20_000, serial_code(1), 1);
+    for (load, mount) in [("strided", strided), ("dependent", mount_dependent_loop)] {
+        for width in [2usize, 8, 16, 32, 64] {
+            let drive = |dense: bool, ff: bool| {
+                let mut cfg = MachineConfig::scaled(width);
+                cfg.dense_stepping = dense;
+                cfg.fast_forward = ff;
+                cfg.cache_hit_cycles = 3;
+                let mut c = Cluster::new(cfg, 42 + width as u64);
+                c.set_ip_intensity(0.12);
+                mount(&mut c);
+                let mut words = Vec::new();
+                for _ in 0..3 {
+                    c.run(12_000);
+                    words.extend(c.capture(100));
+                }
+                (c.state_digest(), words)
+            };
+            let all_on = drive(true, true);
+            let scalar = drive(false, false);
+            assert_eq!(
+                all_on, scalar,
+                "{load} width {width}: dense+fast-forward diverged from scalar"
+            );
+            let ff_only = drive(false, true);
+            assert_eq!(
+                ff_only, scalar,
+                "{load} width {width}: fast-forward diverged"
+            );
+            let dense_only = drive(true, false);
+            assert_eq!(dense_only, scalar, "{load} width {width}: dense diverged");
+        }
     }
 }
 

@@ -151,13 +151,13 @@ fn engine_salt_bump_invalidates_stored_entries() {
             audit: Default::default(),
         },
     );
-    assert!(v1.lookup(&k1).is_some());
+    assert!(v1.lookup(&k1, |_| true).is_some());
 
     // The salt reaches the key, so the v2 cache looks elsewhere entirely.
     let v2 = SessionCache::at_dir(&dir).with_engine_salt(u64::MAX);
     let k2 = v2.key(SessionKind::Triggered, &cfg, 0, 2);
     assert_ne!(k1, k2, "engine salt must reach the fingerprint");
-    assert!(v2.lookup(&k2).is_none());
+    assert!(v2.lookup(&k2, |_| true).is_none());
 
     // Adversarial rename: masquerade the v1 entry as the v2 key. The
     // header (engine version + echoed key) must reject it as invalid.
@@ -166,7 +166,10 @@ fn engine_salt_bump_invalidates_stored_entries() {
         dir.join(format!("{}.json", k2.to_hex())),
     )
     .expect("rename stored entry");
-    assert!(v2.lookup(&k2).is_none(), "stale-engine entry must not load");
+    assert!(
+        v2.lookup(&k2, |_| true).is_none(),
+        "stale-engine entry must not load"
+    );
     assert_eq!(v2.stats().invalid_entries, 1);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -181,13 +181,19 @@ impl EventCounts {
     /// `Σ num[j] == records`, `Σ ceop == records·n_ces`, `Σ membop ==
     /// records`, and `Σ j·num[j] == Σ prof[j]` (each record with `j`
     /// processors active contributes `j` profile counts), with every
-    /// `prof[j] ≤ records`.
+    /// `prof[j] ≤ records`. Counts read back from outside may be crafted
+    /// to overflow these sums; any that does is an error, never a panic
+    /// or a wrapped value that happens to match.
     pub fn validate(&self) -> Result<(), String> {
-        if self.num.len() != self.n_ces + 1 {
+        let overflow = |what: &str| format!("{what} overflows u64");
+        let bins = self
+            .n_ces
+            .checked_add(1)
+            .ok_or_else(|| overflow("n_ces + 1"))?;
+        if self.num.len() != bins {
             return Err(format!(
-                "num has {} bins, expected n_ces + 1 = {}",
-                self.num.len(),
-                self.n_ces + 1
+                "num has {} bins, expected n_ces + 1 = {bins}",
+                self.num.len()
             ));
         }
         if self.prof.len() != self.n_ces {
@@ -197,34 +203,39 @@ impl EventCounts {
                 self.n_ces
             ));
         }
-        let num_sum: u64 = self.num.iter().sum();
+        let num_sum = checked_sum(&self.num).ok_or_else(|| overflow("Σ num[j]"))?;
         if num_sum != self.records {
             return Err(format!(
                 "Σ num[j] = {num_sum} != records = {}",
                 self.records
             ));
         }
-        let ceop_sum: u64 = self.ceop.iter().sum();
-        let ceop_expect = self.records * self.n_ces as u64;
+        let ceop_sum = checked_sum(&self.ceop).ok_or_else(|| overflow("Σ ceop"))?;
+        let ceop_expect = u64::try_from(self.n_ces)
+            .ok()
+            .and_then(|n| self.records.checked_mul(n))
+            .ok_or_else(|| overflow("records·n_ces"))?;
         if ceop_sum != ceop_expect {
             return Err(format!(
                 "Σ ceop = {ceop_sum} != records·n_ces = {ceop_expect}"
             ));
         }
-        let membop_sum: u64 = self.membop.iter().sum();
+        let membop_sum = checked_sum(&self.membop).ok_or_else(|| overflow("Σ membop"))?;
         if membop_sum != self.records {
             return Err(format!(
                 "Σ membop = {membop_sum} != records = {}",
                 self.records
             ));
         }
-        let weighted: u64 = self
+        let weighted = self
             .num
             .iter()
             .enumerate()
-            .map(|(j, &k)| j as u64 * k)
-            .sum();
-        let prof_sum: u64 = self.prof.iter().sum();
+            .try_fold(0u64, |acc, (j, &k)| {
+                acc.checked_add((j as u64).checked_mul(k)?)
+            })
+            .ok_or_else(|| overflow("Σ j·num[j]"))?;
+        let prof_sum = checked_sum(&self.prof).ok_or_else(|| overflow("Σ prof[j]"))?;
         if weighted != prof_sum {
             return Err(format!("Σ j·num[j] = {weighted} != Σ prof[j] = {prof_sum}"));
         }
@@ -238,6 +249,11 @@ impl EventCounts {
         }
         Ok(())
     }
+}
+
+/// `Σ xs`, or `None` if it overflows `u64`.
+fn checked_sum(xs: &[u64]) -> Option<u64> {
+    xs.iter().try_fold(0u64, |acc, &x| acc.checked_add(x))
 }
 
 #[cfg(test)]
@@ -435,5 +451,46 @@ mod tests {
         assert!(c.validate().is_ok());
         c.prof[0] += 1; // break Σ j·num[j] == Σ prof[j]
         assert!(c.validate().is_err());
+    }
+
+    /// Counts at their types' maxima overflow each sum `validate` takes;
+    /// every one is an error, never an overflow panic or a wrapped match.
+    #[test]
+    fn validate_rejects_overflowing_counts() {
+        let max = u64::MAX;
+        // One idle record on a 1-CE machine, then one field pushed over.
+        let base = EventCounts::reduce(&[word(0, CeBusOp::Idle, MemBusOp::Idle)], 1);
+        assert!(base.validate().is_ok());
+        let err = |edit: &dyn Fn(&mut EventCounts)| {
+            let mut c = base.clone();
+            edit(&mut c);
+            c.validate().unwrap_err()
+        };
+        assert_eq!(err(&|c| c.n_ces = usize::MAX), "n_ces + 1 overflows u64");
+        assert_eq!(err(&|c| c.num = vec![max, 1]), "Σ num[j] overflows u64");
+        assert_eq!(
+            err(&|c| c.ceop[CeBusOp::Read.index()] = max),
+            "Σ ceop overflows u64"
+        );
+        assert_eq!(
+            err(&|c| c.membop[MemBusOp::Fetch.index()] = max),
+            "Σ membop overflows u64"
+        );
+        assert_eq!(
+            err(&|c| {
+                c.n_ces = 2;
+                c.num = vec![max, 0, 0];
+                c.records = max;
+                c.prof = vec![0, 0];
+            }),
+            "records·n_ces overflows u64"
+        );
+        assert_eq!(
+            err(&|c| c.prof = vec![max, 1]),
+            "prof has 2 slots, expected n_ces = 1"
+        );
+        let mut two = EventCounts::reduce(&[word(0, CeBusOp::Idle, MemBusOp::Idle)], 2);
+        two.prof = vec![max, 1];
+        assert_eq!(two.validate().unwrap_err(), "Σ prof[j] overflows u64");
     }
 }

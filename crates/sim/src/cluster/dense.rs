@@ -1,0 +1,476 @@
+//! The dense batch kernel: busy concurrent-loop windows stepped as
+//! whole-word lane masks. It schedules; each lane it visits acts through
+//! the shared [`Cluster::lane_step`], [`Cluster::lane_wake`] and
+//! [`Cluster::lane_grant`], so only *when* a lane is visited and how its
+//! pure per-cycle effects are accrued differ from the scalar stepper.
+
+use super::lane::{LaneStep, ReqKind};
+use super::{Cluster, Load};
+use crate::ce::{CeRole, CeState};
+use crate::opcode::CeBusOp;
+use crate::probe::MAX_CES;
+use crate::LaneWord;
+
+/// Widest cache-bank geometry the dense stepper's fixed-size per-bank
+/// requester masks cover; wider (unvalidated, test-only) geometries fall
+/// back to the scalar stepper.
+const DENSE_MAX_BANKS: usize = 16;
+
+impl Cluster {
+    /// Whether the machine is in the dense stepper's domain: a mounted
+    /// concurrent loop whose CEs are all either workers or fully inert
+    /// unmounted lanes. In that regime every per-cycle effect is one the
+    /// SoA kernel replicates inline — the CCB-resolution cycles it cannot
+    /// (grants, exhaustion, promotion) make it bail back to the scalar
+    /// stepper. Forced off under the `audit` feature so the per-cycle
+    /// auditor keeps observing every cycle, and by the `dense_stepping`
+    /// config knob.
+    pub(super) fn dense_eligible(&self) -> bool {
+        if cfg!(feature = "audit") || !self.cfg.dense_stepping {
+            return false;
+        }
+        if !matches!(self.load, Load::Loop { .. }) {
+            return false;
+        }
+        // The kernel's bank-conflict masks are fixed-width.
+        if self.cfg.cache.banks > DENSE_MAX_BANKS {
+            return false;
+        }
+        self.ces.iter().all(|ce| match ce.role {
+            CeRole::Worker => true,
+            // An unmounted lane is eligible only when provably inert: it
+            // then contributes nothing to any cycle, so the kernel can
+            // ignore it entirely.
+            CeRole::Inactive => {
+                ce.state == CeState::Ready
+                    && ce.cur_op.is_none()
+                    && ce.ops.is_empty()
+                    && ce.compute_left == 0
+                    && ce.pending_ifetch.is_none()
+            }
+            CeRole::ClusterSerial | CeRole::Detached => false,
+        })
+    }
+
+    /// The dense SoA batch stepper: run up to `limit` cycles of a busy
+    /// concurrent-loop window in one fused pass, bit-identically to the
+    /// same number of [`Cluster::step_cycle`] calls (probe words
+    /// discarded). Returns how many cycles were advanced; 0 means the very
+    /// next cycle is a CCB-resolution cycle the scalar stepper must run.
+    ///
+    /// Where the scalar stepper re-derives every CE's situation from its
+    /// state enum each cycle, this kernel packs the lane structure once at
+    /// window entry — ready/await-iter/await-sync/stalled/fault lanes as
+    /// [`LaneWord`] bitmasks, wake stamps and sync targets in fixed
+    /// per-lane arrays — and then advances the masks as whole-word boolean
+    /// algebra, spending per-lane scalar work only on the cycles where a
+    /// lane *acts* (dispatches an op, wakes from a stall, crosses an
+    /// icache line, parks or posts a sync):
+    ///
+    /// * a lane whose crossbar request was denied is not revisited: the
+    ///   request (line, kind, bank) is invariant until granted, so the
+    ///   lane sits in a persistent `pending` word and a persistent
+    ///   bank×word requester table that [`Crossbar::arbitrate_masks_swar`]
+    ///   resolves by scanning only occupied banks;
+    /// * a lane retiring a compute burst inside its probed icache line is
+    ///   not revisited: its pure-retirement segment is bounded by
+    ///   [`Ce::compute_burst_horizon`] and applied in closed form at the
+    ///   segment end ([`Ce::advance_compute_burst`]), exactly as the
+    ///   fast-forward engine does across quiescent windows;
+    /// * sync waiters are revisited only on cycles adjacent to a
+    ///   `PostSync` (the sync register cannot otherwise move), with the
+    ///   same-cycle lower-to-higher lane visibility of the scalar loop
+    ///   preserved by re-arming the visit word mid-pass;
+    /// * per-cycle classification — who issues, who is denied, who waits —
+    ///   is mask expressions (`pending & !won`, popcounts), not branches.
+    ///
+    /// Per-lane counters that move by +1 per masked lane per cycle
+    /// (bus-busy occupancy, crossbar denials) accumulate via SWAR masked
+    /// adds ([`crate::swar::packed_add`]) into packed byte-lane words,
+    /// flushed into the real `u64` counters at window exit or before any
+    /// byte lane could saturate. The membus start-ring gc is deferred to
+    /// the window end (legal per the deferred-gc membus proof), and the
+    /// denial counters flush through [`Crossbar::note_denied_retries`] —
+    /// the same closed-form movement the fast-forward engine uses.
+    ///
+    /// The window ends at `limit`, at the armed-probe deadline, or at the
+    /// first cycle where the CCB would resolve an iteration request (grant
+    /// or exhaustion): those cycles run iteration generation, daisy-chain
+    /// stalls, unmounting and serial promotion, which stay scalar.
+    pub(super) fn step_dense(&mut self, mut limit: u64) -> u64 {
+        debug_assert!(self.dense_eligible());
+        let mut now = self.now;
+        if let Some(probe) = self.next_probe_at {
+            // Never run into a cycle an armed analyzer must observe.
+            if probe <= now {
+                return 0;
+            }
+            limit = limit.min(probe - now);
+        }
+        let n = self.ces.len();
+        debug_assert!(n <= MAX_CES);
+
+        // --- Pack the lane structure.
+        let mut ready_mask: LaneWord = 0;
+        let mut iter_mask: LaneWord = 0;
+        let mut sync_mask: LaneWord = 0;
+        let mut stall_mask: LaneWord = 0;
+        let mut fault_mask: LaneWord = 0;
+        let mut active_lanes: LaneWord = 0;
+        let mut until_arr = [0u64; MAX_CES];
+        let mut stall_resume = [CeBusOp::Idle; MAX_CES];
+        let mut sync_target_arr = [0u64; MAX_CES];
+        let mut next_wake = u64::MAX;
+        for (id, ce) in self.ces.iter().enumerate() {
+            if ce.role != CeRole::Worker {
+                continue; // inert unmounted lane (checked by eligibility)
+            }
+            let bit: LaneWord = 1 << id;
+            active_lanes |= bit;
+            match ce.state {
+                CeState::Ready => ready_mask |= bit,
+                CeState::AwaitIter => iter_mask |= bit,
+                CeState::AwaitSync { target } => {
+                    sync_mask |= bit;
+                    sync_target_arr[id] = target;
+                }
+                // A worker only parks in AwaitJoin on a CCB-resolution
+                // cycle, which the scalar stepper owns.
+                CeState::AwaitJoin => return 0,
+                CeState::Stalled { until, resume_op } => {
+                    stall_mask |= bit;
+                    until_arr[id] = until;
+                    stall_resume[id] = resume_op;
+                    next_wake = next_wake.min(until);
+                }
+                CeState::FaultStalled { until } => {
+                    fault_mask |= bit;
+                    until_arr[id] = until;
+                    next_wake = next_wake.min(until);
+                }
+            }
+        }
+
+        // --- Persistent request state. A lane that has materialized a
+        // crossbar request keeps it — line, kind, and bank are invariant
+        // across denials — so denied lanes are never revisited; they live
+        // in `pending_mask` and in the bank×word requester table that
+        // `arbitrate_masks_swar` scans via the `occupied` bank bitmask.
+        let mut pending_mask: LaneWord = 0;
+        let mut bank_req: [LaneWord; DENSE_MAX_BANKS] = [0; DENSE_MAX_BANKS];
+        let mut occupied = 0u32;
+        let mut req_line = [crate::addr::LineId(0); MAX_CES];
+        let mut req_kind = [ReqKind::Read; MAX_CES];
+        let mut req_bank = [0usize; MAX_CES];
+
+        // --- Pure compute-burst segments. A lane retiring inside its
+        // probed icache line is inert (one retirement per cycle, no shared
+        // state): it parks in `burst_mask` with its segment end in
+        // `until_arr` and the retirements are applied in closed form when
+        // the segment ends or the window exits.
+        let mut burst_mask: LaneWord = 0;
+        let mut burst_from = [0u64; MAX_CES];
+
+        // --- Per-window accumulators, flushed once at exit. Bus-busy
+        // occupancy and crossbar denials move by +1 per masked lane per
+        // cycle, so they accumulate as SWAR packed byte lanes; the rest
+        // see at most a handful of scalar adds per cycle.
+        let mut busbusy_acc = [0u64; MAX_CES];
+        let mut deny_acc = [0u64; MAX_CES];
+        // One packed word per 8-lane group: the measured 8-CE machine pays
+        // for exactly one word; a 64-CE cluster carries eight.
+        let pk_groups = crate::swar::lane_groups(n);
+        let mut busbusy_pk = [0u64; crate::swar::lane_groups(MAX_CES)];
+        let mut deny_pk = [0u64; crate::swar::lane_groups(MAX_CES)];
+        let mut pk_budget = crate::swar::PACKED_MAX;
+        let mut sync_wait_acc = 0u64;
+        let mut grant_wait_acc = 0u64;
+        // Sync waiters re-check the register only when it can have moved:
+        // at window entry and on cycles adjacent to a PostSync.
+        let mut sync_dirty = sync_mask != 0;
+        let hit_cycles = self.cfg.cache_hit_cycles;
+        let mut done = 0u64;
+
+        while done < limit {
+            // A pending iteration request resolves (grant or exhaustion)
+            // the moment the grant channel is idle: that cycle runs the
+            // scalar stepper. While the channel is busy, requesters only
+            // accrue wait cycles — exactly what the scalar arbitration
+            // would have recorded.
+            if iter_mask != 0 && self.ccb.grant_horizon(now).is_none() {
+                break;
+            }
+
+            // Interactive processors: one RNG draw per cycle, replayed in
+            // lockstep with the scalar stepper.
+            self.ip.step(now, &mut self.caches, &mut self.membus);
+
+            if iter_mask != 0 {
+                grant_wait_acc += iter_mask.count_ones() as u64;
+            }
+
+            // Which stalled/fault lanes wake this cycle; burst segments
+            // ending now materialize their retirements and rejoin the
+            // per-lane pass as ordinary Ready lanes.
+            let mut due: LaneWord = 0;
+            if now >= next_wake {
+                next_wake = u64::MAX;
+                let mut m = stall_mask | fault_mask | burst_mask;
+                while m != 0 {
+                    let id = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    if until_arr[id] <= now {
+                        let bit: LaneWord = 1 << id;
+                        if burst_mask & bit != 0 {
+                            self.ces[id].advance_compute_burst(now - burst_from[id]);
+                            burst_mask &= !bit;
+                        } else {
+                            due |= bit;
+                        }
+                    } else {
+                        next_wake = next_wake.min(until_arr[id]);
+                    }
+                }
+            }
+
+            // --- Lane pass over the lanes that can *act* this cycle,
+            // ascending id (same order as the scalar per-CE loop: VM touch
+            // stamps and same-cycle PostSync → AwaitSync visibility depend
+            // on it). Denied requesters, mid-segment bursts and (on clean
+            // cycles) parked sync waiters are excluded: their per-cycle
+            // effects are pure accrual, applied as word-wide mask
+            // arithmetic below. `impure` records whether any visited lane
+            // did more than pure waiting; a cycle that stays pure with no
+            // grant means the machine has gone quiescent, and the run
+            // loop's horizon scan can bulk-advance it far more cheaply
+            // than this kernel can step it.
+            let mut impure = false;
+            let sync_check: LaneWord = if sync_dirty { sync_mask } else { 0 };
+            sync_dirty = false;
+            let mut sync_handled: LaneWord = 0;
+            let mut visit = (ready_mask & !pending_mask & !burst_mask) | due | sync_check;
+            while visit != 0 {
+                let id = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let bit: LaneWord = 1 << id;
+
+                if due & bit != 0 {
+                    impure = true;
+                    if stall_mask & bit != 0 {
+                        // Completion handshake cycle.
+                        if stall_resume[id].is_busy() {
+                            busbusy_acc[id] += 1;
+                        }
+                        self.lane_wake(id);
+                        stall_mask &= !bit;
+                    } else {
+                        self.ces[id].state = CeState::Ready;
+                        fault_mask &= !bit;
+                    }
+                    ready_mask |= bit;
+                    continue;
+                }
+
+                if sync_mask & bit != 0 {
+                    sync_handled |= bit;
+                    if self.ccb.sync_reached(sync_target_arr[id]) {
+                        impure = true;
+                        self.ces[id].state = CeState::Ready;
+                        sync_mask &= !bit;
+                        ready_mask |= bit;
+                    } else {
+                        sync_wait_acc += 1;
+                    }
+                    continue;
+                }
+
+                // Ready lane: the shared per-cycle step, then move the lane
+                // between the kernel's masks by what it did.
+                let (step, acted) = self.lane_step(id, now);
+                impure |= acted;
+                match step {
+                    LaneStep::Request(line, kind) => {
+                        let b = self.caches.bank_of(line);
+                        pending_mask |= bit;
+                        req_line[id] = line;
+                        req_kind[id] = kind;
+                        req_bank[id] = b;
+                        bank_req[b] |= bit;
+                        occupied |= 1 << b;
+                    }
+                    LaneStep::Retired => {
+                        // Pure in-line retirement from here on parks the
+                        // lane in `burst_mask` for its whole segment.
+                        let h = self.ces[id].compute_burst_horizon();
+                        if h > 0 {
+                            burst_mask |= bit;
+                            burst_from[id] = now + 1;
+                            until_arr[id] = now + 1 + h;
+                            next_wake = next_wake.min(until_arr[id]);
+                        }
+                    }
+                    LaneStep::Parked(t) => {
+                        ready_mask &= !bit;
+                        sync_mask |= bit;
+                        sync_target_arr[id] = t;
+                        // No wait accrues on the parking cycle.
+                        sync_handled |= bit;
+                    }
+                    LaneStep::Posted => {
+                        // Scalar same-cycle visibility: parked lanes with a
+                        // *higher* id see the new value this cycle (they
+                        // come later in the per-CE order); lower ids were
+                        // already passed and re-check next cycle. The mask
+                        // of this lane and those below it is `bit | (bit -
+                        // 1)`, which cannot overflow at lane 63.
+                        visit |= sync_mask & !(bit | (bit - 1));
+                        sync_dirty = true;
+                    }
+                    LaneStep::Faulted(until) => {
+                        ready_mask &= !bit;
+                        fault_mask |= bit;
+                        until_arr[id] = until;
+                        next_wake = next_wake.min(until);
+                    }
+                    // Inactive lanes never enter the masks, so a lane that
+                    // runs out of ops is a worker at its iteration boundary.
+                    LaneStep::AwaitIter => {
+                        ready_mask &= !bit;
+                        iter_mask |= bit;
+                    }
+                    LaneStep::Idle => {}
+                }
+            }
+
+            // Parked sync waiters not individually visited this cycle all
+            // stayed blocked (the register cannot have moved for them):
+            // accrue their wait in one popcount.
+            sync_wait_acc += (sync_mask & !sync_handled).count_ones() as u64;
+
+            // --- Crossbar arbitration over the persistent bank table and
+            // cache access for the winners, mask-native.
+            let mut won: LaneWord = 0;
+            if pending_mask != 0 {
+                won = self
+                    .crossbar
+                    .arbitrate_masks_swar(now, &bank_req, occupied, hit_cycles);
+                // Every requester occupies its CE bus this cycle, granted
+                // or not; the denied set is exactly `pending & !won`. Both
+                // accrue as SWAR masked adds, flushed before any packed
+                // byte lane could saturate.
+                if pk_budget == 0 {
+                    for id in 0..n {
+                        let (g, l) = (
+                            id / crate::swar::PACKED_LANES,
+                            id % crate::swar::PACKED_LANES,
+                        );
+                        busbusy_acc[id] += crate::swar::packed_lane(busbusy_pk[g], l);
+                        deny_acc[id] += crate::swar::packed_lane(deny_pk[g], l);
+                    }
+                    busbusy_pk = [0; crate::swar::lane_groups(MAX_CES)];
+                    deny_pk = [0; crate::swar::lane_groups(MAX_CES)];
+                    pk_budget = crate::swar::PACKED_MAX;
+                }
+                pk_budget -= 1;
+                let denied_mask = pending_mask & !won;
+                for g in 0..pk_groups {
+                    busbusy_pk[g] = crate::swar::packed_add(
+                        busbusy_pk[g],
+                        crate::swar::group_mask(pending_mask, g),
+                        1,
+                    );
+                    deny_pk[g] = crate::swar::packed_add(
+                        deny_pk[g],
+                        crate::swar::group_mask(denied_mask, g),
+                        1,
+                    );
+                }
+
+                let mut m = won;
+                while m != 0 {
+                    let id = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let bit: LaneWord = 1 << id;
+                    // The grant consumes the request: retire it from the
+                    // persistent table.
+                    pending_mask &= !bit;
+                    let b = req_bank[id];
+                    bank_req[b] &= !bit;
+                    if bank_req[b] == 0 {
+                        occupied &= !(1u32 << b);
+                    }
+                    if let Some(until) = self.lane_grant(id, now, req_line[id], req_kind[id]) {
+                        ready_mask &= !bit;
+                        stall_mask |= bit;
+                        until_arr[id] = until;
+                        stall_resume[id] = CeBusOp::MissWait;
+                        next_wake = next_wake.min(until);
+                    }
+                }
+            }
+
+            now += 1;
+            done += 1;
+
+            // Quiescent cycle: nothing beyond pure waits, in-segment burst
+            // retirement, or all-denied retry requests happened (a grant
+            // mutates the caches, so `won != 0` keeps the kernel going).
+            // Hand back to the run loop so the closed-form fast-forward
+            // engine can take the stretch from here.
+            if won == 0 && !impure {
+                break;
+            }
+        }
+
+        if done == 0 {
+            return 0;
+        }
+        // --- Window-exit flush: the per-cycle effects accrued in closed
+        // form. The start-ring gc is deferred to the window end (the same
+        // legality argument as `advance_bulk`'s).
+        let mut m = burst_mask;
+        while m != 0 {
+            let id = m.trailing_zeros() as usize;
+            m &= m - 1;
+            // Open burst segments: `now` is the first unexecuted cycle, so
+            // `now - from` retirements happened (capped by the horizon
+            // that armed the segment).
+            self.ces[id].advance_compute_burst(now - burst_from[id]);
+        }
+        self.membus.gc(now - 1);
+        if sync_wait_acc > 0 {
+            self.ccb.note_sync_waits(sync_wait_acc);
+        }
+        if grant_wait_acc > 0 {
+            self.ccb.note_grant_waits(grant_wait_acc);
+        }
+        for id in 0..n {
+            let stats = &mut self.ces[id].stats;
+            let (g, l) = (
+                id / crate::swar::PACKED_LANES,
+                id % crate::swar::PACKED_LANES,
+            );
+            stats.bus_busy_cycles += busbusy_acc[id] + crate::swar::packed_lane(busbusy_pk[g], l);
+            let denied = deny_acc[id] + crate::swar::packed_lane(deny_pk[g], l);
+            if denied > 0 {
+                self.crossbar.note_denied_retries(id, denied);
+            }
+        }
+        let mut m = active_lanes;
+        while m != 0 {
+            let id = m.trailing_zeros() as usize;
+            m &= m - 1;
+            // Roles only change on the scalar CCB-resolution cycles, so
+            // every worker was CCB-active for the whole window.
+            self.ces[id].stats.active_cycles += done;
+        }
+        let from = self.now;
+        self.now = now;
+        self.cycles_total += done;
+        self.cycles_dense += done;
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            tr.push(crate::trace::TraceEvent::DenseWindow { from, cycles: done });
+        }
+        done
+    }
+}

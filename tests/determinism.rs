@@ -67,6 +67,53 @@ fn loop_cluster(seed: u64) -> Cluster {
     c
 }
 
+/// A fully dependent loop: most CEs park on the CCB sync register while
+/// one runs the critical section and posts to it.
+fn recurrence_cluster(seed: u64) -> Cluster {
+    let mut c = idle_cluster(seed);
+    c.mount_loop(
+        kernels::recurrence(1_000_000_000).instantiate(1),
+        0,
+        1_000_000_000,
+        kernels::glue_serial().instantiate(1),
+        1,
+    );
+    c
+}
+
+/// FNV-1a over the counters no probe word carries: every CE's `CeStats`,
+/// the CCB's sync and grant waits, crossbar grants and denials, and the
+/// user and system page faults.
+fn counters_hash(c: &Cluster) -> u64 {
+    let mut fields = Vec::new();
+    for ce in 0..c.config().n_ces {
+        let s = c.ce_stats(ce);
+        fields.extend([
+            s.instrs,
+            s.bus_busy_cycles,
+            s.active_cycles,
+            s.iters_completed,
+            s.miss_stall_cycles,
+            s.fault_stall_cycles,
+        ]);
+    }
+    let (ccb, xbar, faults) = (c.ccb_stats(), c.crossbar_stats(), c.vm().total_faults());
+    fields.extend([
+        ccb.sync_wait_cycles,
+        ccb.grant_wait_cycles,
+        xbar.grants,
+        xbar.denials,
+        faults.user,
+        faults.system,
+    ]);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in fields.iter().flat_map(|f| f.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Hashes pinned before the zero-allocation stepper refactor; the
 /// sequences must never change.
 const GOLDEN_IDLE: u64 = 0x5df3dd129ea63612;
@@ -112,4 +159,36 @@ fn quiet_run_and_probed_capture_advance_identically() {
         let tail_probed = all.split_off(40_000);
         assert_eq!(tail_quiet, tail_probed);
     }
+}
+
+/// Counter hashes of the idle, serial, loop and recurrence machines after
+/// a quiet `run` through all three engines, recorded before the CE's
+/// per-cycle behaviour moved into the one lane module the engines share.
+/// They pin what the probe hashes cannot see, such as an instruction a
+/// `PostSync` retires.
+const GOLDEN_COUNTERS: [u64; 4] = [
+    0xe120542310fbb4e5,
+    0x6d372b43df4c6f68,
+    0x7c2350ec2320ac6a,
+    0x896436c0f9326536,
+];
+
+#[test]
+fn engine_counters_match_golden() {
+    let builds: [fn(u64) -> Cluster; 4] = [
+        idle_cluster,
+        serial_cluster,
+        loop_cluster,
+        recurrence_cluster,
+    ];
+    let actual: Vec<u64> = builds
+        .iter()
+        .zip(31..)
+        .map(|(build, seed)| {
+            let mut c = build(seed);
+            c.run(CYCLES as u64);
+            counters_hash(&c)
+        })
+        .collect();
+    assert_eq!(actual, GOLDEN_COUNTERS, "actual {actual:#018x?}");
 }
