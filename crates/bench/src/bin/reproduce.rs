@@ -34,7 +34,7 @@
 //!   and every row carries its own CoV and window count.
 //!   `--check-regression` measures but does **not** rewrite the file: it
 //!   exits nonzero if a gated row (the engine cycles/s rates) fell below
-//!   its tolerance, skipping (with a warning) any row whose fresh
+//!   its tolerance or a stepping-mix ratio row differs at all, skipping (with a warning) any row whose fresh
 //!   measurement never settled under the CoV threshold — a noisy runner
 //!   must not fail the canary spuriously. CI's `bench-smoke` job runs this
 //!   to catch throughput regressions.
@@ -407,7 +407,8 @@ const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throu
 /// Measure every row against the committed `current` rows without
 /// rewriting the file. Fails if a gated row (the engine cycles/s rates:
 /// the loop rate guards the dense stepper, the idle / serial / join-wait
-/// rates guard the fast-forward engine) dropped below its tolerance. The
+/// rates guard the fast-forward engine) dropped below its tolerance, or
+/// an exactly gated row (the engines' stepping-mix ratios) changed. The
 /// verdicts come from [`throughput::regression_outcomes`]; this function
 /// only narrates them. Rows whose fresh windows never settled under the
 /// CoV threshold, and rows with no usable committed value, are reported
@@ -455,6 +456,17 @@ fn run_check_regression() -> ExitCode {
                     o.floor.unwrap_or(f64::NAN),
                 );
                 regressed = true;
+            }
+            throughput::GateVerdict::Changed => {
+                eprintln!(
+                    "REGRESSION: {name} is {} but the committed value is {committed}: \
+                     the engines' stepping mix changed",
+                    o.fresh,
+                );
+                regressed = true;
+            }
+            throughput::GateVerdict::Ok if o.tolerance.is_none() => {
+                eprintln!("ok: {name} {} {unit} equals the committed value", o.fresh);
             }
             throughput::GateVerdict::Ok => {
                 eprintln!(

@@ -16,7 +16,9 @@
 //! stay visible across changes (the first run writes the baseline). A
 //! missing row means "not measured"; [`merge`] replaces rows by
 //! name and carries every other row forward, and [`regression_outcomes`]
-//! gates rows generically through the per-layer [`GATES`] table.
+//! gates rows generically through the per-layer [`GATES`] table (a rate
+//! may fall by its tolerance) and [`EXACT_GATES`] table (a deterministic
+//! row must not move).
 
 use fx8_core::api::{JobResult, RunHooks};
 use fx8_core::cache::{CachedSession, SessionCache};
@@ -546,8 +548,13 @@ fn measure_run_adaptive(
     }
 }
 
+/// Cycles each mounted state's stepping-mix rows (`*_skip_ratio`,
+/// `loop_dense_ratio`) are counted over, on a fresh cluster.
+pub const MIX_CYCLES: u64 = 500_000;
+
 /// Measure every row: the four mounted-state engine rates (gated) with
-/// their skip ratios and the loop's dense ratio, a loop drain, DAS
+/// their skip ratios and the loop's dense ratio over [`MIX_CYCLES`]
+/// (gated exactly), a loop drain, DAS
 /// acquisition and reduction, the cold and warm `study_cfg` study and an
 /// incremental sweep, and the analysis and JSON layers over that study.
 /// Every timing runs under [`HARNESS`]. `min_wall_s` bounds the timing
@@ -558,19 +565,26 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> Vec<Row> {
     let window_s = min_wall_s / MIN_WINDOWS as f64;
     let mut rows = Vec::new();
     let states = [
-        ("idle", idle_cluster(1)),
-        ("serial", serial_cluster(2)),
-        ("loop", loop_cluster(3)),
-        ("ff_loop", join_wait_cluster(4)),
+        ("idle", idle_cluster as fn(u64) -> Cluster, 1),
+        ("serial", serial_cluster, 2),
+        ("loop", loop_cluster, 3),
+        ("ff_loop", join_wait_cluster, 4),
     ];
-    for (state, mut cluster) in states {
+    for (state, make, seed) in states {
+        let mut cluster = make(seed);
         let m = measure_run_adaptive(&mut cluster, CHUNK, min_wall_s, &HARNESS);
         let rate = format!("{state}_cycles_per_s");
         rows.push(Row::new(Layer::Engine, &rate, "cycles/s", m.rate).noise(Some(m.cov), m.windows));
-        let (skip_name, skip) = (format!("{state}_skip_ratio"), skip_ratio(&cluster));
+        // The stepping mix of a fresh cluster over a fixed budget: the
+        // timed cluster ran as many cycles as the adaptive timer chose.
+        let mut fresh = make(seed);
+        for _ in 0..MIX_CYCLES / CHUNK {
+            fresh.run(CHUNK);
+        }
+        let (skip_name, skip) = (format!("{state}_skip_ratio"), skip_ratio(&fresh));
         rows.push(Row::new(Layer::Engine, &skip_name, "ratio", skip));
         if state == "loop" {
-            let dense = dense_ratio(&cluster);
+            let dense = dense_ratio(&fresh);
             rows.push(Row::new(Layer::Engine, "loop_dense_ratio", "ratio", dense));
         }
     }
@@ -752,6 +766,12 @@ pub const REGRESSION_TOLERANCE: f64 = 0.08;
 /// shared runner to arbitrate a tight comparison.
 pub const GATES: &[(Layer, &str, f64)] = &[(Layer::Engine, "cycles/s", REGRESSION_TOLERANCE)];
 
+/// Rows gated for exact equality, per layer and unit: the engine's
+/// stepping mix (`*_skip_ratio`, `loop_dense_ratio`), counted over
+/// [`MIX_CYCLES`] of a fresh cluster, is a property of the code, not of
+/// the host, so any change to it is a change to the windowing.
+pub const EXACT_GATES: &[(Layer, &str)] = &[(Layer::Engine, "ratio")];
+
 /// The tolerance gating `row`, if any.
 fn tolerance(row: &Row) -> Option<f64> {
     GATES
@@ -763,10 +783,13 @@ fn tolerance(row: &Row) -> Option<f64> {
 /// What the regression gate decided about one fresh row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateVerdict {
-    /// The fresh value is within tolerance of the committed value.
+    /// The fresh value is within tolerance of the committed value (equal
+    /// to it, for a row in [`EXACT_GATES`]).
     Ok,
     /// The fresh value fell below the tolerance floor.
     Regressed,
+    /// A row in [`EXACT_GATES`] differs from its committed value.
+    Changed,
     /// Fresh windows never settled under the CoV threshold: the runner is
     /// too noisy for the comparison to mean anything, so no gate applies.
     SkippedNoisy,
@@ -774,8 +797,8 @@ pub enum GateVerdict {
     /// nothing to gate against. An absent baseline must read as "no gate",
     /// not "any value passes/fails".
     SkippedNoBaseline,
-    /// The row's layer and unit have no entry in [`GATES`]: recorded,
-    /// never failed.
+    /// The row's layer and unit have no entry in [`GATES`] or
+    /// [`EXACT_GATES`]: recorded, never failed.
     Ungated,
 }
 
@@ -804,7 +827,8 @@ pub struct GateOutcome {
 /// Gate every fresh row against the committed row of the same name.
 /// Pure and typed so the missing-baseline and noisy-runner paths are unit
 /// testable without timing anything; `reproduce bench --check-regression`
-/// renders the outcomes and maps any [`GateVerdict::Regressed`] to a
+/// renders the outcomes and maps any [`GateVerdict::Regressed`] or
+/// [`GateVerdict::Changed`] to a
 /// failing exit code.
 pub fn regression_outcomes(
     committed: &[Row],
@@ -815,10 +839,16 @@ pub fn regression_outcomes(
         .iter()
         .map(|row| {
             let tol = tolerance(row);
+            let exact = EXACT_GATES.contains(&(row.layer, row.unit.as_str()));
             let committed = find(committed, &row.name).map(|c| c.value);
             let usable = committed.filter(|c| *c > 0.0 && c.is_finite());
             let mut floor = None;
             let verdict = match (tol, usable) {
+                _ if exact => match committed {
+                    None => GateVerdict::SkippedNoBaseline,
+                    Some(c) if c == row.value => GateVerdict::Ok,
+                    Some(_) => GateVerdict::Changed,
+                },
                 (None, _) => GateVerdict::Ungated,
                 (Some(_), None) => GateVerdict::SkippedNoBaseline,
                 _ if row.cov.is_none_or(|c| c >= cov_threshold) => GateVerdict::SkippedNoisy,
@@ -1008,11 +1038,54 @@ mod tests {
             r.value = 1e-9;
         }
         for o in regression_outcomes(&fast, &slow, 0.03) {
-            if o.name.starts_with("engine.") && o.unit == "cycles/s" {
+            if o.name.starts_with("engine.") {
                 assert_eq!(o.verdict, GateVerdict::Ok, "{}", o.name);
             } else {
                 assert_eq!(o.verdict, GateVerdict::Ungated, "{}", o.name);
             }
+        }
+    }
+
+    #[test]
+    fn stepping_mix_rows_must_match_exactly() {
+        const DENSE: &str = "engine.loop_dense_ratio";
+        let committed = rows(100.0);
+        let with_dense = |v: f64| {
+            let mut fresh = rows(100.0);
+            fresh.iter_mut().find(|r| r.name == DENSE).unwrap().value = v;
+            regression_outcomes(&committed, &fresh, 0.03)
+        };
+        let o = with_dense(0.7);
+        assert_eq!(verdict(&o, DENSE), GateVerdict::Ok);
+        assert_eq!(o.iter().find(|o| o.name == DENSE).unwrap().tolerance, None);
+        // Either way, by any amount, with no CoV to excuse it.
+        for moved in [0.7 + 1e-12, 0.69, 0.99] {
+            assert_eq!(verdict(&with_dense(moved), DENSE), GateVerdict::Changed);
+        }
+        // A zero ratio is a value like any other; an absent one is not.
+        let mut zero = rows(100.0);
+        zero.iter_mut().find(|r| r.name == DENSE).unwrap().value = 0.0;
+        assert_eq!(verdict(&with_dense(0.0), DENSE), GateVerdict::Changed);
+        let o = regression_outcomes(&zero, &zero, 0.03);
+        assert_eq!(verdict(&o, DENSE), GateVerdict::Ok);
+        let without: Vec<Row> = committed.into_iter().filter(|r| r.name != DENSE).collect();
+        let o = regression_outcomes(&without, &rows(100.0), 0.03);
+        assert_eq!(verdict(&o, DENSE), GateVerdict::SkippedNoBaseline);
+    }
+
+    #[test]
+    fn stepping_mix_rows_are_deterministic() {
+        let mix = || {
+            let mut c = serial_cluster(2);
+            c.run(200_000);
+            skip_ratio(&c)
+        };
+        let first = mix();
+        assert_eq!(first.to_bits(), mix().to_bits());
+        if cfg!(feature = "audit") {
+            assert_eq!(first, 0.0, "audit builds never skip");
+        } else {
+            assert!(first > 0.0 && first < 1.0, "serial skip ratio {first}");
         }
     }
 

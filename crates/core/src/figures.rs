@@ -50,7 +50,7 @@ pub(crate) fn fig4_of(a: &Analysis) -> String {
     hbar(
         &fig4_dist(a),
         "Figure 4. Distribution of Samples by Workload Concurrency / All Sessions",
-        |m| format!("{m:.3}"),
+        3,
     )
 }
 
@@ -65,7 +65,7 @@ pub(crate) fn fig5_of(a: &Analysis) -> String {
     hbar(
         &FreqDist::from_values(&pc, &midpoints(2.0, 1.0, 7)),
         "Figure 5. Distribution of Samples by Mean Concurrency Level / All Sessions",
-        |m| format!("{m:.1}"),
+        1,
     )
 }
 
@@ -138,7 +138,7 @@ fn bands_of(
     measure: Measure,
     axis: Axis,
     mids: &[f64],
-    fmt: impl Fn(f64) -> String + Copy,
+    label_decimals: usize,
 ) -> String {
     let mut out = String::new();
     let x_name = match axis {
@@ -158,7 +158,7 @@ fn bands_of(
         out.push_str(&hbar(
             &dist,
             &format!("Figure {fig} ({label}). Distribution of {measure_name}, {hi}"),
-            fmt,
+            label_decimals,
         ));
         out.push('\n');
     }
@@ -177,15 +177,7 @@ pub fn fig10(study: &Study) -> String {
 
 pub(crate) fn fig10_of(a: &Analysis) -> String {
     let mids = missrate_midpoints();
-    bands_of(
-        a,
-        "10",
-        "Miss Rate",
-        Measure::MissRate,
-        Axis::Cw,
-        &mids,
-        |m| format!("{m:.2}"),
-    )
+    bands_of(a, "10", "Miss Rate", Measure::MissRate, Axis::Cw, &mids, 2)
 }
 
 /// Figure 11 (a–c): Missrate distributions binned by `P_c` band.
@@ -195,15 +187,7 @@ pub fn fig11(study: &Study) -> String {
 
 pub(crate) fn fig11_of(a: &Analysis) -> String {
     let mids = missrate_midpoints();
-    bands_of(
-        a,
-        "11",
-        "Miss Rate",
-        Measure::MissRate,
-        Axis::Pc,
-        &mids,
-        |m| format!("{m:.2}"),
-    )
+    bands_of(a, "11", "Miss Rate", Measure::MissRate, Axis::Pc, &mids, 2)
 }
 
 /// The fitted model curve of `measure` against `axis`, over `C_w` in
@@ -268,10 +252,10 @@ fn random_dist_of(
     title: &str,
     measure: Measure,
     mids: &[f64],
-    fmt: impl Fn(f64) -> String,
+    label_decimals: usize,
 ) -> String {
     let vals: Vec<f64> = a.random().iter().map(|p| measure.of(p)).collect();
-    hbar(&FreqDist::from_values(&vals, mids), title, fmt)
+    hbar(&FreqDist::from_values(&vals, mids), title, label_decimals)
 }
 
 /// Figure A.3: distribution of samples by CE Bus Busy.
@@ -282,7 +266,7 @@ pub fn fig_a3(study: &Study) -> String {
 pub(crate) fn fig_a3_of(a: &Analysis) -> String {
     let title = "Figure A.3. Distribution of Samples by CE Bus Busy";
     let mids = midpoints(0.0, 0.05, 11);
-    random_dist_of(a, title, Measure::CeBusBusy, &mids, |m| format!("{m:.2}"))
+    random_dist_of(a, title, Measure::CeBusBusy, &mids, 2)
 }
 
 /// Figure A.4: distribution of samples by Miss Rate.
@@ -293,7 +277,7 @@ pub fn fig_a4(study: &Study) -> String {
 pub(crate) fn fig_a4_of(a: &Analysis) -> String {
     let title = "Figure A.4. Distribution of Samples by Miss Rate";
     let mids = missrate_midpoints();
-    random_dist_of(a, title, Measure::MissRate, &mids, |m| format!("{m:.2}"))
+    random_dist_of(a, title, Measure::MissRate, &mids, 2)
 }
 
 /// Figure A.5: distribution of samples by Page Fault Rate.
@@ -304,9 +288,7 @@ pub fn fig_a5(study: &Study) -> String {
 pub(crate) fn fig_a5_of(a: &Analysis) -> String {
     let title = "Figure A.5. Distribution of Samples by Page Fault Rate";
     let mids = midpoints(0.0, 1000.0, 25);
-    random_dist_of(a, title, Measure::PageFaultRate, &mids, |m| {
-        format!("{m:.0}")
-    })
+    random_dist_of(a, title, Measure::PageFaultRate, &mids, 0)
 }
 
 /// Figure B.1: scatter of CE Bus Busy vs Workload Concurrency.
@@ -348,7 +330,7 @@ pub(crate) fn fig_b3_of(a: &Analysis) -> String {
         Measure::CeBusBusy,
         Axis::Cw,
         &mids,
-        |m| format!("{m:.1}"),
+        1,
     )
 }
 
@@ -366,7 +348,7 @@ pub(crate) fn fig_b4_of(a: &Analysis) -> String {
         Measure::CeBusBusy,
         Axis::Pc,
         &mids,
-        |m| format!("{m:.1}"),
+        1,
     )
 }
 
@@ -403,9 +385,7 @@ pub fn fig_b7(study: &Study) -> String {
 
 pub(crate) fn fig_b7_of(a: &Analysis) -> String {
     let (measure, mids) = (Measure::PageFaultRate, pfr_midpoints());
-    bands_of(a, "B.7", "Page Fault Rate", measure, Axis::Cw, &mids, |m| {
-        format!("{m:.0}")
-    })
+    bands_of(a, "B.7", "Page Fault Rate", measure, Axis::Cw, &mids, 0)
 }
 
 /// Figure B.8 (a–c): Page Fault Rate distributions binned by `P_c` band.
@@ -415,9 +395,7 @@ pub fn fig_b8(study: &Study) -> String {
 
 pub(crate) fn fig_b8_of(a: &Analysis) -> String {
     let (measure, mids) = (Measure::PageFaultRate, pfr_midpoints());
-    bands_of(a, "B.8", "Page Fault Rate", measure, Axis::Pc, &mids, |m| {
-        format!("{m:.0}")
-    })
+    bands_of(a, "B.8", "Page Fault Rate", measure, Axis::Pc, &mids, 0)
 }
 
 /// Figure B.9: the fitted Page-Fault-Rate-vs-`C_w` model curve.

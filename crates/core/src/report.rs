@@ -11,6 +11,7 @@ use crate::figures;
 use crate::study::Study;
 use crate::tables;
 use fx8_stats::summary::median;
+use fx8_stats::text::push_fixed;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -238,14 +239,14 @@ pub fn render_comparison(rows: &[CompRow]) -> String {
     s.push_str("| id | metric | paper | measured | note |\n");
     s.push_str("|---|---|---:|---:|---|\n");
     for r in rows {
-        let paper = r
-            .paper
-            .map_or("(qualitative)".into(), |p| format!("{p:.4}"));
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {:.4} | {} |",
-            r.id, r.metric, paper, r.measured, r.note
-        );
+        let _ = write!(s, "| {} | {} | ", r.id, r.metric);
+        match r.paper {
+            Some(p) => push_fixed(&mut s, p, 4),
+            None => s.push_str("(qualitative)"),
+        }
+        s.push_str(" | ");
+        push_fixed(&mut s, r.measured, 4);
+        let _ = writeln!(s, " | {} |", r.note);
     }
     s
 }

@@ -5,6 +5,7 @@ use crate::study::Study;
 use fx8_stats::freq::midpoints;
 use fx8_stats::measures::{cw_pc, ConcurrencyMeasures};
 use fx8_stats::regression::{FitError, QuadModel};
+use fx8_stats::text::{pad_right, push_fixed, push_fixed_right, push_uint, push_uint_right};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -43,30 +44,35 @@ impl Table2 {
         s.push_str("TABLE 2. Overall Concurrency Measures for All Sessions.\n");
         s.push_str("  j:        ");
         for j in 0..m.c.len() {
-            let _ = write!(s, "{j:>9}");
+            push_uint_right(&mut s, j as u64, 9);
         }
         s.push('\n');
         s.push_str("  c_j:      ");
-        for c in &m.c {
-            let _ = write!(s, "{c:>9.4}");
+        for &c in &m.c {
+            push_fixed_right(&mut s, c, 4, 9);
         }
-        let _ = writeln!(s, "   C_w = {:.4}", m.workload_concurrency);
+        s.push_str("   C_w = ");
+        push_fixed(&mut s, m.workload_concurrency, 4);
+        s.push('\n');
         s.push_str("  c_j|c:    ");
         if m.conditional.is_empty() {
             s.push_str("(undefined: no concurrency observed)");
         } else {
-            for c in &m.conditional {
-                let _ = write!(s, "{c:>9.4}");
+            for &c in &m.conditional {
+                push_fixed_right(&mut s, c, 4, 9);
             }
             match m.mean_concurrency_level {
                 Some(pc) => {
-                    let _ = write!(s, "   P_c = {pc:.2}");
+                    s.push_str("   P_c = ");
+                    push_fixed(&mut s, pc, 2);
                 }
                 None => s.push_str("   P_c undefined"),
             }
         }
         s.push('\n');
-        let _ = writeln!(s, "  total records: {}", m.total_records);
+        s.push_str("  total records: ");
+        push_uint(&mut s, m.total_records);
+        s.push('\n');
         s
     }
 }
@@ -102,22 +108,20 @@ impl RegressionTable {
     pub fn render(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "Regression Models: System Measure vs. {}", self.vs);
-        let _ = writeln!(
-            s,
-            "  {:<26} {:>12} {:>12} {:>12} {:>6}",
-            "System Measure", "B1", "B2", "C", "R^2"
-        );
+        s.push_str("  ");
+        pad_right(&mut s, "System Measure", 26);
+        s.push_str("           B1           B2            C    R^2\n");
         for row in &self.rows {
+            s.push_str("  ");
+            pad_right(&mut s, &row.measure, 26);
             match &row.model {
                 Ok(m) => {
-                    let _ = writeln!(
-                        s,
-                        "  {:<26} {:>12.3e} {:>12.3e} {:>12.3e} {:>6.2}",
-                        row.measure, m.b1, m.b2, m.c, m.r2
-                    );
+                    let _ = write!(s, " {:>12.3e} {:>12.3e} {:>12.3e} ", m.b1, m.b2, m.c);
+                    push_fixed_right(&mut s, m.r2, 2, 6);
+                    s.push('\n');
                 }
                 Err(e) => {
-                    let _ = writeln!(s, "  {:<26} (no fit: {e})", row.measure);
+                    let _ = writeln!(s, " (no fit: {e})");
                 }
             }
         }
@@ -192,22 +196,20 @@ pub fn table_a1(study: &Study) -> Vec<SessionMeans> {
 pub fn render_table_a1(rows: &[SessionMeans]) -> String {
     let mut s = String::new();
     s.push_str("Table A.1. Mean Concurrency Measures for Random Samples.\n");
-    let _ = writeln!(
-        s,
-        "  {:>8} {:>10} {:>10} {:>9}",
-        "SESSION", "C_w", "P_c", "SAMPLES"
-    );
+    s.push_str("   SESSION        C_w        P_c   SAMPLES\n");
     for r in rows {
-        let pc =
-            r.pc.map_or("        --".to_string(), |p| format!("{p:>10.2}"));
-        let _ = writeln!(
-            s,
-            "  {:>8} {:>10.4} {} {:>9}",
-            r.session + 1,
-            r.cw,
-            pc,
-            r.samples
-        );
+        s.push_str("  ");
+        push_uint_right(&mut s, r.session as u64 + 1, 8);
+        s.push(' ');
+        push_fixed_right(&mut s, r.cw, 4, 10);
+        s.push(' ');
+        match r.pc {
+            Some(p) => push_fixed_right(&mut s, p, 2, 10),
+            None => s.push_str("        --"),
+        }
+        s.push(' ');
+        push_uint_right(&mut s, r.samples as u64, 9);
+        s.push('\n');
     }
     s
 }

@@ -53,7 +53,20 @@ fn machine(dense: bool) -> MachineConfig {
 /// bit-identical. Returns the on-run's cluster for the caller's
 /// non-vacuity checks.
 fn assert_dense_identical(mount: impl Fn(&mut Cluster), run_cycles: u64) -> Cluster {
-    let drive = |cfg: MachineConfig| {
+    assert_dense_identical_on(MachineConfig::fx8(), mount, run_cycles)
+}
+
+/// [`assert_dense_identical`] on the machine `base` describes.
+fn assert_dense_identical_on(
+    base: MachineConfig,
+    mount: impl Fn(&mut Cluster),
+    run_cycles: u64,
+) -> Cluster {
+    let drive = |dense: bool| {
+        let cfg = MachineConfig {
+            dense_stepping: dense,
+            ..base.clone()
+        };
         let mut c = Cluster::new(cfg, 42);
         c.set_ip_intensity(0.12);
         mount(&mut c);
@@ -66,8 +79,8 @@ fn assert_dense_identical(mount: impl Fn(&mut Cluster), run_cycles: u64) -> Clus
         }
         (c.state_digest(), words, c)
     };
-    let (d_on, w_on, on) = drive(machine(true));
-    let (d_off, w_off, off) = drive(machine(false));
+    let (d_on, w_on, on) = drive(true);
+    let (d_off, w_off, off) = drive(false);
     assert_eq!(
         off.engine_cycles().dense,
         0,
@@ -89,6 +102,41 @@ fn cluster_trajectory_bit_identical_with_dense_stepping() {
         assert_eq!(dense, 0, "audit builds never dense-step");
     } else {
         assert!(dense > 20_000, "loop barely dense-stepped: {dense}");
+    }
+}
+
+/// A busy independent loop that touches a cold page every iteration, on
+/// a machine whose page faults stall for two cycles: lanes fault and wake
+/// again inside one dense window, so the dense kernel's own fault-wake
+/// path carries the trajectory.
+#[test]
+fn fault_stalls_expiring_inside_dense_windows_are_bit_identical() {
+    let base = MachineConfig {
+        fault_stall_cycles: 2,
+        ..MachineConfig::fx8()
+    };
+    let mount = |c: &mut Cluster| {
+        let body = Box::new(StridedLoop {
+            region: CodeRegion {
+                base: VAddr::new(1, 0x1000),
+                footprint_bytes: 256,
+                bytes_per_instr: 4,
+            },
+            src: VAddr::new(1, 0x20_0000),
+            dst: VAddr::new(1, 0x30_0000),
+            elem: 4096,
+            compute: 8,
+        });
+        c.mount_loop(body, 0, 50_000, serial_code(1), 1);
+    };
+    let on = assert_dense_identical_on(base, mount, 40_000);
+    let faults = on.vm().total_faults().total();
+    assert!(faults > 1000, "the loop faulted only {faults} times");
+    let dense = on.engine_cycles().dense;
+    if cfg!(feature = "audit") {
+        assert_eq!(dense, 0, "audit builds never dense-step");
+    } else {
+        assert!(dense > 0, "the loop never dense-stepped");
     }
 }
 

@@ -21,10 +21,11 @@ use fx8_core::cache::{CachedSession, SessionCache, SessionKind};
 use fx8_core::experiment::{Capture, SessionConfig, SessionResult};
 use fx8_core::report::{comparison, render_comparison, render_full_report};
 use fx8_core::sample::Sample;
-use fx8_core::study::StudyConfig;
+use fx8_core::study::{Study, StudyConfig};
 use fx8_monitor::{EventCounts, KernelCounters};
 use fx8_sim::audit::{AuditReport, Violation};
 use fx8_sim::fingerprint::{CacheKeyHasher, AUDIT_BUILD};
+use fx8_sim::MachineConfig;
 use fx8_stats::measures::{cw_pc, ConcurrencyMeasures};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -133,21 +134,28 @@ fn session_cache_key_is_pinned() {
     assert_eq!(key.to_hex(), want);
 }
 
-/// The rendered analysis of the quick study widened to six random
-/// sessions, enough for every Table 3 and Table 4 model to fit: the full
-/// report and the paper-vs-measured comparison.
-#[test]
-fn report_and_comparison_text_are_pinned() {
+/// The quick study widened to six random sessions, enough for every
+/// Table 3 and Table 4 model to fit at the measured width, run on
+/// `machine`.
+fn six_session_study(machine: MachineConfig) -> Study {
     let mut cfg = StudyConfig::quick();
     cfg.n_random = 6;
     cfg.session_hours = vec![0.35; 6];
-    let study = match api::execute(&JobRequest::study(cfg), None)
+    cfg.machine = machine;
+    match api::execute(&JobRequest::study(cfg), None)
         .expect("quick study runs")
         .result
     {
         JobResult::Study { study, .. } => study,
         other => panic!("a study request returned {other:?}"),
-    };
+    }
+}
+
+/// The rendered analysis of the six-session quick study: the full
+/// report and the paper-vs-measured comparison.
+#[test]
+fn report_and_comparison_text_are_pinned() {
+    let study = six_session_study(MachineConfig::fx8());
     let report = render_full_report(&study);
     assert!(!report.contains("no fit"), "Tables 3/4 must fit:\n{report}");
     assert!(!report.contains("degenerate"), "Figures 12-14 must fit");
@@ -161,6 +169,38 @@ fn report_and_comparison_text_are_pinned() {
         (2733, "620dd6c7b3b858b14c90bce50c9c3fa6".to_string()),
         "render_comparison"
     );
+}
+
+/// The same study on a narrower and a wider machine: other Table 2
+/// columns, transition states and histogram rows, so the report's text
+/// writer is pinned on shapes the measured width never produces.
+#[test]
+fn report_and_comparison_text_are_pinned_beyond_8_ces() {
+    let pins = [
+        (
+            4,
+            (56699, "5a3841fcec35a12066854aa85e49d61e"),
+            (2139, "6a1ff5a822361074ea42336eece52561"),
+        ),
+        (
+            16,
+            (62515, "8f501758873f5133181ac14a510cc0c1"),
+            (2142, "76fd4e0f4b012368884e976355556edb"),
+        ),
+    ];
+    for (width, report_pin, comparison_pin) in pins {
+        let study = six_session_study(MachineConfig::scaled(width));
+        let report = render_full_report(&study);
+        let text = render_comparison(&comparison(&study));
+        assert_eq!(
+            (digest(&report), digest(&text)),
+            (
+                (report_pin.0, report_pin.1.to_string()),
+                (comparison_pin.0, comparison_pin.1.to_string())
+            ),
+            "render_full_report and render_comparison at {width} CEs"
+        );
+    }
 }
 
 /// Characters that stress the string codec: escapes, control bytes, and

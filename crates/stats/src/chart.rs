@@ -8,55 +8,74 @@
 //! Rendering the reproduced figures the same way makes them directly
 //! comparable to the originals.
 
-use crate::freq::FreqDist;
+use crate::freq::{percent, FreqDist};
 use crate::regression::QuadModel;
+use crate::text::{pad_right, push_fixed, push_fixed_right, push_spaces, push_uint_right};
 use std::fmt::Write as _;
 
 /// Maximum bar length in characters.
 const BAR_WIDTH: usize = 60;
 
-/// Render a frequency distribution as a SAS-style horizontal bar chart.
-/// `label_fmt` formats the midpoint column (e.g. `|m| format!("{m:.3}")`).
-pub fn hbar(dist: &FreqDist, title: &str, label_fmt: impl Fn(f64) -> String) -> String {
-    let mut out = String::new();
+/// The longest bar; every bar is a prefix of it.
+const STARS: &str = "************************************************************";
+
+/// Push `"|"`, a bar of `len` stars padded to [`BAR_WIDTH`], and `"|"`.
+fn push_bar(out: &mut String, len: usize) {
+    out.push('|');
+    out.push_str(&STARS[..len]);
+    push_spaces(out, BAR_WIDTH - len);
+    out.push('|');
+}
+
+/// Bar length of `f` against the largest frequency `max`.
+fn bar_len(f: u64, max: u64) -> usize {
+    ((f as f64 / max as f64) * BAR_WIDTH as f64).round() as usize
+}
+
+/// Render a frequency distribution as a SAS-style horizontal bar chart,
+/// with the midpoint column printed to `label_decimals` places.
+pub fn hbar(dist: &FreqDist, title: &str, label_decimals: usize) -> String {
+    let mut out = String::with_capacity(title.len() + 100 * (dist.freq.len() + 3));
     out.push_str(title);
     out.push('\n');
     let max = dist.freq.iter().copied().max().unwrap_or(0).max(1);
-    let cum = dist.cum_freq();
-    let pct = dist.percent();
-    let cpct = dist.cum_percent();
-    let labels: Vec<String> = dist.midpoints.iter().map(|&m| label_fmt(m)).collect();
-    let lw = labels.iter().map(String::len).max().unwrap_or(0).max(8);
-    let _ = writeln!(
-        out,
-        "{:lw$}  {:bw$}  {:>8} {:>8} {:>8} {:>8}",
-        "MIDPOINT",
-        "",
-        "FREQ",
-        "CUM.FREQ",
-        "PERCENT",
-        "CUM.PCT",
-        lw = lw,
-        bw = BAR_WIDTH
-    );
-    let stars = "*".repeat(BAR_WIDTH);
-    for i in 0..dist.freq.len() {
-        let bar_len = ((dist.freq[i] as f64 / max as f64) * BAR_WIDTH as f64).round() as usize;
-        let _ = writeln!(
-            out,
-            "{:lw$} |{:bw$}| {:>8} {:>8} {:>8.2} {:>8.2}",
-            labels[i],
-            &stars[..bar_len],
-            dist.freq[i],
-            cum[i],
-            pct[i],
-            cpct[i],
-            lw = lw,
-            bw = BAR_WIDTH
-        );
+    let total = dist.total();
+    // Every label once, end to end; `ends[i]` closes label `i`.
+    let mut labels = String::new();
+    let mut ends = Vec::with_capacity(dist.midpoints.len());
+    let mut lw = 8;
+    for &m in &dist.midpoints {
+        let start = labels.len();
+        push_fixed(&mut labels, m, label_decimals);
+        lw = lw.max(labels.len() - start);
+        ends.push(labels.len());
+    }
+    pad_right(&mut out, "MIDPOINT", lw);
+    push_spaces(&mut out, 2 + BAR_WIDTH + 2);
+    out.push_str("    FREQ CUM.FREQ  PERCENT  CUM.PCT\n");
+    let (mut start, mut cum) = (0, 0);
+    for (&f, &end) in dist.freq.iter().zip(&ends) {
+        cum += f;
+        pad_right(&mut out, &labels[start..end], lw);
+        start = end;
+        out.push(' ');
+        push_bar(&mut out, bar_len(f, max));
+        out.push(' ');
+        push_uint_right(&mut out, f, 8);
+        out.push(' ');
+        push_uint_right(&mut out, cum, 8);
+        out.push(' ');
+        push_fixed_right(&mut out, percent(f, total), 2, 8);
+        out.push(' ');
+        push_fixed_right(&mut out, percent(cum, total), 2, 8);
+        out.push('\n');
     }
     if let (Some(mean), Some(median)) = (dist.mean_midpoint(), dist.median_midpoint()) {
-        let _ = writeln!(out, "MEAN: {mean:.4}   MEDIAN: {median:.4}");
+        out.push_str("MEAN: ");
+        push_fixed(&mut out, mean, 4);
+        out.push_str("   MEDIAN: ");
+        push_fixed(&mut out, median, 4);
+        out.push('\n');
     }
     out
 }
@@ -64,30 +83,21 @@ pub fn hbar(dist: &FreqDist, title: &str, label_fmt: impl Fn(f64) -> String) -> 
 /// Render a labeled bar chart (e.g. per-CE activity, Figure 7).
 pub fn hbar_labeled(title: &str, labels: &[String], freq: &[u64]) -> String {
     assert_eq!(labels.len(), freq.len());
-    let mut out = String::new();
+    let mut out = String::with_capacity(title.len() + 90 * (freq.len() + 1));
     out.push_str(title);
     out.push('\n');
     let total: u64 = freq.iter().sum();
     let max = freq.iter().copied().max().unwrap_or(0).max(1);
     let lw = labels.iter().map(String::len).max().unwrap_or(0).max(8);
-    let stars = "*".repeat(BAR_WIDTH);
     for (label, &f) in labels.iter().zip(freq) {
-        let bar_len = ((f as f64 / max as f64) * BAR_WIDTH as f64).round() as usize;
-        let pct = if total == 0 {
-            0.0
-        } else {
-            100.0 * f as f64 / total as f64
-        };
-        let _ = writeln!(
-            out,
-            "{:lw$} |{:bw$}| {:>10} {:>7.2}%",
-            label,
-            &stars[..bar_len],
-            f,
-            pct,
-            lw = lw,
-            bw = BAR_WIDTH
-        );
+        pad_right(&mut out, label, lw);
+        out.push(' ');
+        push_bar(&mut out, bar_len(f, max));
+        out.push(' ');
+        push_uint_right(&mut out, f, 10);
+        out.push(' ');
+        push_fixed_right(&mut out, percent(f, total), 2, 7);
+        out.push_str("%\n");
     }
     out
 }
@@ -102,7 +112,7 @@ pub fn scatter(
     height: usize,
 ) -> String {
     assert!(width >= 2 && height >= 2);
-    let mut out = String::new();
+    let mut out = String::with_capacity(title.len() + (width + 14) * (height + 5));
     out.push_str(title);
     out.push_str("\nLEGEND: A = 1 OBS, B = 2 OBS, ETC.\n");
     if points.is_empty() {
@@ -111,30 +121,35 @@ pub fn scatter(
     }
     let (x0, x1) = bounds(points.iter().map(|p| p.0));
     let (y0, y1) = bounds(points.iter().map(|p| p.1));
-    let mut grid = vec![vec![0u32; width]; height];
+    // Row-major, top row first.
+    let mut grid = vec![0u32; width * height];
     for &(x, y) in points {
         let col = scale(x, x0, x1, width);
         let row = scale(y, y0, y1, height);
-        grid[height - 1 - row][col] += 1;
+        grid[(height - 1 - row) * width + col] += 1;
     }
-    let _ = writeln!(out, "{y_label}");
-    for (r, row) in grid.iter().enumerate() {
+    out.push_str(y_label);
+    out.push('\n');
+    for (r, row) in grid.chunks_exact(width).enumerate() {
         let y_val = y1 - (y1 - y0) * r as f64 / (height - 1) as f64;
-        let _ = write!(out, "{y_val:>10.4} |");
-        for &n in row {
-            out.push(letter(n));
-        }
+        push_fixed_right(&mut out, y_val, 4, 10);
+        out.push_str(" |");
+        out.extend(row.iter().map(|&n| letter(n)));
         out.push('\n');
     }
-    let _ = writeln!(out, "{:>10} +{}", "", "-".repeat(width));
-    let _ = writeln!(
-        out,
-        "{:>10}  {:<w$.4}{:>.4}   ({x_label})",
-        "",
-        x0,
-        x1,
-        w = width.saturating_sub(6)
-    );
+    push_spaces(&mut out, 10);
+    out.push_str(" +");
+    out.extend(std::iter::repeat_n('-', width));
+    out.push('\n');
+    push_spaces(&mut out, 12);
+    let start = out.len();
+    push_fixed(&mut out, x0, 4);
+    let x0_len = out.len() - start;
+    push_spaces(&mut out, width.saturating_sub(6).saturating_sub(x0_len));
+    push_fixed(&mut out, x1, 4);
+    out.push_str("   (");
+    out.push_str(x_label);
+    out.push_str(")\n");
     out
 }
 
@@ -155,11 +170,13 @@ pub fn model_curve(
         })
         .collect();
     let mut out = scatter(title, &points, "x", "fitted", width, height);
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "MODEL: y = {:+.4e}*x {:+.4e}*x^2 {:+.4e}   R^2 = {:.2}",
-        model.b1, model.b2, model.c, model.r2
+        "MODEL: y = {:+.4e}*x {:+.4e}*x^2 {:+.4e}   R^2 = ",
+        model.b1, model.b2, model.c
     );
+    push_fixed(&mut out, model.r2, 2);
+    out.push('\n');
     out
 }
 
@@ -200,9 +217,7 @@ mod tests {
     #[test]
     fn hbar_renders_all_rows_and_stats() {
         let d = FreqDist::from_counts(&midpoints(0.0, 0.125, 9), &[29, 2, 10, 7, 1, 2, 5, 2, 7]);
-        let s = hbar(&d, "Distribution of Samples by Workload Concurrency", |m| {
-            format!("{m:.3}")
-        });
+        let s = hbar(&d, "Distribution of Samples by Workload Concurrency", 3);
         assert!(s.contains("0.000"));
         assert!(s.contains("1.000"));
         assert!(s.lines().count() >= 11, "header + 9 rows + stats");

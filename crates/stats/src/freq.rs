@@ -67,26 +67,13 @@ impl FreqDist {
     /// Percent per bin (0–100; zeros if the distribution is empty).
     pub fn percent(&self) -> Vec<f64> {
         let t = self.total();
-        if t == 0 {
-            vec![0.0; self.freq.len()]
-        } else {
-            self.freq
-                .iter()
-                .map(|&f| 100.0 * f as f64 / t as f64)
-                .collect()
-        }
+        self.freq.iter().map(|&f| percent(f, t)).collect()
     }
 
     /// Cumulative percent per bin.
     pub fn cum_percent(&self) -> Vec<f64> {
         let t = self.total();
-        if t == 0 {
-            return vec![0.0; self.freq.len()];
-        }
-        self.cum_freq()
-            .iter()
-            .map(|&f| 100.0 * f as f64 / t as f64)
-            .collect()
+        self.cum_freq().iter().map(|&f| percent(f, t)).collect()
     }
 
     /// Median estimated from bin midpoints (the statistic the thesis
@@ -120,6 +107,15 @@ impl FreqDist {
             .map(|(&m, &f)| m * f as f64)
             .sum();
         Some(s / t as f64)
+    }
+}
+
+/// `100·part/total`, the PERCENT column's formula; 0 for an empty total.
+pub fn percent(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / total as f64
     }
 }
 

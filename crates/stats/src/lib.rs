@@ -13,13 +13,17 @@
 //! * [`chart`] — SAS-style ASCII bar charts and letter-coded scatter plots,
 //!   so regenerated figures are visually comparable to the originals;
 //! * [`regression`] — second-order linear least squares with R², plus the
-//!   paper's median-binning procedure (§ 5.2).
+//!   paper's median-binning procedure (§ 5.2);
+//! * [`text`] — the fixed-width fields and fixed-precision floats every
+//!   chart and table is written with, byte for byte what `core::fmt`
+//!   writes.
 
 pub mod chart;
 pub mod freq;
 pub mod measures;
 pub mod regression;
 pub mod summary;
+pub mod text;
 
 pub use measures::ConcurrencyMeasures;
 pub use regression::QuadModel;

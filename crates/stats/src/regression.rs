@@ -9,7 +9,7 @@
 //! goodness measure.
 
 use crate::freq::nearest_bin;
-use crate::summary::median;
+use crate::summary::quantile_in;
 use serde::{Deserialize, Serialize};
 
 /// A fitted second-order model `y = b1·x + b2·x² + c`.
@@ -164,9 +164,10 @@ pub fn median_bin(samples: &[(f64, f64)], mids: &[f64]) -> Vec<(f64, f64)> {
     for &(x, y) in samples {
         bins[nearest_bin(x, mids)].push(y);
     }
+    let mut scratch = Vec::new();
     mids.iter()
         .zip(bins)
-        .filter_map(|(&m, ys)| median(&ys).map(|md| (m, md)))
+        .filter_map(|(&m, ys)| quantile_in(&ys, 0.5, &mut scratch).map(|md| (m, md)))
         .collect()
 }
 
