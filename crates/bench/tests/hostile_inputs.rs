@@ -28,7 +28,7 @@ use fx8_core::figures;
 use fx8_core::report::render_full_report;
 use fx8_core::study::StudyConfig;
 use fx8_monitor::EventCounts;
-use fx8_serve::{ServeConfig, Server};
+use fx8_serve::{ServeConfig, Server, ServerHandle};
 use fx8_sim::{MachineConfig, ProbeWord};
 use proptest::prelude::*;
 use serde::{Value, MAX_DEPTH};
@@ -37,6 +37,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const BENCH_FILE: &[u8] = include_bytes!("../../../BENCH_throughput.json");
@@ -123,9 +124,9 @@ fn exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The first response's status and, for a 4xx, its typed error envelope.
-/// `None` when the server closed without answering.
-fn first_response(raw: &[u8]) -> Option<(u16, Option<ApiError>)> {
+/// The first complete response in `raw`: its status, its body, and the
+/// bytes it spans. `None` when `raw` holds no complete response.
+fn next_response(raw: &[u8]) -> Option<(u16, String, usize)> {
     let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = String::from_utf8_lossy(&raw[..head_end]);
     let status: u16 = head.split(' ').nth(1)?.parse().ok()?;
@@ -134,9 +135,16 @@ fn first_response(raw: &[u8]) -> Option<(u16, Option<ApiError>)> {
         .find_map(|l| l.strip_prefix("content-length: "))?
         .parse()
         .ok()?;
-    let body = raw.get(head_end + 4..head_end + 4 + length)?;
-    let envelope = ApiError::from_envelope_json(&String::from_utf8_lossy(body));
-    Some((status, envelope))
+    let end = head_end + 4 + length;
+    let body = raw.get(head_end + 4..end)?;
+    Some((status, String::from_utf8_lossy(body).into_owned(), end))
+}
+
+/// The first response's status and, for a 4xx, its typed error envelope.
+/// `None` when the server closed without answering.
+fn first_response(raw: &[u8]) -> Option<(u16, Option<ApiError>)> {
+    let (status, body, _) = next_response(raw)?;
+    Some((status, ApiError::from_envelope_json(&body)))
 }
 
 proptest! {
@@ -507,6 +515,103 @@ fn an_evicted_job_id_answers_expired() {
     assert_eq!(resp.status, 404, "{}", resp.body_str());
     // Job 2 goes as the last job retires; job 3 is kept.
     assert_eq!(request("GET", "/v1/jobs/3", None).status, 200);
+    handle.shutdown();
+    serving
+        .join()
+        .expect("server thread")
+        .expect("server drains");
+}
+
+/// A server whose read timeout outlasts every client bound below, so a
+/// connection it keeps open shows up as a client timeout, not a close.
+fn patient_server() -> (SocketAddr, ServerHandle, JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind(
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            read_timeout_ms: 30_000,
+            ..ServeConfig::default()
+        },
+        Some(SessionCache::in_memory()),
+    )
+    .expect("bind on port 0");
+    let (addr, handle) = (server.local_addr(), server.handle());
+    (addr, handle, std::thread::spawn(move || server.run()))
+}
+
+/// Send `bytes` in one write and read until the server closes, within
+/// 5 s. Returns every complete response (status, body) in order, or
+/// panics with what arrived if the server kept the connection open.
+fn responses_until_close(addr: SocketAddr, bytes: &[u8]) -> Vec<(u16, String)> {
+    let mut stream = TcpStream::connect(addr).expect("loopback connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout sets");
+    stream.write_all(bytes).expect("request writes");
+    let mut raw = Vec::new();
+    match stream.read_to_end(&mut raw) {
+        Ok(_) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        Err(e) => panic!(
+            "server kept the connection open ({e}) after: {}",
+            String::from_utf8_lossy(&raw)
+        ),
+    }
+    let mut out = Vec::new();
+    let mut rest = &raw[..];
+    while let Some((status, body, end)) = next_response(rest) {
+        out.push((status, body));
+        rest = &rest[end..];
+    }
+    assert!(
+        rest.is_empty(),
+        "trailing bytes: {}",
+        String::from_utf8_lossy(rest)
+    );
+    out
+}
+
+/// Two requests sent in one write (HTTP/1.1 pipelining) get two
+/// responses, in order: the bytes read past the first request are the
+/// second request, not garbage to drop.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (addr, handle, serving) = patient_server();
+    let got = responses_until_close(
+        addr,
+        b"GET /v1/jobs/7 HTTP/1.1\r\nhost: localhost\r\n\r\n\
+          GET /v1/healthz HTTP/1.1\r\nhost: localhost\r\nconnection: close\r\n\r\n",
+    );
+    let statuses: Vec<u16> = got.iter().map(|(status, _)| *status).collect();
+    assert_eq!(statuses, [404, 200], "{got:?}");
+    let e = ApiError::from_envelope_json(&got[0].1).expect("typed envelope");
+    assert_eq!(e.code, codes::JOB_NOT_FOUND);
+    assert!(got[1].1.contains("\"ok\":true"), "{}", got[1].1);
+    handle.shutdown();
+    serving
+        .join()
+        .expect("server thread")
+        .expect("server drains");
+}
+
+/// A `Transfer-Encoding: chunked` POST is refused as malformed, then the
+/// connection closes: its body is never read as empty, and the request
+/// framed inside it is never answered.
+#[test]
+fn a_chunked_post_is_refused_and_its_body_never_answered() {
+    let (addr, handle, serving) = patient_server();
+    let inner = "GET /v1/healthz HTTP/1.1\r\nhost: localhost\r\n\r\n";
+    let request = format!(
+        "POST /v1/jobs HTTP/1.1\r\nhost: localhost\r\ntransfer-encoding: chunked\r\n\r\n\
+         {:x}\r\n{inner}\r\n0\r\n\r\n",
+        inner.len()
+    );
+    let got = responses_until_close(addr, request.as_bytes());
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert_eq!(got[0].0, 400, "{got:?}");
+    let e = ApiError::from_envelope_json(&got[0].1).expect("typed envelope");
+    assert_eq!(e.code, codes::BAD_JSON);
+    assert!(e.message.contains("transfer-encoding"), "{}", e.message);
     handle.shutdown();
     serving
         .join()

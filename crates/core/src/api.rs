@@ -447,10 +447,11 @@ impl Deserialize for JobState {
     }
 }
 
-/// One job's full status: what `GET /v1/jobs/{id}` returns and what the
-/// NDJSON progress stream emits per line. `result`/`error` appear only in
-/// terminal states (absent fields are omitted from the wire, and the
-/// hand-written deserializer tolerates their absence).
+/// One job's full status, as a client reads it: what `GET /v1/jobs/{id}`
+/// returns and what the NDJSON progress stream emits per line. The server
+/// writes those lines itself (`fx8_serve`'s `Job::render`); this type only
+/// parses them. `result`/`error` appear only in terminal states, and the
+/// hand-written deserializer tolerates their absence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobStatus {
     /// Echoed wire version.
@@ -469,32 +470,6 @@ pub struct JobStatus {
     pub result: Option<JobResult>,
     /// The typed failure, once `state == failed` or `cancelled`.
     pub error: Option<ApiError>,
-}
-
-impl Serialize for JobStatus {
-    fn serialize(&self, out: &mut String) {
-        out.push_str("{\"api\":");
-        self.api.serialize(out);
-        out.push_str(",\"id\":");
-        self.id.serialize(out);
-        out.push_str(",\"state\":");
-        self.state.serialize(out);
-        out.push_str(",\"sessions_done\":");
-        self.sessions_done.serialize(out);
-        out.push_str(",\"sessions_total\":");
-        self.sessions_total.serialize(out);
-        out.push_str(",\"wall_s\":");
-        self.wall_s.serialize(out);
-        if let Some(r) = &self.result {
-            out.push_str(",\"result\":");
-            r.serialize(out);
-        }
-        if let Some(e) = &self.error {
-            out.push_str(",\"error\":");
-            e.serialize(out);
-        }
-        out.push('}');
-    }
 }
 
 impl Deserialize for JobStatus {
@@ -770,32 +745,37 @@ mod tests {
         );
     }
 
+    /// Status lines in the server's shape (integral `wall_s` written
+    /// without a fraction, absent `result`/`error` omitted) parse.
     #[test]
-    fn job_status_serialization_omits_absent_result() {
-        let status = JobStatus {
-            api: API_VERSION,
-            id: 7,
-            state: JobState::Running,
-            sessions_done: 3,
-            sessions_total: 7,
-            wall_s: 0.25,
-            result: None,
-            error: None,
-        };
-        let json = serde_json::to_string(&status).unwrap();
-        assert!(json.contains("\"state\":\"running\""));
-        assert!(!json.contains("\"result\""));
-        let back: JobStatus = serde_json::from_str(&json).expect("status parses");
-        assert_eq!(back, status);
+    fn job_status_reads_the_server_lines() {
+        let running = r#"{"api":1,"id":7,"state":"running","sessions_done":3,"sessions_total":7,"wall_s":0.25}"#;
+        let status: JobStatus = serde_json::from_str(running).expect("status parses");
+        assert_eq!(
+            status,
+            JobStatus {
+                api: API_VERSION,
+                id: 7,
+                state: JobState::Running,
+                sessions_done: 3,
+                sessions_total: 7,
+                wall_s: 0.25,
+                result: None,
+                error: None,
+            }
+        );
 
-        let failed = JobStatus {
-            state: JobState::Failed,
-            error: Some(ApiError::new(codes::JOB_CANCELLED, "gone")),
-            ..status
-        };
-        let json = serde_json::to_string(&failed).unwrap();
-        let back: JobStatus = serde_json::from_str(&json).expect("failed status parses");
-        assert_eq!(back, failed);
+        let cancelled = r#"{"api":1,"id":7,"state":"cancelled","sessions_done":3,"sessions_total":7,"wall_s":12,"error":{"code":"job/cancelled","message":"gone"}}"#;
+        let back: JobStatus = serde_json::from_str(cancelled).expect("cancelled status parses");
+        assert_eq!(
+            back,
+            JobStatus {
+                state: JobState::Cancelled,
+                wall_s: 12.0,
+                error: Some(ApiError::new(codes::JOB_CANCELLED, "gone")),
+                ..status
+            }
+        );
         assert!(back.state.is_terminal());
     }
 

@@ -201,11 +201,11 @@ fn cluster_trajectory_bit_identical_under_contention() {
 }
 
 /// Sweep every crossbar arbitration discipline under bank contention.
-/// The SWAR arbiter resolves winners through the same policy scan but
-/// defers denial accounting to a window-exit flush, so each discipline's
-/// rotor movement and counter totals must match the scalar per-cycle path
-/// exactly — and the denial path must actually fire, or the flush is
-/// untested.
+/// The dense kernel's arbiter resolves winners through the same policy
+/// scan but accrues denials as request segments flushed at window exit, so
+/// each discipline's rotor movement and counter totals must match the
+/// scalar per-cycle path exactly — and the denial path must actually fire,
+/// or the flush is untested.
 #[test]
 fn dense_stepping_identical_across_arbitration_disciplines() {
     use fx8_sim::config::Arbitration;
@@ -252,8 +252,8 @@ fn dense_stepping_identical_across_arbitration_disciplines() {
 /// The width-generic tentpole: the dense SoA, fast-forward, and scalar
 /// engines must stay bit-identical at every scaling-study width, not just
 /// on the measured 8-CE machine. Each width runs the scaled preset with a
-/// little bank contention so the packed-counter group chunking (one SWAR
-/// word per 8 lanes) carries real weight above width 8, under both an
+/// little bank contention so request segments on lanes above 8 carry real
+/// weight, under both an
 /// independent and a dependent loop (at width 64 the top lane's post
 /// builds its mask of higher lanes at the edge of the lane word).
 #[test]

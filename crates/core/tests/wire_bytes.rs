@@ -1,11 +1,12 @@
 //! Byte pins for everything this workspace writes as JSON.
 //!
-//! The serialized `JobResult`, the job status lines, the error envelope
-//! and the session-cache key (which hashes the serialized
-//! `SessionConfig`) are contracts: clients compare results byte for
-//! byte, and a cache directory written by an earlier build must keep
-//! hitting. Each is pinned here as an FNV-1a-128 digest plus its length,
-//! so a serializer change that moves a single byte fails `cargo test`.
+//! The serialized `JobResult`, the error envelope and the session-cache
+//! key (which hashes the serialized `SessionConfig`) are contracts:
+//! clients compare results byte for byte, and a cache directory written
+//! by an earlier build must keep hitting. Each is pinned here as an
+//! FNV-1a-128 digest plus its length, so a serializer change that moves a
+//! single byte fails `cargo test`. The job status lines have one writer,
+//! the server's, and are pinned beside it in `fx8-serve`.
 //!
 //! Audit builds (`--features audit`) fill the sessions' audit reports and
 //! fold the audit flag into the cache key, so those two pins carry a
@@ -16,7 +17,7 @@
 //! report rests on the concurrency measures, so a last property pins the
 //! allocation-free `C_w`/`P_c` to the vector-building formula bit for bit.
 
-use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult, JobState, JobStatus};
+use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult};
 use fx8_core::cache::{CachedSession, SessionCache, SessionKind};
 use fx8_core::experiment::{Capture, SessionConfig, SessionResult};
 use fx8_core::report::{comparison, render_comparison, render_full_report};
@@ -58,21 +59,8 @@ fn mini_result() -> JobResult {
         .result
 }
 
-fn status(state: JobState, result: Option<JobResult>, error: Option<ApiError>) -> JobStatus {
-    JobStatus {
-        api: api::API_VERSION,
-        id: 42,
-        state,
-        sessions_done: 4,
-        sessions_total: 4,
-        wall_s: 1.25,
-        result,
-        error,
-    }
-}
-
 #[test]
-fn job_result_and_terminal_status_lines_are_pinned() {
+fn job_result_is_pinned() {
     let result = mini_result();
     let json = serde_json::to_string(&result).unwrap();
     assert_eq!(
@@ -83,33 +71,6 @@ fn job_result_and_terminal_status_lines_are_pinned() {
         ),
         "serialized JobResult"
     );
-
-    let done = status(JobState::Done, Some(result), None);
-    assert_eq!(
-        digest(&serde_json::to_string(&done).unwrap()),
-        pin(
-            (5012, "487072d74a5513ae2d567c3d1059ab1b"),
-            (5031, "3d5c5a19e560375918f69f2e2c457749"),
-        ),
-        "done status line"
-    );
-    let failed = status(
-        JobState::Failed,
-        None,
-        Some(ApiError::new(
-            "config/zero-mem-buses",
-            "invalid mem_buses: 0",
-        )),
-    );
-    let cancelled = status(JobState::Cancelled, None, Some(ApiError::cancelled()));
-    let lines = [
-        (failed, (159, "847a3df61bb5529e889ce06f47e7011f")),
-        (cancelled, (169, "e2c0d2f32009e16bb8b9ae79c6fae5eb")),
-    ];
-    for (status, (len, hex)) in lines {
-        let line = serde_json::to_string(&status).unwrap();
-        assert_eq!(digest(&line), (len, hex.to_string()), "{line}");
-    }
 }
 
 #[test]

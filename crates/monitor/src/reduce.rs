@@ -16,7 +16,7 @@
 //! corresponding to cache misses (memory-bus `Fetch` starts per record).
 
 use fx8_sim::opcode::{CeBusOp, MemBusOp};
-use fx8_sim::{LaneWord, ProbeWord};
+use fx8_sim::ProbeWord;
 use serde::{Deserialize, Serialize};
 
 /// The reduced event counts of one or more acquisition buffers.
@@ -56,48 +56,17 @@ impl EventCounts {
         out
     }
 
-    /// Fold more records into the counts: the same counts as folding each
-    /// word through [`EventCounts::accumulate_word`], computed mask-first:
-    /// instead of testing all [`MAX_CES`](fx8_sim::probe::MAX_CES) lanes
-    /// per record, the inner loops walk only the set bits of `active_mask` and
-    /// [`ProbeWord::busy_ce_mask`], and the (usually dominant) idle CE-bus
-    /// count is credited in one subtraction. Records from dense loop
-    /// windows carry 6–8 busy lanes and sparse records carry 0–1, so both
-    /// regimes do less work than the lane-by-lane scan.
+    /// Fold more records into the counts, one word at a time through
+    /// [`EventCounts::accumulate_word`].
     pub fn accumulate(&mut self, records: &[ProbeWord]) {
-        let n = self.n_ces;
-        // Mask algebra runs in full [`LaneWord`] width, so records from
-        // 2-lane and 64-lane clusters reduce through the same loops. Lanes
-        // beyond the cluster width never contribute — exactly the
-        // `0..n_ces` bound of the word-at-a-time loop.
-        let width_mask = fx8_sim::swar::lane_mask(n);
-        let idle = CeBusOp::Idle.index();
         for w in records {
-            let active = w.active_count() as usize;
-            debug_assert!(active <= n, "more active CEs than the cluster has");
-            self.num[active.min(n)] += 1;
-            let mut m = LaneWord::from(w.active_mask) & width_mask;
-            while m != 0 {
-                let j = m.trailing_zeros() as usize;
-                self.prof[j] += 1;
-                m &= m - 1;
-            }
-            let busy = LaneWord::from(w.busy_ce_mask()) & width_mask;
-            self.ceop[idle] += n as u64 - u64::from(busy.count_ones());
-            let mut b = busy;
-            while b != 0 {
-                let j = b.trailing_zeros() as usize;
-                self.ceop[w.ce_ops[j].index()] += 1;
-                b &= b - 1;
-            }
-            self.membop[w.mem_op.index()] += 1;
+            self.accumulate_word(w);
         }
-        self.records += records.len() as u64;
     }
 
-    /// Fold a single record into the counts — the streaming-acquisition
-    /// path, which reduces each record as it is captured instead of
-    /// materializing a buffer first.
+    /// Fold a single record into the counts — the one fold every path
+    /// uses. Streaming acquisition calls it as each record is captured,
+    /// instead of materializing a buffer first.
     #[inline]
     pub fn accumulate_word(&mut self, w: &ProbeWord) {
         let active = w.active_count() as usize;
@@ -259,6 +228,7 @@ fn checked_sum(xs: &[u64]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fx8_sim::LaneWord;
 
     fn word(mask: LaneWord, ce_op: CeBusOp, mem_op: MemBusOp) -> ProbeWord {
         let mut w = ProbeWord::idle(0);
@@ -388,7 +358,7 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
-    mod slice_vs_word {
+    mod one_fold {
         use super::*;
         use fx8_sim::probe::MAX_CES;
         use proptest::prelude::*;
@@ -398,7 +368,7 @@ mod tests {
         /// draw is a full `LaneWord`, so wide clusters really get records
         /// with lanes above bit 8 set.
         fn make_word(n_ces: usize, mask: LaneWord, ops: &[usize], mem: usize) -> ProbeWord {
-            let width_mask = fx8_sim::swar::lane_mask(n_ces);
+            let width_mask = fx8_sim::lane_mask(n_ces);
             let mut w = ProbeWord::idle(0);
             w.active_mask = mask & width_mask;
             for (j, &op) in ops.iter().enumerate().take(n_ces.min(MAX_CES)) {
@@ -409,11 +379,13 @@ mod tests {
         }
 
         proptest! {
-            /// The mask-driven batch reducer and the lane-by-lane scalar
-            /// reducer must produce identical counts on any record slice,
-            /// at any cluster width up to the full lane word.
+            /// Folding any slice of well-formed records gives counts that
+            /// obey every conservation law of [`EventCounts::validate`],
+            /// at every cluster width up to the full lane word; each
+            /// lane's profile count and the busy CE-bus total match a
+            /// direct recount of the records.
             #[test]
-            fn slice_reduction_matches_word_at_a_time(
+            fn the_one_fold_obeys_validate_at_every_width(
                 n_ces in 1usize..=MAX_CES,
                 raw in prop::collection::vec(
                     (
@@ -428,14 +400,21 @@ mod tests {
                     .iter()
                     .map(|(mask, ops, mem)| make_word(n_ces, *mask, ops, *mem))
                     .collect();
-                let mut scalar = EventCounts::empty(n_ces);
-                for w in &words {
-                    scalar.accumulate_word(w);
+                let c = EventCounts::reduce(&words, n_ces);
+                prop_assert_eq!(c.records, words.len() as u64);
+                prop_assert_eq!(c.num.len(), n_ces + 1);
+                prop_assert_eq!(c.prof.len(), n_ces);
+                prop_assert_eq!(c.validate(), Ok(()));
+                for j in 0..n_ces {
+                    let active = words.iter().filter(|w| w.is_active(j)).count();
+                    prop_assert_eq!(c.prof[j], active as u64, "lane {}", j);
                 }
-                let mut batch = EventCounts::empty(n_ces);
-                batch.accumulate(&words);
-                prop_assert_eq!(&scalar, &batch);
-                prop_assert!(batch.validate().is_ok());
+                let busy = words
+                    .iter()
+                    .flat_map(|w| &w.ce_ops[..n_ces])
+                    .filter(|op| op.is_busy())
+                    .count();
+                prop_assert_eq!(c.busy_ce_cycles(), busy as u64);
             }
         }
     }

@@ -138,7 +138,7 @@ mod tests {
                         if !t.dormant(active) {
                             continue;
                         }
-                        let mask = fx8_sim::swar::lane_mask(active as usize);
+                        let mask = fx8_sim::lane_mask(active as usize);
                         let mut replay = t.clone();
                         for i in 0..4 {
                             assert!(

@@ -2,10 +2,11 @@
 //!
 //! No async runtime, no external parser: the server speaks exactly the
 //! subset of HTTP/1.1 the job API needs — request line, headers,
-//! `Content-Length` bodies, keep-alive — and turns every abusive input
-//! shape (oversized heads, oversized bodies, slow-loris dribble,
-//! truncated requests) into a typed [`RecvError`] the router maps to a
-//! 4xx envelope instead of a panic or a hang.
+//! `Content-Length` bodies, keep-alive with pipelining — and turns every
+//! abusive input shape (oversized heads, oversized bodies, slow-loris
+//! dribble, truncated requests, a `Transfer-Encoding` it does not speak)
+//! into a typed [`RecvError`] the router maps to a 4xx envelope instead of
+//! a panic, a hang or a silently misread body.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -102,10 +103,18 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Read and parse one request, enforcing every limit.
-pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, RecvError> {
+/// Read and parse one request, enforcing every limit. `carry` holds the
+/// bytes of the connection already read past the previous request (a
+/// pipelining client sends its next request before the last answer): it
+/// is read first, and on success it is left holding whatever arrived past
+/// this request.
+pub fn read_request(
+    stream: &mut TcpStream,
+    limits: &Limits,
+    carry: &mut Vec<u8>,
+) -> Result<Request, RecvError> {
     let _ = stream.set_read_timeout(Some(limits.read_timeout));
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let mut buf = std::mem::take(carry);
     let mut chunk = [0u8; 4096];
     // Accumulate until the blank line that ends the head.
     let head_end = loop {
@@ -159,8 +168,14 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-    // Body: exactly Content-Length bytes (no chunked encoding — the job
-    // API never needs it, and refusing it keeps the parser total).
+    // Body: exactly Content-Length bytes. Chunked (or any other transfer)
+    // encoding is refused: the job API never needs it, and a body read as
+    // empty would leave its bytes to be parsed as the next request.
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err(RecvError::Malformed(
+            "transfer-encoding is not supported".into(),
+        ));
+    }
     let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
         None => 0,
         Some((_, v)) => v
@@ -186,7 +201,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
             Err(e) => return Err(RecvError::Malformed(format!("read failed: {e}"))),
         }
     }
-    body.truncate(content_length);
+    *carry = body.split_off(content_length);
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), parse_query(q)),
         None => (target.to_string(), Vec::new()),

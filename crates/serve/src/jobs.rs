@@ -414,8 +414,9 @@ mod tests {
         assert!(parsed.result.is_some());
     }
 
-    /// Status lines are a wire contract: these bytes were recorded before
-    /// the serializer stopped building a value tree.
+    /// Status lines are a wire contract and `render` is their one writer:
+    /// these bytes were recorded on earlier builds, so a writer change that
+    /// moves one byte fails here.
     #[test]
     fn status_line_bytes_are_pinned() {
         let job = Job::new(9, tiny_request());
@@ -432,6 +433,13 @@ mod tests {
         ));
         let failed = r#"{"api":1,"id":9,"state":"failed","sessions_done":1,"sessions_total":1,"wall_s":0.5,"error":{"code":"config/zero-mem-buses","message":"invalid \"mem_buses\":\t0"}}"#;
         assert_eq!(*job.render(&inner, None), failed);
+        inner.state = JobState::Cancelled;
+        inner.sessions_done = 0;
+        inner.wall_s = 12.0;
+        inner.error = Some(ApiError::cancelled());
+        let cancelled = r#"{"api":1,"id":9,"state":"cancelled","sessions_done":0,"sessions_total":1,"wall_s":12,"error":{"code":"job/cancelled","message":"job was cancelled before completion"}}"#;
+        assert_eq!(*job.render(&inner, None), cancelled);
+        inner.sessions_done = 1;
         inner.state = JobState::Done;
         inner.wall_s = 1e-7;
         inner.error = None;

@@ -414,8 +414,10 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
         read_timeout: Duration::from_millis(state.cfg.read_timeout_ms.max(1)),
         ..http::Limits::default()
     };
+    // Bytes read past the current request: a pipelined next request.
+    let mut carry = Vec::new();
     loop {
-        let req = match http::read_request(stream, &limits) {
+        let req = match http::read_request(stream, &limits, &mut carry) {
             Ok(req) => req,
             Err(http::RecvError::Closed) => return,
             Err(http::RecvError::Timeout { bytes_so_far: 0 }) => return,

@@ -70,8 +70,13 @@ impl Cluster {
     /// * a lane whose crossbar request was denied is not revisited: the
     ///   request (line, kind, bank) is invariant until granted, so the
     ///   lane sits in a persistent `pending` word and a persistent
-    ///   bank×word requester table that [`Crossbar::arbitrate_masks_swar`]
-    ///   resolves by scanning only occupied banks;
+    ///   bank×word requester table that [`Crossbar::arbitrate_masks`]
+    ///   resolves by scanning only occupied banks. Its wait is one segment
+    ///   stamped at the request cycle and closed in closed form at the
+    ///   grant (or at window exit): every cycle of it occupies the CE bus,
+    ///   and every cycle but the granted one is a denial, charged through
+    ///   [`Crossbar::note_denied_retries`] — the same closed-form movement
+    ///   the fast-forward engine uses;
     /// * a lane retiring a compute burst inside its probed icache line is
     ///   not revisited: its pure-retirement segment is bounded by
     ///   [`Ce::compute_burst_horizon`] and applied in closed form at the
@@ -81,17 +86,11 @@ impl Cluster {
     ///   `PostSync` (the sync register cannot otherwise move), with the
     ///   same-cycle lower-to-higher lane visibility of the scalar loop
     ///   preserved by re-arming the visit word mid-pass;
-    /// * per-cycle classification — who issues, who is denied, who waits —
-    ///   is mask expressions (`pending & !won`, popcounts), not branches.
+    /// * per-cycle classification — who issues, who is granted, who waits —
+    ///   is mask expressions and popcounts, not branches.
     ///
-    /// Per-lane counters that move by +1 per masked lane per cycle
-    /// (bus-busy occupancy, crossbar denials) accumulate via SWAR masked
-    /// adds ([`crate::swar::packed_add`]) into packed byte-lane words,
-    /// flushed into the real `u64` counters at window exit or before any
-    /// byte lane could saturate. The membus start-ring gc is deferred to
-    /// the window end (legal per the deferred-gc membus proof), and the
-    /// denial counters flush through [`Crossbar::note_denied_retries`] —
-    /// the same closed-form movement the fast-forward engine uses.
+    /// The membus start-ring gc is deferred to the window end (legal per
+    /// the deferred-gc membus proof).
     ///
     /// The window ends at `limit`, at the armed-probe deadline, or at the
     /// first cycle where the CCB would resolve an iteration request (grant
@@ -107,8 +106,7 @@ impl Cluster {
             }
             limit = limit.min(probe - now);
         }
-        let n = self.ces.len();
-        debug_assert!(n <= MAX_CES);
+        debug_assert!(self.ces.len() <= MAX_CES);
 
         // --- Pack the lane structure.
         let mut ready_mask: LaneWord = 0;
@@ -155,13 +153,16 @@ impl Cluster {
         // crossbar request keeps it — line, kind, and bank are invariant
         // across denials — so denied lanes are never revisited; they live
         // in `pending_mask` and in the bank×word requester table that
-        // `arbitrate_masks_swar` scans via the `occupied` bank bitmask.
+        // `arbitrate_masks` scans via the `occupied` bank bitmask. The
+        // wait is a segment from `req_from`, closed at the grant or at
+        // window exit.
         let mut pending_mask: LaneWord = 0;
         let mut bank_req: [LaneWord; DENSE_MAX_BANKS] = [0; DENSE_MAX_BANKS];
         let mut occupied = 0u32;
         let mut req_line = [crate::addr::LineId(0); MAX_CES];
         let mut req_kind = [ReqKind::Read; MAX_CES];
         let mut req_bank = [0usize; MAX_CES];
+        let mut req_from = [0u64; MAX_CES];
 
         // --- Pure compute-burst segments. A lane retiring inside its
         // probed icache line is inert (one retirement per cycle, no shared
@@ -171,18 +172,7 @@ impl Cluster {
         let mut burst_mask: LaneWord = 0;
         let mut burst_from = [0u64; MAX_CES];
 
-        // --- Per-window accumulators, flushed once at exit. Bus-busy
-        // occupancy and crossbar denials move by +1 per masked lane per
-        // cycle, so they accumulate as SWAR packed byte lanes; the rest
-        // see at most a handful of scalar adds per cycle.
-        let mut busbusy_acc = [0u64; MAX_CES];
-        let mut deny_acc = [0u64; MAX_CES];
-        // One packed word per 8-lane group: the measured 8-CE machine pays
-        // for exactly one word; a 64-CE cluster carries eight.
-        let pk_groups = crate::swar::lane_groups(n);
-        let mut busbusy_pk = [0u64; crate::swar::lane_groups(MAX_CES)];
-        let mut deny_pk = [0u64; crate::swar::lane_groups(MAX_CES)];
-        let mut pk_budget = crate::swar::PACKED_MAX;
+        // --- Per-window wait accumulators, flushed once at exit.
         let mut sync_wait_acc = 0u64;
         let mut grant_wait_acc = 0u64;
         // Sync waiters re-check the register only when it can have moved:
@@ -259,7 +249,7 @@ impl Cluster {
                     if stall_mask & bit != 0 {
                         // Completion handshake cycle.
                         if stall_resume[id].is_busy() {
-                            busbusy_acc[id] += 1;
+                            self.ces[id].stats.bus_busy_cycles += 1;
                         }
                         self.lane_wake(id);
                         stall_mask &= !bit;
@@ -295,6 +285,7 @@ impl Cluster {
                         req_line[id] = line;
                         req_kind[id] = kind;
                         req_bank[id] = b;
+                        req_from[id] = now;
                         bank_req[b] |= bit;
                         occupied |= 1 << b;
                     }
@@ -353,46 +344,17 @@ impl Cluster {
             if pending_mask != 0 {
                 won = self
                     .crossbar
-                    .arbitrate_masks_swar(now, &bank_req, occupied, hit_cycles);
-                // Every requester occupies its CE bus this cycle, granted
-                // or not; the denied set is exactly `pending & !won`. Both
-                // accrue as SWAR masked adds, flushed before any packed
-                // byte lane could saturate.
-                if pk_budget == 0 {
-                    for id in 0..n {
-                        let (g, l) = (
-                            id / crate::swar::PACKED_LANES,
-                            id % crate::swar::PACKED_LANES,
-                        );
-                        busbusy_acc[id] += crate::swar::packed_lane(busbusy_pk[g], l);
-                        deny_acc[id] += crate::swar::packed_lane(deny_pk[g], l);
-                    }
-                    busbusy_pk = [0; crate::swar::lane_groups(MAX_CES)];
-                    deny_pk = [0; crate::swar::lane_groups(MAX_CES)];
-                    pk_budget = crate::swar::PACKED_MAX;
-                }
-                pk_budget -= 1;
-                let denied_mask = pending_mask & !won;
-                for g in 0..pk_groups {
-                    busbusy_pk[g] = crate::swar::packed_add(
-                        busbusy_pk[g],
-                        crate::swar::group_mask(pending_mask, g),
-                        1,
-                    );
-                    deny_pk[g] = crate::swar::packed_add(
-                        deny_pk[g],
-                        crate::swar::group_mask(denied_mask, g),
-                        1,
-                    );
-                }
-
+                    .arbitrate_masks(now, &bank_req, occupied, hit_cycles);
                 let mut m = won;
                 while m != 0 {
                     let id = m.trailing_zeros() as usize;
                     m &= m - 1;
                     let bit: LaneWord = 1 << id;
-                    // The grant consumes the request: retire it from the
-                    // persistent table.
+                    // The grant consumes the request and closes its
+                    // segment: `now - from` denied cycles, then this one.
+                    let waited = now - req_from[id];
+                    self.ces[id].stats.bus_busy_cycles += waited + 1;
+                    self.crossbar.note_denied_retries(id, waited);
                     pending_mask &= !bit;
                     let b = req_bank[id];
                     bank_req[b] &= !bit;
@@ -437,24 +399,22 @@ impl Cluster {
             // that armed the segment).
             self.ces[id].advance_compute_burst(now - burst_from[id]);
         }
+        let mut m = pending_mask;
+        while m != 0 {
+            let id = m.trailing_zeros() as usize;
+            m &= m - 1;
+            // Open request segments: every cycle from the request through
+            // `now - 1` was denied.
+            let waited = now - req_from[id];
+            self.ces[id].stats.bus_busy_cycles += waited;
+            self.crossbar.note_denied_retries(id, waited);
+        }
         self.membus.gc(now - 1);
         if sync_wait_acc > 0 {
             self.ccb.note_sync_waits(sync_wait_acc);
         }
         if grant_wait_acc > 0 {
             self.ccb.note_grant_waits(grant_wait_acc);
-        }
-        for id in 0..n {
-            let stats = &mut self.ces[id].stats;
-            let (g, l) = (
-                id / crate::swar::PACKED_LANES,
-                id % crate::swar::PACKED_LANES,
-            );
-            stats.bus_busy_cycles += busbusy_acc[id] + crate::swar::packed_lane(busbusy_pk[g], l);
-            let denied = deny_acc[id] + crate::swar::packed_lane(deny_pk[g], l);
-            if denied > 0 {
-                self.crossbar.note_denied_retries(id, denied);
-            }
         }
         let mut m = active_lanes;
         while m != 0 {

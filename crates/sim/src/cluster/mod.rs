@@ -1019,7 +1019,7 @@ mod tests {
     #[cfg(feature = "audit")]
     #[test]
     fn audit_builds_never_dense_step() {
-        // Same oracle-independence for the SWAR batch kernel: it retires
+        // Same oracle-independence for the dense batch kernel: it retires
         // whole loop windows without ever calling the per-cycle auditor,
         // so `dense_eligible` is compile-time false under the feature and
         // a concurrent loop — the kernel's home turf — must run entirely

@@ -484,8 +484,9 @@ impl MachineConfig {
 
     /// Validate geometry invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        // One CE per LaneWord bit: the probe word, the SWAR kernels and the
-        // monitor reductions are all lane-mask native up to this width.
+        // One CE per LaneWord bit: the probe word, the dense kernel and the
+        // crossbar's requester masks are all lane-mask native up to this
+        // width.
         let max = crate::probe::MAX_CES;
         if self.n_ces == 0 || self.n_ces > max {
             return Err(ConfigError::out_of_range(

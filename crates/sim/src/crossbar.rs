@@ -71,9 +71,9 @@ impl Crossbar {
     /// `mask` must be nonzero.
     #[inline]
     pub(crate) fn winner_of(&self, mask: LaneWord, rotor: usize) -> usize {
-        // A lone requester wins under every discipline; in the dense loop
-        // regime eight lanes spread over sixteen banks, so most nonzero
-        // masks are a single bit and the policy scan below never runs.
+        // A lone requester wins under every discipline, so the policy scan
+        // below runs only when two or more CEs contend for one bank in the
+        // same cycle (the FX/8's eight CEs share four banks).
         if mask & (mask - 1) == 0 {
             return mask.trailing_zeros() as usize;
         }
@@ -149,10 +149,10 @@ impl Crossbar {
     /// Arbitrate one cycle from per-bank requester bitmasks, returning the
     /// granted CEs as a bitmask, through the same staged resolver (and so
     /// the same counter movement) as [`Crossbar::arbitrate_into`]. The
-    /// reference resolver for the SWAR differential tests:
-    /// `arbitrate_masks_swar` must grant and count identically.
+    /// reference resolver for the dense kernel's differential tests:
+    /// `arbitrate_masks` must grant and count identically.
     #[cfg(test)]
-    pub(crate) fn arbitrate_masks(
+    pub(crate) fn arbitrate_masks_staged(
         &mut self,
         now: Cycle,
         bank_req: &[LaneWord],
@@ -164,23 +164,23 @@ impl Crossbar {
         self.arbitrate_staged(now, service_cycles)
     }
 
-    /// The SWAR twin of the test-only `arbitrate_masks`: resolve one cycle
-    /// over a caller-maintained persistent bank×word requester table,
-    /// visiting only the banks flagged in `occupied` (a bank bitmask the
-    /// dense kernel keeps incrementally as requests enter and are
-    /// granted). Two deliberate asymmetries against the staged resolver,
+    /// The dense kernel's resolver, twin of the test-only
+    /// `arbitrate_masks_staged`: resolve one cycle over a caller-maintained
+    /// persistent bank×word requester table, visiting only the banks
+    /// flagged in `occupied` (a bank bitmask the dense kernel keeps
+    /// incrementally as requests enter and are granted). Two deliberate asymmetries against the staged resolver,
     /// both invisible at window granularity:
     ///
     /// * empty banks are never scanned — the occupancy word is the scan
     ///   list, so an idle 16-bank geometry costs nothing;
-    /// * **denials are not charged here.** Each cycle's denied set is
-    ///   exactly `requesters & !won`, which the dense kernel accumulates
-    ///   in a packed SWAR word and flushes through
-    ///   [`Crossbar::note_denied_retries`] at window exit. Grants, the
-    ///   per-bank rotor, and bank service occupancy move per-grant,
-    ///   identically to the staged path.
+    /// * **denials are not charged here.** A denied request stays pending
+    ///   unchanged until it is granted, so the dense kernel accrues its
+    ///   denials as one request segment, closed at the grant or at window
+    ///   exit, and flushes them through [`Crossbar::note_denied_retries`].
+    ///   Grants, the per-bank rotor, and bank service occupancy move
+    ///   per-grant, identically to the staged path.
     #[inline]
-    pub(crate) fn arbitrate_masks_swar(
+    pub(crate) fn arbitrate_masks(
         &mut self,
         now: Cycle,
         bank_req: &[LaneWord],
@@ -195,7 +195,7 @@ impl Crossbar {
             let mask = bank_req[bank];
             debug_assert!(mask != 0, "occupied bank {bank} has no requesters");
             if self.bank_busy_until[bank] > now {
-                continue; // busy: denial accounted by the caller's flush
+                continue; // busy: denial accrued by the caller's segment
             }
             let w: CeId = self.winner_of(mask, self.rotor[bank]);
             won |= 1 << w;
@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(x.stats().denials_by_ce[1], 10);
     }
 
-    mod swar_vs_staged {
+    mod masks_vs_staged {
         use super::*;
         use proptest::prelude::*;
 
@@ -405,26 +405,26 @@ mod tests {
         }
 
         /// Drive both resolvers through the same random request
-        /// trajectory; after the SWAR side's deferred-denial flush every
+        /// trajectory; after the mask side's deferred-denial flush every
         /// observable — winners each cycle, rotor state (via future
         /// winners), and the full counter set — must agree.
         fn check_equivalence(arb: Arbitration, n_ces: usize, cycles: &[(Vec<LaneWord>, u64)]) {
             let banks = banks_for(n_ces);
             let mut staged = Crossbar::new(n_ces, banks, arb);
-            let mut swar = Crossbar::new(n_ces, banks, arb);
-            // SWAR-side deferred denial bookkeeping, per CE — the dense
-            // kernel tracks this via its pending masks; here the request
+            let mut masks = Crossbar::new(n_ces, banks, arb);
+            // Mask-side deferred denial bookkeeping, per CE — the dense
+            // kernel closes it as request segments; here the request
             // table itself says who asked and lost.
             let mut denied = vec![0u64; n_ces];
             for (t, (bank_req, service)) in cycles.iter().enumerate() {
                 let now = t as Cycle;
-                let want = staged.arbitrate_masks(now, bank_req, *service);
+                let want = staged.arbitrate_masks_staged(now, bank_req, *service);
                 let occupied =
                     bank_req
                         .iter()
                         .enumerate()
                         .fold(0u32, |o, (b, &m)| if m != 0 { o | 1 << b } else { o });
-                let got = swar.arbitrate_masks_swar(now, bank_req, occupied, *service);
+                let got = masks.arbitrate_masks(now, bank_req, occupied, *service);
                 prop_assert_eq!(
                     want,
                     got,
@@ -441,9 +441,9 @@ mod tests {
                 }
             }
             for (ce, &k) in denied.iter().enumerate() {
-                swar.note_denied_retries(ce, k);
+                masks.note_denied_retries(ce, k);
             }
-            prop_assert_eq!(staged.stats(), swar.stats());
+            prop_assert_eq!(staged.stats(), masks.stats());
         }
 
         /// Random per-bank requester masks with disjoint lanes (a CE
@@ -466,7 +466,7 @@ mod tests {
             /// width decides how many take part, so the same trajectory
             /// shape exercises 2-lane and 64-lane arbitration alike.
             #[test]
-            fn swar_resolver_matches_staged_resolver(
+            fn mask_resolver_matches_staged_resolver(
                 arb_pick in 0usize..4,
                 width_pick in 0usize..WIDTHS.len(),
                 raw in prop::collection::vec(

@@ -72,7 +72,6 @@ pub mod membus;
 pub mod opcode;
 pub mod probe;
 pub mod stream;
-pub mod swar;
 pub mod trace;
 pub mod vm;
 
@@ -84,14 +83,24 @@ pub use probe::ProbeWord;
 pub type Cycle = u64;
 
 /// The lane-mask word: one bit per CE lane in the dense SoA kernel, the
-/// crossbar's per-bank requester masks, and the monitor's batch probe
-/// reduction. Every width-dependent structure is sized off this word, so
-/// the machine model is width-generic up to [`probe::MAX_CES`] = 64 lanes:
-/// the measured FX/8 uses 8 of them, the scaling study
-/// ([`MachineConfig::scaled`]) sweeps the rest. The SWAR byte-packed
-/// accumulators in [`swar`] batch 8 lanes per word; wider clusters chunk
-/// lanes into 8-lane groups ([`swar::lane_groups`]), one word each.
+/// crossbar's per-bank requester masks, and the probe word's CCB activity
+/// lines. Every width-dependent structure is sized off this word, so the
+/// machine model is width-generic up to [`probe::MAX_CES`] = 64 lanes: the
+/// measured FX/8 uses 8 of them, the scaling study
+/// ([`MachineConfig::scaled`]) sweeps the rest.
 pub type LaneWord = u64;
+
+/// Bitmask selecting the lanes of an `n_ces`-wide cluster: the width mask
+/// every lane-word computation must confine itself to. Saturates at the
+/// full [`LaneWord`].
+#[inline]
+pub const fn lane_mask(n_ces: usize) -> LaneWord {
+    if n_ces >= LaneWord::BITS as usize {
+        LaneWord::MAX
+    } else {
+        (1 << n_ces) - 1
+    }
+}
 
 /// Index of a Computing Element within the cluster (0..=7 on the measured
 /// FX/8; up to 0..=63 for scaled hypothetical clusters).
@@ -99,3 +108,17 @@ pub type CeId = usize;
 
 /// Address-space identifier: one per job, plus [`addr::KERNEL_ASID`] for the OS.
 pub type Asid = u16;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lane_mask_covers_every_width() {
+        assert_eq!(lane_mask(1), 0b1);
+        assert_eq!(lane_mask(8), 0xff);
+        assert_eq!(lane_mask(9), 0x1ff);
+        assert_eq!(lane_mask(63), u64::MAX >> 1);
+        assert_eq!(lane_mask(64), u64::MAX);
+    }
+}

@@ -61,25 +61,13 @@ impl ProbeWord {
         self.active_count() >= 2
     }
 
-    /// Bitmask of CE lanes whose bus carries a non-idle opcode this cycle.
-    /// The fixed-width loop unrolls; reducers then walk only the set bits
-    /// instead of testing every lane per record.
-    #[inline]
-    pub fn busy_ce_mask(&self) -> LaneWord {
-        let mut m: LaneWord = 0;
-        for (j, op) in self.ce_ops.iter().enumerate() {
-            m |= (op.is_busy() as LaneWord) << j;
-        }
-        m
-    }
-
     /// Structural well-formedness for a cluster of `n_ces` CEs: no activity
     /// lines or CE-bus opcodes above the cluster width. The invariant
     /// auditor applies this to every stepped cycle; tests may use it on
     /// captured buffers.
     pub fn check_wellformed(&self, n_ces: usize) -> Result<(), String> {
         debug_assert!((1..=MAX_CES).contains(&n_ces));
-        let width_mask = crate::swar::lane_mask(n_ces);
+        let width_mask = crate::lane_mask(n_ces);
         if self.active_mask & !width_mask != 0 {
             return Err(format!(
                 "active_mask {:#b} asserts lines beyond the {n_ces}-CE cluster",
@@ -123,15 +111,6 @@ mod tests {
         assert!(!w.is_concurrent());
     }
 
-    #[test]
-    fn busy_ce_mask_marks_non_idle_lanes() {
-        let mut w = ProbeWord::idle(0);
-        assert_eq!(w.busy_ce_mask(), 0);
-        w.ce_ops[0] = CeBusOp::Read;
-        w.ce_ops[5] = CeBusOp::MissWait;
-        assert_eq!(w.busy_ce_mask(), 0b0010_0001);
-    }
-
     /// Regression: `active_mask` was a `u8`, so lanes 8..64 of a wide
     /// cluster were silently dropped by every monitor-path reduction.
     #[test]
@@ -143,8 +122,6 @@ mod tests {
         assert!(w.is_active(31));
         assert!(w.is_active(63));
         assert!(w.is_concurrent());
-        w.ce_ops[40] = CeBusOp::Read;
-        assert_eq!(w.busy_ce_mask(), 1 << 40);
     }
 
     #[test]
