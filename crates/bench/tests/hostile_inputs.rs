@@ -619,6 +619,51 @@ fn a_chunked_post_is_refused_and_its_body_never_answered() {
         .expect("server drains");
 }
 
+/// A client that keeps dribbling bytes after its malformed request drew
+/// a 400 cannot hold the connection: the server stops discarding its
+/// input within a bounded time and closes. The client writes one byte
+/// every 100 ms for up to 6 s and never waits more than 100 ms on a read.
+#[test]
+fn a_dribbling_client_is_closed_after_its_error() {
+    use std::time::Instant;
+    let (addr, handle, serving) = patient_server();
+    let mut stream = TcpStream::connect(addr).expect("loopback connects");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout sets");
+    stream.write_all(b"BROKEN\r\n\r\n").expect("request writes");
+    let started = Instant::now();
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    let closed_after = loop {
+        if started.elapsed() > Duration::from_secs(6) {
+            break None;
+        }
+        if stream.write_all(b"x").is_err() {
+            break Some(started.elapsed());
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => break Some(started.elapsed()),
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            // A close with our dribble unread resets: still a close.
+            Err(_) => break Some(started.elapsed()),
+        }
+    };
+    let status = next_response(&raw).map(|(status, _, _)| status);
+    assert_eq!(status, Some(400), "{}", String::from_utf8_lossy(&raw));
+    let closed_after = closed_after.expect("the server kept a dribbling client open for 6 s");
+    assert!(
+        closed_after < Duration::from_secs(3),
+        "closed only after {closed_after:?}"
+    );
+    handle.shutdown();
+    serving
+        .join()
+        .expect("server thread")
+        .expect("server drains");
+}
+
 /// `reproduce run --quick --cache-stats` against the cache in `dir`: the
 /// `cache-stats:` counter line, and the report sections before the
 /// wall-clock `observability` block.

@@ -355,3 +355,99 @@ fn audited_session_at_width_32_is_clean() {
         r.audit
     );
 }
+
+/// The engine split of `c` must show dense stepping, except in audit
+/// builds, which never dense-step.
+fn assert_dense_stepped(c: &Cluster, what: &str) {
+    let dense = c.engine_cycles().dense;
+    if cfg!(feature = "audit") {
+        assert_eq!(dense, 0, "audit builds never dense-step");
+    } else {
+        assert!(dense > 0, "{what} never dense-stepped");
+    }
+}
+
+/// A serial section marching a page per load over a 4 MB footprint, on a
+/// machine whose page faults stall for three cycles: the dense kernel
+/// carries the one serial lane through its faults, misses and bursts.
+#[test]
+fn serial_load_with_page_faults_is_bit_identical() {
+    let base = MachineConfig {
+        fault_stall_cycles: 3,
+        ..MachineConfig::fx8()
+    };
+    let mount = |c: &mut Cluster| {
+        let code = StridedSerial::new(
+            CodeRegion {
+                base: VAddr::new(1, 0),
+                footprint_bytes: 1024,
+                bytes_per_instr: 4,
+            },
+            VAddr::new(1, 0x100_0000),
+            4096,
+            4 << 20,
+            5,
+        );
+        c.mount_serial(Box::new(code), 1, Some(3));
+    };
+    let on = assert_dense_identical_on(base, mount, 40_000);
+    let faults = on.vm().total_faults().total();
+    assert!(faults > 500, "the serial march faulted only {faults} times");
+    assert_dense_stepped(&on, "the serial section");
+}
+
+/// A short loop drains early in the run and its serial continuation runs
+/// on the last-iteration CE for the rest of it, next to the unmounted
+/// lanes the drain left behind.
+#[test]
+fn serial_continuation_after_a_loop_drain_is_bit_identical() {
+    let on = assert_dense_identical(
+        |c| c.mount_loop(loop_body(1), 0, 300, serial_code(1), 1),
+        40_000,
+    );
+    assert_eq!(
+        on.load_kind(),
+        fx8_sim::cluster::LoadKind::Drained,
+        "the loop must drain inside the run"
+    );
+    assert_eq!(on.active_count(), 1, "only the serial continuation runs");
+    assert_dense_stepped(&on, "the serial continuation");
+}
+
+/// With `fast_forward` off the dense kernel never jumps a quiet stretch;
+/// it steps it. Both must land on the same machine, for a serial section
+/// and for a loop that drains into its continuation.
+#[test]
+fn dense_kernel_jumps_are_bit_identical_to_stepping_the_stretch() {
+    let serial: fn(&mut Cluster) = |c| c.mount_serial(serial_code(1), 1, None);
+    let draining: fn(&mut Cluster) = |c| c.mount_loop(loop_body(1), 0, 2_000, serial_code(1), 1);
+    for (name, mount) in [("serial", serial), ("draining loop", draining)] {
+        let drive = |ff: bool| {
+            let cfg = MachineConfig {
+                fast_forward: ff,
+                ..MachineConfig::fx8()
+            };
+            let mut c = Cluster::new(cfg, 42);
+            c.set_ip_intensity(0.12);
+            mount(&mut c);
+            let mut words = Vec::new();
+            for _ in 0..4 {
+                c.run(15_000);
+                words.extend(c.capture(100));
+            }
+            (c.state_digest(), words, c.engine_cycles())
+        };
+        let (d_on, w_on, e_on) = drive(true);
+        let (d_off, w_off, e_off) = drive(false);
+        assert_eq!(e_off.skipped, 0, "{name}: fast_forward off never skips");
+        assert_eq!(d_on, d_off, "{name}: jumps diverged the machine state");
+        assert_eq!(w_on, w_off, "{name}: jumps diverged the probe stream");
+        if !cfg!(feature = "audit") {
+            assert!(e_on.skipped > 0, "{name}: nothing was jumped");
+            assert!(
+                e_off.dense > e_on.dense,
+                "{name}: the jumps took no dense cycles"
+            );
+        }
+    }
+}

@@ -170,19 +170,21 @@ impl DasMonitor {
         }
     }
 
-    /// While armed and dormant, let the cluster fast-forward through
-    /// quiescent cycles instead of evaluating records one by one. The
-    /// trigger cannot fire inside a constant-activity window
-    /// ([`TriggerState::dormant`]), and the timeout deadline is threaded to
-    /// the cluster as the next-probe hint so a skip never overshoots the
-    /// cycle on which the per-cycle loop would have given up. Returns
-    /// `Some(err)` when the wait timed out during the skip; `Ok` progress
-    /// and trigger evaluation stay with the caller's per-cycle loop.
+    /// While armed and dormant, let the cluster advance unobserved —
+    /// bulk-skipped or dense windows ([`Cluster::advance_unobserved`]) —
+    /// instead of evaluating records one by one. CCB activity is constant
+    /// inside each such window, so a trigger dormant at the window's
+    /// activity cannot fire inside it ([`TriggerState::dormant`]), and the
+    /// timeout deadline is threaded to the cluster as the next-probe hint
+    /// so a window never overshoots the cycle on which the per-cycle loop
+    /// would have given up. Returns `Some(err)` when the wait timed out
+    /// inside a window; `Ok` progress and trigger evaluation stay with the
+    /// caller's per-cycle loop.
     ///
-    /// Bit-identical to the per-cycle wait: every skipped record would have
-    /// been discarded with `fire == false`, and a timeout reached by
-    /// skipping stops at exactly `armed_at + timeout_cycles`, the cycle the
-    /// per-cycle loop reports.
+    /// Bit-identical to the per-cycle wait: every record inside a window
+    /// would have been discarded with `fire == false`, and a timeout
+    /// reached inside one stops at exactly `armed_at + timeout_cycles`,
+    /// the cycle the per-cycle loop reports.
     fn skip_dormant_wait(
         &self,
         cluster: &mut Cluster,
@@ -192,7 +194,7 @@ impl DasMonitor {
     ) -> Option<AcquireError> {
         while trig.dormant(cluster.active_count()) {
             let budget = deadline.saturating_sub(cluster.now());
-            if cluster.skip_quiescent(budget) == 0 {
+            if cluster.advance_unobserved(budget) == 0 {
                 break;
             }
             trig.note_skipped(cluster.active_count());
@@ -240,7 +242,7 @@ impl DasMonitor {
     }
 
     /// The capture loop behind both public paths: arm, wait for the
-    /// trigger (fast-forwarding while dormant), then hand the trigger
+    /// trigger (advancing unobserved while dormant), then hand the trigger
     /// record and the `buffer_depth - 1` records after it to `sink`.
     /// Generic rather than `dyn` because it runs on every simulated cycle
     /// of a trigger wait. `sink` sees nothing when the wait times out.
@@ -532,10 +534,82 @@ mod tests {
                 "the idle wait should fast-forward"
             );
             assert!(
-                ca.skip_quiescent(100) > 0,
+                ca.advance_unobserved(100) > 0,
                 "stale next-probe hint left behind by the acquisition"
             );
         }
+    }
+
+    /// A wait that can never fire — on a drained loop's serial
+    /// continuation, a serial section, an idle cluster — runs dormant to
+    /// its timeout on the engines and ends exactly where the per-cycle
+    /// wait on the scalar stepper does: same error, same cycle, same
+    /// machine.
+    #[test]
+    fn dormant_wait_timeout_matches_the_per_cycle_wait() {
+        let drained: fn(&mut Cluster) = |c| {
+            c.mount_loop(loop_body(), 0, 200, serial_code(), 1);
+            for _ in 0..200_000 {
+                if c.load_kind() == fx8_sim::cluster::LoadKind::Drained {
+                    break;
+                }
+                c.step();
+            }
+            assert_eq!(c.load_kind(), fx8_sim::cluster::LoadKind::Drained);
+        };
+        let serial: fn(&mut Cluster) = |c| c.mount_serial(serial_code(), 1, None);
+        let idle: fn(&mut Cluster) = |_| {};
+        for (name, mount) in [("drained", drained), ("serial", serial), ("idle", idle)] {
+            for trigger in [Trigger::AllCesActive, Trigger::TransitionFromFull] {
+                let run = |engines: bool| {
+                    let mut m = MachineConfig::fx8();
+                    m.fast_forward = engines;
+                    m.dense_stepping = engines;
+                    let mut c = Cluster::new(m, 11);
+                    c.set_ip_intensity(0.015);
+                    mount(&mut c);
+                    let stepped = c.engine_cycles().scalar;
+                    let das = DasMonitor::new(DasConfig {
+                        buffer_depth: 64,
+                        trigger,
+                        timeout_cycles: 30_000,
+                    });
+                    let err = das.acquire(&mut c).unwrap_err();
+                    let stepped = c.engine_cycles().scalar - stepped;
+                    (err, c.now(), c.state_digest(), stepped)
+                };
+                let (ea, na, da, stepped) = run(true);
+                let (eb, nb, db, _) = run(false);
+                assert_eq!(ea, AcquireError::TriggerTimeout { waited: 30_000 });
+                assert_eq!(ea, eb, "{name} {trigger:?}: error differs");
+                assert_eq!(na, nb, "{name} {trigger:?}: clocks differ");
+                assert_eq!(da, db, "{name} {trigger:?}: machine state differs");
+                if !cfg!(feature = "audit") {
+                    assert!(
+                        stepped < 1_000,
+                        "{name} {trigger:?}: {stepped} of 30000 waited cycles were scalar"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A zero timeout still steps and evaluates the one cycle every wait
+    /// observes: a trigger that cannot fire times out after exactly that
+    /// cycle.
+    #[test]
+    fn zero_timeout_steps_one_cycle() {
+        let mut c = cluster();
+        c.mount_serial(serial_code(), 1, None);
+        let das = DasMonitor::new(DasConfig {
+            buffer_depth: 8,
+            trigger: Trigger::AllCesActive,
+            timeout_cycles: 0,
+        });
+        let before = c.now();
+        let err = das.acquire(&mut c).unwrap_err();
+        assert_eq!(err, AcquireError::TriggerTimeout { waited: 1 });
+        assert_eq!(c.now(), before + 1);
     }
 
     #[test]

@@ -394,16 +394,38 @@ fn send_error(state: &ServerState, stream: &mut TcpStream, e: &ApiError) {
     send(state, stream, e.http_status(), &extra, &e.envelope_json());
 }
 
+/// How long [`drain`] waits for the peer's next bytes.
+const DRAIN_QUIET: Duration = Duration::from_millis(250);
+/// The most time [`drain`] spends on one connection, however the peer
+/// paces its bytes.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
+/// The most bytes [`drain`] discards from one connection.
+const DRAIN_MAX_BYTES: usize = 64 * 1024;
+
 /// Discard whatever the peer is still sending, briefly, so closing the
 /// socket after an early error response doesn't RST the response away
 /// (a close with unread input makes TCP reset, and the reset discards
 /// the peer's receive buffer — including the error envelope we just
-/// sent).
+/// sent). Stops at the first quiet gap, at [`DRAIN_DEADLINE`] or after
+/// [`DRAIN_MAX_BYTES`], whichever comes first: a peer that keeps
+/// dribbling bytes cannot hold the connection and its thread.
 fn drain(stream: &mut TcpStream) {
     use std::io::Read;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let deadline = std::time::Instant::now() + DRAIN_DEADLINE;
     let mut sink = [0u8; 4096];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    let chunk = sink.len();
+    let mut left = DRAIN_MAX_BYTES;
+    while left > 0 {
+        let rest = deadline.saturating_duration_since(std::time::Instant::now());
+        if rest.is_zero() {
+            return;
+        }
+        let _ = stream.set_read_timeout(Some(rest.min(DRAIN_QUIET)));
+        match stream.read(&mut sink[..left.min(chunk)]) {
+            Ok(n) if n > 0 => left -= n,
+            _ => return,
+        }
+    }
 }
 
 /// Serve one connection: keep-alive loop of read → route → respond.

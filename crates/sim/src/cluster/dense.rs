@@ -1,6 +1,7 @@
-//! The dense batch kernel: busy concurrent-loop windows stepped as
-//! whole-word lane masks. It schedules; each lane it visits acts through
-//! the shared [`Cluster::lane_step`], [`Cluster::lane_wake`] and
+//! The dense batch kernel: windows of a mounted loop or serial section
+//! stepped as whole-word lane masks, with quiet stretches jumped. It
+//! schedules; each lane it visits acts through the shared
+//! [`Cluster::lane_step`], [`Cluster::lane_wake`] and
 //! [`Cluster::lane_grant`], so only *when* a lane is visited and how its
 //! pure per-cycle effects are accrued differ from the scalar stepper.
 
@@ -18,18 +19,19 @@ const DENSE_MAX_BANKS: usize = 16;
 
 impl Cluster {
     /// Whether the machine is in the dense stepper's domain: a mounted
-    /// concurrent loop whose CEs are all either workers or fully inert
-    /// unmounted lanes. In that regime every per-cycle effect is one the
-    /// SoA kernel replicates inline — the CCB-resolution cycles it cannot
-    /// (grants, exhaustion, promotion) make it bail back to the scalar
-    /// stepper. Forced off under the `audit` feature so the per-cycle
-    /// auditor keeps observing every cycle, and by the `dense_stepping`
-    /// config knob.
+    /// cluster program — a concurrent loop or a serial section — whose CEs
+    /// are all workers, the one serial lane, or fully inert unmounted
+    /// lanes. In that regime every per-cycle effect is one the SoA kernel
+    /// replicates inline — the CCB-resolution cycles it cannot (grants,
+    /// exhaustion, promotion) make it bail back to the scalar stepper. A
+    /// detached CE keeps the machine on the scalar stepper. Forced off
+    /// under the `audit` feature so the per-cycle auditor keeps observing
+    /// every cycle, and by the `dense_stepping` config knob.
     pub(super) fn dense_eligible(&self) -> bool {
         if cfg!(feature = "audit") || !self.cfg.dense_stepping {
             return false;
         }
-        if !matches!(self.load, Load::Loop { .. }) {
+        if matches!(self.load, Load::Idle) {
             return false;
         }
         // The kernel's bank-conflict masks are fixed-width.
@@ -37,7 +39,7 @@ impl Cluster {
             return false;
         }
         self.ces.iter().all(|ce| match ce.role {
-            CeRole::Worker => true,
+            CeRole::Worker | CeRole::ClusterSerial => true,
             // An unmounted lane is eligible only when provably inert: it
             // then contributes nothing to any cycle, so the kernel can
             // ignore it entirely.
@@ -48,15 +50,15 @@ impl Cluster {
                     && ce.compute_left == 0
                     && ce.pending_ifetch.is_none()
             }
-            CeRole::ClusterSerial | CeRole::Detached => false,
+            CeRole::Detached => false,
         })
     }
 
-    /// The dense SoA batch stepper: run up to `limit` cycles of a busy
-    /// concurrent-loop window in one fused pass, bit-identically to the
-    /// same number of [`Cluster::step_cycle`] calls (probe words
-    /// discarded). Returns how many cycles were advanced; 0 means the very
-    /// next cycle is a CCB-resolution cycle the scalar stepper must run.
+    /// The dense SoA batch stepper: run up to `limit` cycles of a mounted
+    /// cluster program in one fused pass, bit-identically to the same
+    /// number of [`Cluster::step_cycle`] calls (probe words discarded).
+    /// Returns how many cycles were advanced; 0 means the very next cycle
+    /// is a CCB-resolution cycle the scalar stepper must run.
     ///
     /// Where the scalar stepper re-derives every CE's situation from its
     /// state enum each cycle, this kernel packs the lane structure once at
@@ -87,7 +89,16 @@ impl Cluster {
     ///   same-cycle lower-to-higher lane visibility of the scalar loop
     ///   preserved by re-arming the visit word mid-pass;
     /// * per-cycle classification — who issues, who is granted, who waits —
-    ///   is mask expressions and popcounts, not branches.
+    ///   is mask expressions and popcounts, not branches;
+    /// * a cycle that opens with no lane to visit — none ready outside a
+    ///   request or burst segment, no wake due, the sync register clean —
+    ///   starts a quiet stretch, and (with `fast_forward` on) the kernel
+    ///   jumps it: to the earliest wake, bank release or CCB grant-channel
+    ///   release, read straight from its masks. Those are the horizon
+    ///   terms of [`Cluster::skippable`]; the stretch's IP traffic is
+    ///   replayed and its sync and grant waits accrue as `k ×` popcounts.
+    ///   A jump of two or more cycles counts as skipped, as
+    ///   [`Cluster::advance_bulk`] counts its windows.
     ///
     /// The membus start-ring gc is deferred to the window end (legal per
     /// the deferred-gc membus proof).
@@ -119,14 +130,40 @@ impl Cluster {
         let mut stall_resume = [CeBusOp::Idle; MAX_CES];
         let mut sync_target_arr = [0u64; MAX_CES];
         let mut next_wake = u64::MAX;
+
+        // --- Pure compute-burst segments. A lane retiring inside its
+        // probed icache line is inert (one retirement per cycle, no shared
+        // state): it parks in `burst_mask` with its segment end in
+        // `until_arr` and the retirements are applied in closed form when
+        // the segment ends or the window exits. A segment opens wherever a
+        // Ready lane's next cycles are such retirements: at window entry,
+        // after a retirement, and once a fetch fill or a stall wake hands
+        // a mid-burst lane back.
+        let mut burst_mask: LaneWord = 0;
+        let mut burst_from = [0u64; MAX_CES];
+        macro_rules! open_burst {
+            ($id:expr, $from:expr) => {{
+                let h = self.ces[$id].compute_burst_horizon();
+                if h > 0 {
+                    burst_mask |= 1 << $id;
+                    burst_from[$id] = $from;
+                    until_arr[$id] = $from + h;
+                    next_wake = next_wake.min(until_arr[$id]);
+                }
+            }};
+        }
+
         for (id, ce) in self.ces.iter().enumerate() {
-            if ce.role != CeRole::Worker {
+            if !ce.is_ccb_active() {
                 continue; // inert unmounted lane (checked by eligibility)
             }
             let bit: LaneWord = 1 << id;
             active_lanes |= bit;
             match ce.state {
-                CeState::Ready => ready_mask |= bit,
+                CeState::Ready => {
+                    ready_mask |= bit;
+                    open_burst!(id, now);
+                }
                 CeState::AwaitIter => iter_mask |= bit,
                 CeState::AwaitSync { target } => {
                     sync_mask |= bit;
@@ -164,14 +201,6 @@ impl Cluster {
         let mut req_bank = [0usize; MAX_CES];
         let mut req_from = [0u64; MAX_CES];
 
-        // --- Pure compute-burst segments. A lane retiring inside its
-        // probed icache line is inert (one retirement per cycle, no shared
-        // state): it parks in `burst_mask` with its segment end in
-        // `until_arr` and the retirements are applied in closed form when
-        // the segment ends or the window exits.
-        let mut burst_mask: LaneWord = 0;
-        let mut burst_from = [0u64; MAX_CES];
-
         // --- Per-window wait accumulators, flushed once at exit.
         let mut sync_wait_acc = 0u64;
         let mut grant_wait_acc = 0u64;
@@ -179,7 +208,10 @@ impl Cluster {
         // at window entry and on cycles adjacent to a PostSync.
         let mut sync_dirty = sync_mask != 0;
         let hit_cycles = self.cfg.cache_hit_cycles;
+        let jump = self.cfg.fast_forward;
         let mut done = 0u64;
+        // Cycles jumped in stretches of two or more.
+        let mut skipped = 0u64;
 
         while done < limit {
             // A pending iteration request resolves (grant or exhaustion)
@@ -189,6 +221,44 @@ impl Cluster {
             // would have recorded.
             if iter_mask != 0 && self.ccb.grant_horizon(now).is_none() {
                 break;
+            }
+
+            // A quiet stretch: no lane can act until the earliest wake,
+            // bank release or grant-channel release (the channel is busy
+            // whenever `iter_mask` is set, by the check above). These are
+            // `Cluster::skippable`'s horizon terms read from the masks —
+            // stall, fault and burst stamps in `next_wake`, retrying lanes
+            // as occupied banks, `AwaitIter` as the grant horizon,
+            // `AwaitSync` as a clean register, any other Ready lane as
+            // visitable — so a term added there must be added here. The
+            // jump stays in the kernel: handing each quiet stretch back to
+            // that scan and re-packing the lanes after it made a cold
+            // paper study about 30% slower (DESIGN.md §9).
+            if jump
+                && !sync_dirty
+                && now < next_wake
+                && ready_mask & !pending_mask & !burst_mask == 0
+            {
+                let mut end = next_wake.min(now + (limit - done));
+                let mut banks = occupied;
+                while banks != 0 {
+                    let b = banks.trailing_zeros() as usize;
+                    banks &= banks - 1;
+                    end = end.min(self.crossbar.bank_free_at(b));
+                }
+                if iter_mask != 0 {
+                    end = end.min(self.ccb.grant_horizon(now).unwrap_or(now));
+                }
+                let k = end.saturating_sub(now);
+                if k >= 2 {
+                    self.ip.replay(now, k, &mut self.caches, &mut self.membus);
+                    sync_wait_acc += k * sync_mask.count_ones() as u64;
+                    grant_wait_acc += k * iter_mask.count_ones() as u64;
+                    now += k;
+                    done += k;
+                    skipped += k;
+                    continue;
+                }
             }
 
             // Interactive processors: one RNG draw per cycle, replayed in
@@ -229,12 +299,7 @@ impl Cluster {
             // on it). Denied requesters, mid-segment bursts and (on clean
             // cycles) parked sync waiters are excluded: their per-cycle
             // effects are pure accrual, applied as word-wide mask
-            // arithmetic below. `impure` records whether any visited lane
-            // did more than pure waiting; a cycle that stays pure with no
-            // grant means the machine has gone quiescent, and the run
-            // loop's horizon scan can bulk-advance it far more cheaply
-            // than this kernel can step it.
-            let mut impure = false;
+            // arithmetic below.
             let sync_check: LaneWord = if sync_dirty { sync_mask } else { 0 };
             sync_dirty = false;
             let mut sync_handled: LaneWord = 0;
@@ -245,7 +310,6 @@ impl Cluster {
                 let bit: LaneWord = 1 << id;
 
                 if due & bit != 0 {
-                    impure = true;
                     if stall_mask & bit != 0 {
                         // Completion handshake cycle.
                         if stall_resume[id].is_busy() {
@@ -258,13 +322,13 @@ impl Cluster {
                         fault_mask &= !bit;
                     }
                     ready_mask |= bit;
+                    open_burst!(id, now + 1);
                     continue;
                 }
 
                 if sync_mask & bit != 0 {
                     sync_handled |= bit;
                     if self.ccb.sync_reached(sync_target_arr[id]) {
-                        impure = true;
                         self.ces[id].state = CeState::Ready;
                         sync_mask &= !bit;
                         ready_mask |= bit;
@@ -276,9 +340,7 @@ impl Cluster {
 
                 // Ready lane: the shared per-cycle step, then move the lane
                 // between the kernel's masks by what it did.
-                let (step, acted) = self.lane_step(id, now);
-                impure |= acted;
-                match step {
+                match self.lane_step(id, now) {
                     LaneStep::Request(line, kind) => {
                         let b = self.caches.bank_of(line);
                         pending_mask |= bit;
@@ -289,17 +351,7 @@ impl Cluster {
                         bank_req[b] |= bit;
                         occupied |= 1 << b;
                     }
-                    LaneStep::Retired => {
-                        // Pure in-line retirement from here on parks the
-                        // lane in `burst_mask` for its whole segment.
-                        let h = self.ces[id].compute_burst_horizon();
-                        if h > 0 {
-                            burst_mask |= bit;
-                            burst_from[id] = now + 1;
-                            until_arr[id] = now + 1 + h;
-                            next_wake = next_wake.min(until_arr[id]);
-                        }
-                    }
+                    LaneStep::Retired => open_burst!(id, now + 1),
                     LaneStep::Parked(t) => {
                         ready_mask &= !bit;
                         sync_mask |= bit;
@@ -340,12 +392,10 @@ impl Cluster {
 
             // --- Crossbar arbitration over the persistent bank table and
             // cache access for the winners, mask-native.
-            let mut won: LaneWord = 0;
             if pending_mask != 0 {
-                won = self
+                let mut m = self
                     .crossbar
                     .arbitrate_masks(now, &bank_req, occupied, hit_cycles);
-                let mut m = won;
                 while m != 0 {
                     let id = m.trailing_zeros() as usize;
                     m &= m - 1;
@@ -367,21 +417,14 @@ impl Cluster {
                         until_arr[id] = until;
                         stall_resume[id] = CeBusOp::MissWait;
                         next_wake = next_wake.min(until);
+                    } else {
+                        open_burst!(id, now + 1);
                     }
                 }
             }
 
             now += 1;
             done += 1;
-
-            // Quiescent cycle: nothing beyond pure waits, in-segment burst
-            // retirement, or all-denied retry requests happened (a grant
-            // mutates the caches, so `won != 0` keeps the kernel going).
-            // Hand back to the run loop so the closed-form fast-forward
-            // engine can take the stretch from here.
-            if won == 0 && !impure {
-                break;
-            }
         }
 
         if done == 0 {
@@ -421,15 +464,20 @@ impl Cluster {
             let id = m.trailing_zeros() as usize;
             m &= m - 1;
             // Roles only change on the scalar CCB-resolution cycles, so
-            // every worker was CCB-active for the whole window.
+            // every packed lane was CCB-active for the whole window.
             self.ces[id].stats.active_cycles += done;
         }
         let from = self.now;
         self.now = now;
         self.cycles_total += done;
-        self.cycles_dense += done;
+        self.cycles_dense += done - skipped;
+        self.cycles_skipped += skipped;
         if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.push(crate::trace::TraceEvent::DenseWindow { from, cycles: done });
+            tr.push(crate::trace::TraceEvent::DenseWindow {
+                from,
+                cycles: done,
+                skipped,
+            });
         }
         done
     }

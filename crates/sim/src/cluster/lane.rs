@@ -85,39 +85,31 @@ impl Cluster {
     /// fetch, the compute burst, taking the next op (or marking the
     /// iteration boundary), then the op itself.
     ///
-    /// The flag is false only when the lane re-issued a request it already
-    /// held (a pending fetch, or a Load/Store whose fetch and page touch
-    /// are done) or retired a burst instruction: a cycle made only of such
-    /// lanes and denials is quiescent, which the dense kernel hands back to
-    /// the fast-forward engine.
-    ///
     /// The lane functions are inlined into both steppers, and an
     /// unmounted lane returns before the out-of-line refill: on a serial
     /// load seven of eight lanes are unmounted, and a call per such lane
     /// per cycle cost the scalar stepper about 8%.
     #[inline(always)]
-    pub(super) fn lane_step(&mut self, id: CeId, now: Cycle) -> (LaneStep, bool) {
+    pub(super) fn lane_step(&mut self, id: CeId, now: Cycle) -> LaneStep {
         let bit: LaneWord = 1 << id;
         // Pending instruction fetch takes priority over everything.
         if let Some(line) = self.ces[id].pending_ifetch {
-            return (LaneStep::Request(line, ReqKind::IFetch), false);
+            return LaneStep::Request(line, ReqKind::IFetch);
         }
 
         // Continue a compute burst: one instruction per cycle.
         if self.ces[id].compute_left > 0 {
             if let Some(line) = self.ces[id].ifetch_step() {
                 self.ces[id].pending_ifetch = Some(line);
-                return (LaneStep::Request(line, ReqKind::IFetch), true);
+                return LaneStep::Request(line, ReqKind::IFetch);
             }
             self.ces[id].compute_left -= 1;
             self.ces[id].stats.instrs += 1;
-            return (LaneStep::Retired, false);
+            return LaneStep::Retired;
         }
 
         // Need a current op.
-        let mut acted = false;
         if self.ces[id].cur_op.is_none() {
-            acted = true;
             if let Some(op) = self.ces[id].ops.pop_front() {
                 self.ces[id].cur_op = Some(op);
                 self.reset_op_flags(id);
@@ -131,13 +123,13 @@ impl Cluster {
                         if let Some(tr) = self.tracer.as_deref_mut() {
                             tr.iter_wait_since[id] = now;
                         }
-                        return (LaneStep::AwaitIter, true);
+                        return LaneStep::AwaitIter;
                     }
                     // An unmounted lane has no stream to refill from.
-                    CeRole::Inactive => return (LaneStep::Idle, true),
+                    CeRole::Inactive => return LaneStep::Idle,
                     CeRole::ClusterSerial | CeRole::Detached => {
                         if !self.refill_ops(id) {
-                            return (LaneStep::Idle, true); // nothing to do this cycle
+                            return LaneStep::Idle; // nothing to do this cycle
                         }
                         self.ces[id].cur_op = self.ces[id].ops.pop_front();
                         self.reset_op_flags(id);
@@ -147,7 +139,7 @@ impl Cluster {
         }
 
         let Some(op) = self.ces[id].cur_op else {
-            return (LaneStep::Idle, acted);
+            return LaneStep::Idle;
         };
         match op {
             Op::Compute(c) => {
@@ -156,12 +148,12 @@ impl Cluster {
                     // Burst starts after the fetch completes; rewind the
                     // cursor effect by leaving cur_op in place.
                     self.ces[id].pending_ifetch = Some(line);
-                    return (LaneStep::Request(line, ReqKind::IFetch), true);
+                    return LaneStep::Request(line, ReqKind::IFetch);
                 }
                 self.ces[id].stats.instrs += 1;
                 self.ces[id].compute_left = c.saturating_sub(1);
                 self.ces[id].cur_op = None;
-                (LaneStep::Retired, true)
+                LaneStep::Retired
             }
             Op::Load(a) | Op::Store(a) => {
                 let kind = if matches!(op, Op::Store(_)) {
@@ -171,16 +163,14 @@ impl Cluster {
                 };
                 // Instruction fetch for this operand instruction.
                 if self.op_fetched & bit == 0 {
-                    acted = true;
                     self.op_fetched |= bit;
                     if let Some(line) = self.ces[id].ifetch_step() {
                         self.ces[id].pending_ifetch = Some(line);
-                        return (LaneStep::Request(line, ReqKind::IFetch), true);
+                        return LaneStep::Request(line, ReqKind::IFetch);
                     }
                 }
                 // Paging: first touch of the op.
                 if self.vm_checked & bit == 0 {
-                    acted = true;
                     self.vm_checked |= bit;
                     let mode = if a.asid() == KERNEL_ASID {
                         FaultMode::System
@@ -198,26 +188,26 @@ impl Cluster {
                         let until = now + self.cfg.fault_stall_cycles;
                         self.ces[id].state = CeState::FaultStalled { until };
                         self.ces[id].stats.fault_stall_cycles += self.cfg.fault_stall_cycles;
-                        return (LaneStep::Faulted(until), true);
+                        return LaneStep::Faulted(until);
                     }
                 }
                 let line = a.line(self.cfg.cache.line_bytes);
-                (LaneStep::Request(line, kind), acted)
+                LaneStep::Request(line, kind)
             }
             Op::AwaitSync(t) => {
                 self.ces[id].cur_op = None;
                 if self.ccb.sync_reached(t) {
                     // Proceeds next cycle; the check itself costs this one.
-                    return (LaneStep::Idle, true);
+                    return LaneStep::Idle;
                 }
                 self.ces[id].state = CeState::AwaitSync { target: t };
-                (LaneStep::Parked(t), true)
+                LaneStep::Parked(t)
             }
             Op::PostSync(v) => {
                 self.ccb.post_sync(v);
                 self.ces[id].stats.instrs += 1;
                 self.ces[id].cur_op = None;
-                (LaneStep::Posted, true)
+                LaneStep::Posted
             }
         }
     }

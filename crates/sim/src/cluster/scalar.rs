@@ -137,7 +137,7 @@ impl Cluster {
                 CeState::AwaitIter | CeState::AwaitJoin => continue,
                 CeState::Ready => {}
             }
-            if let (LaneStep::Request(line, kind), _) = self.lane_step(id, now) {
+            if let LaneStep::Request(line, kind) = self.lane_step(id, now) {
                 req_bank[id] = Some(self.caches.bank_of(line));
                 req_info[id] = Some((line, kind));
             }

@@ -71,20 +71,6 @@ impl Cluster {
         }
     }
 
-    /// Fast-forward through quiescent cycles: if the machine is provably
-    /// inert for `k` cycles (`1 <= k <= limit`), advance it `k` cycles in
-    /// one bulk pass — bit-identical to `k` calls of [`Cluster::step`] with
-    /// the probe words discarded — and return `k`. Returns 0 when the very
-    /// next cycle could change observable state (or fast-forward is
-    /// disabled), in which case the caller must step normally.
-    pub fn skip_quiescent(&mut self, limit: u64) -> u64 {
-        let plan = self.skippable(limit);
-        if plan.k > 0 {
-            self.advance_bulk(plan);
-        }
-        plan.k
-    }
-
     /// Conservative event horizon: how many cycles (at most `limit`) can be
     /// bulk-advanced because no component can change architecturally
     /// observable state before then. Every term is a *lower bound proof*:
@@ -101,6 +87,10 @@ impl Cluster {
     ///   granted before [`Crossbar::bank_free_at`], and its denials mutate
     ///   nothing but the denial counters ([`Cluster::pure_retry_line`]);
     /// - any other Ready CE forces 0.
+    ///
+    /// The dense kernel jumps the quiet stretches inside its own windows
+    /// on the same terms, read from its lane masks (`Cluster::step_dense`);
+    /// a term added here must be added there.
     ///
     /// Stamp-based components contribute no terms: the membus and crossbar
     /// only mutate when a request reaches them (which forces 0 above), and

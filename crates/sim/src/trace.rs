@@ -146,6 +146,9 @@ pub enum TraceEvent {
         from: Cycle,
         /// Window length.
         cycles: u64,
+        /// Cycles of the window spent in quiet stretches the kernel
+        /// jumped (counted as skipped); the rest were stepped.
+        skipped: u64,
     },
 }
 
@@ -475,11 +478,15 @@ impl ChromeTraceBuilder {
                         tid::ENGINE,
                     ));
                 }
-                TraceEvent::DenseWindow { from, cycles } => {
+                TraceEvent::DenseWindow {
+                    from,
+                    cycles,
+                    skipped,
+                } => {
                     self.raw(&format!(
                         "{{\"name\":\"dense\",\"ph\":\"X\",\"ts\":{},\
                          \"dur\":{},\"pid\":{pid},\"tid\":{},\
-                         \"args\":{{\"cycles\":{cycles}}}}}",
+                         \"args\":{{\"cycles\":{cycles},\"skipped\":{skipped}}}}}",
                         us(from),
                         cycles as f64 * ns_per_cycle as f64 / 1000.0,
                         tid::ENGINE,
@@ -572,6 +579,7 @@ mod tests {
             TraceEvent::DenseWindow {
                 from: 10,
                 cycles: 100,
+                skipped: 40,
             },
             TraceEvent::CcbGrant {
                 at: 110,

@@ -190,3 +190,76 @@ proptest! {
         prop_assert_eq!(&result, &plain, "metrics must be a pure observer");
     }
 }
+
+/// A traced quick study's engine track accounts for every cycle the
+/// engines report, in one event per engine window: per session, the
+/// `fast-forward` slices plus the quiet stretches the dense windows
+/// jumped sum to the skipped cycles, and the dense windows' stepped
+/// cycles to the dense cycles.
+#[test]
+fn engine_track_agrees_with_engine_cycles() {
+    use fx8_study::sim::trace::TraceEvent;
+    let cfg = StudyConfig {
+        machine: MachineConfig {
+            trace: TraceConfig {
+                event_capacity: 1 << 18,
+                ..TraceConfig::full()
+            },
+            ..MachineConfig::fx8()
+        },
+        ..StudyConfig::quick()
+    };
+    let obs = observe(cfg);
+    let mut skipped = 0u64;
+    for s in &obs.sessions {
+        assert_eq!(s.events_dropped, 0, "{}: the ring dropped events", s.label);
+        let (mut jumped, mut dense) = (0u64, 0u64);
+        for ev in &s.events {
+            match *ev {
+                TraceEvent::FastForward { cycles, .. } => jumped += cycles,
+                TraceEvent::DenseWindow {
+                    cycles,
+                    skipped: quiet,
+                    ..
+                } => {
+                    assert!(quiet <= cycles, "{}: window jumped past its end", s.label);
+                    jumped += quiet;
+                    dense += cycles - quiet;
+                }
+                _ => {}
+            }
+        }
+        let e = s.metrics.cycles;
+        assert!(e.consistent(), "{}: engine split must partition", s.label);
+        assert_eq!(
+            jumped, e.skipped,
+            "{}: skipped cycles on the track",
+            s.label
+        );
+        assert_eq!(dense, e.dense, "{}: dense cycles on the track", s.label);
+        skipped += e.skipped;
+    }
+    if !cfg!(feature = "audit") {
+        assert!(skipped > 0, "the quick study skipped nothing");
+    }
+}
+
+/// Engine windows cost one event each — a dense window's jumped quiet
+/// stretches ride in its own event — so the default event ring holds a
+/// whole traced quick study.
+#[test]
+fn default_ring_holds_the_whole_quick_study() {
+    let cfg = StudyConfig {
+        machine: MachineConfig {
+            trace: TraceConfig::full(),
+            ..MachineConfig::fx8()
+        },
+        ..StudyConfig::quick()
+    };
+    let obs = observe(cfg);
+    let dropped: u64 = obs.sessions.iter().map(|s| s.events_dropped).sum();
+    assert_eq!(
+        dropped, 0,
+        "the default ring dropped events of a traced quick study"
+    );
+}

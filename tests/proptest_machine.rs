@@ -170,6 +170,77 @@ proptest! {
         prop_assert_eq!(a.now(), b.now());
     }
 
+    /// CCB activity is role-derived and roles only change on scalar
+    /// cycles: over random loads and widths, `active_count()` is the same
+    /// at both ends of every window `advance_unobserved` takes, and it
+    /// never rises across `run` while nothing is mounted (the role edges
+    /// the auditor's `legal_edge` admits). The first is what the
+    /// analyzer's dormant trigger wait rests on.
+    #[test]
+    fn activity_is_constant_in_unobserved_windows_and_never_rises(
+        kernel in arb_kernel(),
+        seed in 0u64..16,
+        width in prop::sample::select(vec![2usize, 4, 8, 16, 64]),
+        load in 0u8..3,
+    ) {
+        use fx8_study::workload::kernels;
+        let mount = |c: &mut Cluster| match load {
+            0 => c.mount_serial(kernels::scalar_serial().instantiate(1), 1, None),
+            _ => {
+                if load == 2 {
+                    // A detached process keeps its CE off the CCB lines.
+                    c.mount_detached(width - 1, kernels::glue_serial().instantiate(9), 9);
+                }
+                c.mount_loop(
+                    kernel.instantiate(1),
+                    0,
+                    kernel.iters,
+                    kernels::glue_serial().instantiate(1),
+                    1,
+                );
+            }
+        };
+        let machine = || {
+            let mut c = Cluster::new(MachineConfig::scaled(width), seed);
+            c.set_ip_intensity(0.01);
+            mount(&mut c);
+            c
+        };
+        const CYCLES: u64 = 40_000;
+
+        // Window by window, as the run loop and the analyzer take them.
+        let mut c = machine();
+        let mut windows = 0u64;
+        while c.now() < CYCLES {
+            let before = c.active_count();
+            let k = c.advance_unobserved(CYCLES - c.now());
+            if k == 0 {
+                c.step();
+            } else {
+                windows += 1;
+            }
+            let after = c.active_count();
+            prop_assert!(after <= before, "activity rose {} -> {} at {}", before, after, c.now());
+            prop_assert!(
+                k == 0 || after == before,
+                "a {}-cycle window moved activity {} -> {}", k, before, after
+            );
+        }
+        if !cfg!(feature = "audit") {
+            prop_assert!(windows > 0, "no window was ever taken");
+        }
+
+        // Through `run`, in uneven chunks.
+        let mut c = machine();
+        let mut last = c.active_count();
+        for chunk in [1u64, 7, 300, 5_000, 34_692] {
+            c.run(chunk);
+            let now = c.active_count();
+            prop_assert!(now <= last, "activity rose {} -> {} across run", last, now);
+            last = now;
+        }
+    }
+
     /// Cluster execution is deterministic for any kernel/seed pair.
     #[test]
     fn cluster_trace_is_deterministic(kernel in arb_kernel(), seed in 0u64..16) {
