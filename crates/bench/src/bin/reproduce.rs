@@ -407,7 +407,7 @@ const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throu
 /// Measure every row against the committed `current` rows without
 /// rewriting the file. Fails if a gated row (the engine cycles/s rates:
 /// the loop rate guards the dense stepper, the idle / serial / join-wait
-/// rates guard the fast-forward engine) dropped below its tolerance, or
+/// rates guard its jumps) dropped below its tolerance, or
 /// an exactly gated row (the engines' stepping-mix ratios) changed. The
 /// verdicts come from [`throughput::regression_outcomes`]; this function
 /// only narrates them. Rows whose fresh windows never settled under the

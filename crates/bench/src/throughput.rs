@@ -39,7 +39,7 @@ use std::time::Instant;
 /// (`engine.loop_cycles_per_s`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layer {
-    /// The cycle stepper: scalar, fast-forward and dense engines.
+    /// The cycle stepper: the scalar stepper and the dense kernel.
     Engine,
     /// DAS 9100 acquisition and event-count reduction.
     Monitor,
@@ -312,7 +312,7 @@ pub fn loop_cluster(seed: u64) -> Cluster {
 /// A cluster running a dependence-bound "join-wait" loop: nearly the whole
 /// iteration body sits inside the iteration-carried critical section, so
 /// at any instant one CE computes while the other seven block on the CCB
-/// sync register — the fast-forward engine's best mounted-workload case.
+/// sync register — the kernel's jumps' best mounted-workload case.
 pub fn join_wait_cluster(seed: u64) -> Cluster {
     let mut c = idle_cluster(seed);
     let k = kernels::LoopKernel {

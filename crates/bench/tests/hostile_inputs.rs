@@ -424,6 +424,28 @@ fn studies_of_any_width_execute_and_report() {
     }
 }
 
+/// A crossbar wider than the widest the machine builds (16 banks) is
+/// refused with the typed config error before any session runs.
+#[test]
+fn a_study_with_32_banks_is_refused_unrun() {
+    let mut config = study_of_width(8);
+    config.machine.cache.banks = 32;
+    let sessions = std::sync::atomic::AtomicUsize::new(0);
+    let on_session = |_: api::SessionDone| {
+        sessions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    };
+    let hooks = api::RunHooks {
+        on_session: Some(&on_session),
+        ..api::RunHooks::default()
+    };
+    let Err(err) = api::execute_with(&JobRequest::study(config), None, &hooks) else {
+        panic!("a 32-bank machine must be refused");
+    };
+    assert_eq!(err.code, "config/range-cache-banks", "{err:?}");
+    assert_eq!(err.http_status(), 422);
+    assert_eq!(sessions.into_inner(), 0, "a session ran");
+}
+
 /// A 4-CE study submitted over loopback HTTP runs to `done`.
 #[test]
 fn a_narrow_study_over_http_reaches_done() {

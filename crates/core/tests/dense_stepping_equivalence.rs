@@ -451,3 +451,112 @@ fn dense_kernel_jumps_are_bit_identical_to_stepping_the_stretch() {
         }
     }
 }
+
+/// Serial code that misses on every load: a line-strided march over 1 MB.
+fn missing_code(asid: fx8_sim::Asid) -> Box<dyn SerialCode> {
+    Box::new(StridedSerial::new(
+        CodeRegion {
+            base: VAddr::new(asid, 0),
+            footprint_bytes: 512,
+            bytes_per_instr: 4,
+        },
+        VAddr::new(asid, 0x10_0000),
+        32,
+        1 << 20,
+        3,
+    ))
+}
+
+/// In the dense kernel, an idle machine under an armed probe deadline,
+/// detached lanes beside a loop and beside a serial section, and a
+/// remount while a detached lane is stalled on a miss land where the
+/// scalar stepper does, with both knobs off as the oracle, at widths 2, 8
+/// and 64.
+#[test]
+fn idle_and_detached_machines_are_bit_identical_at_widths_2_8_64() {
+    let idle: fn(&mut Cluster, &mut Vec<fx8_sim::ProbeWord>) = |c, words| {
+        for _ in 0..4 {
+            c.set_next_probe_at(Some(c.now() + 3_001));
+            c.run(4_000);
+            c.set_next_probe_at(None);
+            c.run(2_000);
+            words.extend(c.capture(50));
+        }
+    };
+    let beside_loop: fn(&mut Cluster, &mut Vec<fx8_sim::ProbeWord>) = |c, words| {
+        c.mount_detached(1, serial_code(9), 9);
+        c.mount_loop(loop_body(1), 0, 3_000, serial_code(1), 1);
+        for _ in 0..4 {
+            c.run(8_000);
+            words.extend(c.capture(50));
+        }
+    };
+    let beside_serial: fn(&mut Cluster, &mut Vec<fx8_sim::ProbeWord>) = |c, words| {
+        c.mount_detached(1, missing_code(9), 9);
+        c.mount_serial(serial_code(1), 1, None);
+        c.run(5_000);
+        words.extend(c.capture(50));
+        // A miss charges its whole stall on the cycle it is taken; the
+        // lane stays stalled through the next cycle at least.
+        let missed = c.ce_stats(1).miss_stall_cycles;
+        while c.ce_stats(1).miss_stall_cycles == missed {
+            assert!(c.now() < 50_000, "the detached lane never missed");
+            c.step();
+        }
+        c.mount_loop(loop_body(1), 0, 2_000, serial_code(1), 1);
+        for _ in 0..3 {
+            c.run(8_000);
+            words.extend(c.capture(50));
+        }
+    };
+    for (name, drive_load) in [
+        ("idle", idle),
+        ("detached beside a loop", beside_loop),
+        ("detached beside a serial section", beside_serial),
+    ] {
+        for width in [2usize, 8, 64] {
+            let drive = |engines: bool| {
+                let cfg = MachineConfig {
+                    dense_stepping: engines,
+                    fast_forward: engines,
+                    ..MachineConfig::scaled(width)
+                };
+                let mut c = Cluster::new(cfg, 42 + width as u64);
+                c.set_ip_intensity(0.12);
+                let mut words = Vec::new();
+                drive_load(&mut c, &mut words);
+                (c.state_digest(), words, c.engine_cycles())
+            };
+            let (d_on, w_on, e_on) = drive(true);
+            let (d_off, w_off, _) = drive(false);
+            assert_eq!(d_on, d_off, "{name} width {width}: machine state diverged");
+            assert_eq!(w_on, w_off, "{name} width {width}: probe stream diverged");
+            if !cfg!(feature = "audit") {
+                assert!(
+                    e_on.dense + e_on.skipped > e_on.scalar,
+                    "{name} width {width}: the kernel did not take it: {e_on:?}"
+                );
+            }
+        }
+    }
+}
+
+/// With `dense_stepping` off every cycle is scalar: `fast_forward` is the
+/// kernel's jump switch and jumps nothing on its own.
+#[test]
+fn dense_stepping_off_skips_nothing_even_with_fast_forward_on() {
+    let idle: fn(&mut Cluster) = |_| {};
+    let serial: fn(&mut Cluster) = |c| c.mount_serial(serial_code(1), 1, None);
+    let looping: fn(&mut Cluster) = |c| c.mount_loop(loop_body(1), 0, 2_000, serial_code(1), 1);
+    for mount in [idle, serial, looping] {
+        let cfg = MachineConfig {
+            fast_forward: true,
+            ..machine(false)
+        };
+        let mut c = Cluster::new(cfg, 42);
+        mount(&mut c);
+        c.run(20_000);
+        let e = c.engine_cycles();
+        assert_eq!((e.scalar, e.total), (20_000, 20_000), "{e:?}");
+    }
+}

@@ -170,8 +170,8 @@ impl DasMonitor {
         }
     }
 
-    /// While armed and dormant, let the cluster advance unobserved —
-    /// bulk-skipped or dense windows ([`Cluster::advance_unobserved`]) —
+    /// While armed and dormant, let the cluster advance unobserved — dense
+    /// windows, quiet stretches jumped ([`Cluster::advance_unobserved`]) —
     /// instead of evaluating records one by one. CCB activity is constant
     /// inside each such window, so a trigger dormant at the window's
     /// activity cannot fire inside it ([`TriggerState::dormant`]), and the

@@ -199,13 +199,13 @@ impl Ccb {
         self.stats.sync_wait_cycles += 1;
     }
 
-    /// Bulk form of [`Ccb::note_sync_wait`]: the fast-forward path charges
-    /// a whole skipped window of blocked cycles at once.
+    /// Bulk form of [`Ccb::note_sync_wait`]: the dense kernel charges a
+    /// whole window of blocked cycles at once.
     pub(crate) fn note_sync_waits(&mut self, cycles: u64) {
         self.stats.sync_wait_cycles += cycles;
     }
 
-    /// Bulk grant-channel wait accounting for the fast-forward path: while
+    /// Bulk grant-channel wait accounting for the dense kernel: while
     /// the channel is busy, [`Ccb::arbitrate_into`] charges one
     /// `grant_wait_cycles` per requester per cycle and mutates nothing
     /// else, so a skipped window of `cycles` with `requesters` CEs in

@@ -266,7 +266,7 @@ impl Ce {
     /// How many steps of the current compute burst are guaranteed to be
     /// pure retirement — no icache probe, no shared-cache traffic, no state
     /// change beyond the fetch cursor and the instruction counter — so the
-    /// fast-forward engine may take them in one bulk pass.
+    /// dense kernel may take them in one closed-form segment.
     ///
     /// Conservative by construction: it only counts steps where
     /// [`Self::ifetch_step`] would early-return on the `last_fetch_line`

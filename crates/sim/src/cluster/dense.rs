@@ -1,64 +1,47 @@
-//! The dense batch kernel: windows of a mounted loop or serial section
-//! stepped as whole-word lane masks, with quiet stretches jumped. It
-//! schedules; each lane it visits acts through the shared
-//! [`Cluster::lane_step`], [`Cluster::lane_wake`] and
-//! [`Cluster::lane_grant`], so only *when* a lane is visited and how its
-//! pure per-cycle effects are accrued differ from the scalar stepper.
+//! The dense batch kernel: the one fast engine. Windows of whatever the
+//! cluster holds — an idle machine, a serial section, a concurrent loop or
+//! its drain, detached processes beside any of them — are stepped as
+//! whole-word lane masks, with quiet stretches jumped. It schedules; each
+//! lane it visits acts through the shared [`Cluster::lane_step`],
+//! [`Cluster::lane_wake`] and [`Cluster::lane_grant`], so only *when* a
+//! lane is visited and how its pure per-cycle effects are accrued differ
+//! from the scalar stepper.
 
 use super::lane::{LaneStep, ReqKind};
-use super::{Cluster, Load};
+use super::Cluster;
 use crate::ce::{CeRole, CeState};
+use crate::config::MAX_BANKS;
 use crate::opcode::CeBusOp;
 use crate::probe::MAX_CES;
 use crate::LaneWord;
 
-/// Widest cache-bank geometry the dense stepper's fixed-size per-bank
-/// requester masks cover; wider (unvalidated, test-only) geometries fall
-/// back to the scalar stepper.
-const DENSE_MAX_BANKS: usize = 16;
-
 impl Cluster {
-    /// Whether the machine is in the dense stepper's domain: a mounted
-    /// cluster program — a concurrent loop or a serial section — whose CEs
-    /// are all workers, the one serial lane, or fully inert unmounted
-    /// lanes. In that regime every per-cycle effect is one the SoA kernel
-    /// replicates inline — the CCB-resolution cycles it cannot (grants,
-    /// exhaustion, promotion) make it bail back to the scalar stepper. A
-    /// detached CE keeps the machine on the scalar stepper. Forced off
+    /// Whether the dense kernel may take the machine: every unmounted lane
+    /// is provably inert, so the kernel can ignore it entirely. Every other
+    /// lane — worker, serial, detached — is packed, and the cycles the
+    /// kernel cannot replicate inline (CCB grants, exhaustion, join and
+    /// promotion) end its window and run on the scalar stepper. Forced off
     /// under the `audit` feature so the per-cycle auditor keeps observing
     /// every cycle, and by the `dense_stepping` config knob.
     pub(super) fn dense_eligible(&self) -> bool {
         if cfg!(feature = "audit") || !self.cfg.dense_stepping {
             return false;
         }
-        if matches!(self.load, Load::Idle) {
-            return false;
-        }
-        // The kernel's bank-conflict masks are fixed-width.
-        if self.cfg.cache.banks > DENSE_MAX_BANKS {
-            return false;
-        }
-        self.ces.iter().all(|ce| match ce.role {
-            CeRole::Worker | CeRole::ClusterSerial => true,
-            // An unmounted lane is eligible only when provably inert: it
-            // then contributes nothing to any cycle, so the kernel can
-            // ignore it entirely.
-            CeRole::Inactive => {
-                ce.state == CeState::Ready
+        self.ces.iter().all(|ce| {
+            ce.role != CeRole::Inactive
+                || (ce.state == CeState::Ready
                     && ce.cur_op.is_none()
                     && ce.ops.is_empty()
                     && ce.compute_left == 0
-                    && ce.pending_ifetch.is_none()
-            }
-            CeRole::Detached => false,
+                    && ce.pending_ifetch.is_none())
         })
     }
 
-    /// The dense SoA batch stepper: run up to `limit` cycles of a mounted
-    /// cluster program in one fused pass, bit-identically to the same
-    /// number of [`Cluster::step_cycle`] calls (probe words discarded).
-    /// Returns how many cycles were advanced; 0 means the very next cycle
-    /// is a CCB-resolution cycle the scalar stepper must run.
+    /// The dense SoA batch stepper: run up to `limit` cycles in one fused
+    /// pass, bit-identically to the same number of [`Cluster::step_cycle`]
+    /// calls (probe words discarded). Returns how many cycles were
+    /// advanced; 0 means the very next cycle is a CCB-resolution cycle the
+    /// scalar stepper must run.
     ///
     /// Where the scalar stepper re-derives every CE's situation from its
     /// state enum each cycle, this kernel packs the lane structure once at
@@ -77,36 +60,47 @@ impl Cluster {
     ///   stamped at the request cycle and closed in closed form at the
     ///   grant (or at window exit): every cycle of it occupies the CE bus,
     ///   and every cycle but the granted one is a denial, charged through
-    ///   [`Crossbar::note_denied_retries`] — the same closed-form movement
-    ///   the fast-forward engine uses;
+    ///   [`Crossbar::note_denied_retries`];
     /// * a lane retiring a compute burst inside its probed icache line is
     ///   not revisited: its pure-retirement segment is bounded by
     ///   [`Ce::compute_burst_horizon`] and applied in closed form at the
-    ///   segment end ([`Ce::advance_compute_burst`]), exactly as the
-    ///   fast-forward engine does across quiescent windows;
-    /// * sync waiters are revisited only on cycles adjacent to a
-    ///   `PostSync` (the sync register cannot otherwise move), with the
-    ///   same-cycle lower-to-higher lane visibility of the scalar loop
-    ///   preserved by re-arming the visit word mid-pass;
+    ///   segment end ([`Ce::advance_compute_burst`]);
+    /// * sync waiters are revisited only when the register can have moved
+    ///   for them — at entry if some target is already reached, then on
+    ///   cycles adjacent to a `PostSync` — with the same-cycle
+    ///   lower-to-higher lane visibility of the scalar loop preserved by
+    ///   re-arming the visit word mid-pass;
+    /// * a serial successor parked in `AwaitJoin` is inert until the last
+    ///   iteration completes; its worker then awaits an iteration the
+    ///   exhausted CCB cannot grant, which ends the window, and the join
+    ///   resolves on the next (scalar) cycle;
     /// * per-cycle classification — who issues, who is granted, who waits —
     ///   is mask expressions and popcounts, not branches;
     /// * a cycle that opens with no lane to visit — none ready outside a
-    ///   request or burst segment, no wake due, the sync register clean —
+    ///   request or burst segment, no wake due, no sync waiter to re-check —
     ///   starts a quiet stretch, and (with `fast_forward` on) the kernel
-    ///   jumps it: to the earliest wake, bank release or CCB grant-channel
-    ///   release, read straight from its masks. Those are the horizon
-    ///   terms of [`Cluster::skippable`]; the stretch's IP traffic is
-    ///   replayed and its sync and grant waits accrue as `k ×` popcounts.
-    ///   A jump of two or more cycles counts as skipped, as
-    ///   [`Cluster::advance_bulk`] counts its windows.
+    ///   jumps it to its event horizon, read straight from the masks: the
+    ///   earliest stall, fault or burst stamp, the release of a bank a
+    ///   pending lane waits on ([`Crossbar::bank_free_at`]), the CCB
+    ///   grant channel's release while a lane awaits an iteration, the
+    ///   window limit. Nothing else can act first: the membus and crossbar
+    ///   only change when a request reaches them and the caches only react.
+    ///   The IP subsystem acts every cycle but never reads CE state, so
+    ///   the stretch replays its RNG draw for draw; sync and grant waits
+    ///   accrue as `k ×` popcounts. An idle machine packs no lane, so its
+    ///   whole window is one jump. A jump of two or more cycles counts as
+    ///   skipped.
     ///
-    /// The membus start-ring gc is deferred to the window end (legal per
-    /// the deferred-gc membus proof).
+    /// The membus start-ring gc is deferred to the window end: gc is a
+    /// monotone threshold-pop and `schedule`'s insertion search never lands
+    /// on stale entries (the `deferred_gc_matches_per_cycle_gc` membus
+    /// test).
     ///
     /// The window ends at `limit`, at the armed-probe deadline, or at the
     /// first cycle where the CCB would resolve an iteration request (grant
     /// or exhaustion): those cycles run iteration generation, daisy-chain
-    /// stalls, unmounting and serial promotion, which stay scalar.
+    /// stalls, unmounting, the join and serial promotion, which stay
+    /// scalar.
     pub(super) fn step_dense(&mut self, mut limit: u64) -> u64 {
         debug_assert!(self.dense_eligible());
         let mut now = self.now;
@@ -153,12 +147,20 @@ impl Cluster {
             }};
         }
 
+        // Sync waiters re-check the register only when it can have moved:
+        // at entry if some waiter's target is already reached, then on
+        // cycles adjacent to a PostSync.
+        let mut sync_dirty = false;
         for (id, ce) in self.ces.iter().enumerate() {
-            if !ce.is_ccb_active() {
+            if ce.role == CeRole::Inactive {
                 continue; // inert unmounted lane (checked by eligibility)
             }
             let bit: LaneWord = 1 << id;
-            active_lanes |= bit;
+            // A detached lane steps like any other but never asserts CCB
+            // activity.
+            if ce.is_ccb_active() {
+                active_lanes |= bit;
+            }
             match ce.state {
                 CeState::Ready => {
                     ready_mask |= bit;
@@ -168,10 +170,14 @@ impl Cluster {
                 CeState::AwaitSync { target } => {
                     sync_mask |= bit;
                     sync_target_arr[id] = target;
+                    sync_dirty |= self.ccb.sync_reached(target);
                 }
-                // A worker only parks in AwaitJoin on a CCB-resolution
-                // cycle, which the scalar stepper owns.
-                CeState::AwaitJoin => return 0,
+                // A serial successor parked on the join is inert. The
+                // cycle that completes the loop's last iteration leaves
+                // its worker awaiting an iteration the exhausted CCB
+                // cannot grant, which ends the window at the next cycle:
+                // the join resolves there, on the scalar stepper.
+                CeState::AwaitJoin => {}
                 CeState::Stalled { until, resume_op } => {
                     stall_mask |= bit;
                     until_arr[id] = until;
@@ -194,7 +200,7 @@ impl Cluster {
         // wait is a segment from `req_from`, closed at the grant or at
         // window exit.
         let mut pending_mask: LaneWord = 0;
-        let mut bank_req: [LaneWord; DENSE_MAX_BANKS] = [0; DENSE_MAX_BANKS];
+        let mut bank_req: [LaneWord; MAX_BANKS] = [0; MAX_BANKS];
         let mut occupied = 0u32;
         let mut req_line = [crate::addr::LineId(0); MAX_CES];
         let mut req_kind = [ReqKind::Read; MAX_CES];
@@ -204,9 +210,6 @@ impl Cluster {
         // --- Per-window wait accumulators, flushed once at exit.
         let mut sync_wait_acc = 0u64;
         let mut grant_wait_acc = 0u64;
-        // Sync waiters re-check the register only when it can have moved:
-        // at window entry and on cycles adjacent to a PostSync.
-        let mut sync_dirty = sync_mask != 0;
         let hit_cycles = self.cfg.cache_hit_cycles;
         let jump = self.cfg.fast_forward;
         let mut done = 0u64;
@@ -225,15 +228,9 @@ impl Cluster {
 
             // A quiet stretch: no lane can act until the earliest wake,
             // bank release or grant-channel release (the channel is busy
-            // whenever `iter_mask` is set, by the check above). These are
-            // `Cluster::skippable`'s horizon terms read from the masks —
-            // stall, fault and burst stamps in `next_wake`, retrying lanes
-            // as occupied banks, `AwaitIter` as the grant horizon,
-            // `AwaitSync` as a clean register, any other Ready lane as
-            // visitable — so a term added there must be added here. The
-            // jump stays in the kernel: handing each quiet stretch back to
-            // that scan and re-packing the lanes after it made a cold
-            // paper study about 30% slower (DESIGN.md §9).
+            // whenever `iter_mask` is set, by the check above). Parked
+            // sync waiters and join lanes wait on a Ready lane, which
+            // would be visitable.
             if jump
                 && !sync_dirty
                 && now < next_wake
@@ -375,8 +372,9 @@ impl Cluster {
                         until_arr[id] = until;
                         next_wake = next_wake.min(until);
                     }
-                    // Inactive lanes never enter the masks, so a lane that
-                    // runs out of ops is a worker at its iteration boundary.
+                    // Inactive lanes never enter the masks and detached
+                    // ones refill, so a lane that runs out of ops is a
+                    // worker at its iteration boundary.
                     LaneStep::AwaitIter => {
                         ready_mask &= !bit;
                         iter_mask |= bit;
@@ -431,8 +429,7 @@ impl Cluster {
             return 0;
         }
         // --- Window-exit flush: the per-cycle effects accrued in closed
-        // form. The start-ring gc is deferred to the window end (the same
-        // legality argument as `advance_bulk`'s).
+        // form, and the deferred start-ring gc.
         let mut m = burst_mask;
         while m != 0 {
             let id = m.trailing_zeros() as usize;
@@ -464,7 +461,7 @@ impl Cluster {
             let id = m.trailing_zeros() as usize;
             m &= m - 1;
             // Roles only change on the scalar CCB-resolution cycles, so
-            // every packed lane was CCB-active for the whole window.
+            // every CCB-active lane was active for the whole window.
             self.ces[id].stats.active_cycles += done;
         }
         let from = self.now;

@@ -9,17 +9,17 @@
 //!
 //! This module holds the machine's state, its mounts and the run loop that
 //! picks a stepping engine per stretch of cycles. What one CE does on one
-//! cycle is written once, in `lane`; the three engines share it and differ
+//! cycle is written once, in `lane`; the two engines share it and differ
 //! only in scheduling:
 //!
-//! * `scalar` — [`Cluster::step`]'s per-cycle stepper, the oracle;
-//! * `skip` — closed-form fast-forward over provably quiescent windows;
-//! * `dense` — the SoA batch kernel for mounted loops and serial sections.
+//! * `scalar` — [`Cluster::step`]'s per-cycle stepper, the oracle, which
+//!   also owns the CCB-resolution cycles (grants, exhaustion, join);
+//! * `dense` — the SoA batch kernel for every stretch no analyzer
+//!   observes, idle or loaded, which jumps its own quiet stretches.
 
 mod dense;
 mod lane;
 mod scalar;
-mod skip;
 
 use crate::addr::KERNEL_ASID;
 use crate::ccb::Ccb;
@@ -99,16 +99,17 @@ pub struct Cluster {
     detached: Vec<Option<(Box<dyn SerialCode>, Asid)>>,
     fault_seq: u64,
     /// Earliest future cycle an armed analyzer needs to observe; the
-    /// fast-forward engine never skips up to or past it, so a monitor can
+    /// dense kernel never runs up to or past it, so a monitor can
     /// thread its probe/timeout deadline through [`Cluster::set_next_probe_at`]
     /// and still see every cycle it cares about stepped individually.
     next_probe_at: Option<Cycle>,
-    /// Cycles advanced by the fast-forward engine (a subset of
-    /// `cycles_total`). Intentionally absent from [`Cluster::state_digest`]:
-    /// the skip ratio is the one piece of state that differs by design
-    /// between the fast-forward and per-cycle trajectories.
+    /// Cycles the dense kernel jumped in quiet stretches of two or more (a
+    /// subset of `cycles_total`). Intentionally absent from
+    /// [`Cluster::state_digest`]: the skip ratio is the one piece of state
+    /// that differs by design between the jumping and per-cycle
+    /// trajectories.
     cycles_skipped: u64,
-    /// Cycles advanced by the dense SoA batch stepper (a subset of
+    /// Cycles the dense SoA batch stepper stepped (a subset of
     /// `cycles_total`, disjoint from `cycles_skipped`). Like the skip
     /// counter, this is bookkeeping about *how* the machine advanced and
     /// is excluded from [`Cluster::state_digest`].
@@ -270,11 +271,13 @@ impl Cluster {
         self.load = Load::Idle;
         self.ccb.clear();
         for i in 0..self.ces.len() {
+            // A detached CE keeps running through the remount, mid-miss
+            // or mid-op included.
             if self.detached[i].is_none() {
                 self.ces[i].unmount();
+                self.resume_actions[i] = None;
+                self.reset_op_flags(i);
             }
-            self.resume_actions[i] = None;
-            self.reset_op_flags(i);
         }
         let now = self.now;
         if let Some(tr) = self.tracer.as_deref_mut() {
@@ -385,9 +388,9 @@ impl Cluster {
     /// Run `n` cycles, discarding the probe words. Takes the quiet fast
     /// path: the machine advances bit-identically to [`Cluster::step`],
     /// but the memory-bus probe decode is skipped since no analyzer is
-    /// armed to read it. Every stretch the engines can take goes through
-    /// [`Cluster::advance_unobserved`]; the cycles they cannot fall back
-    /// to the scalar per-cycle stepper.
+    /// armed to read it. Every stretch the dense kernel can take goes
+    /// through [`Cluster::advance_unobserved`]; the cycles it cannot fall
+    /// back to the scalar per-cycle stepper.
     pub fn run(&mut self, n: u64) {
         let end = self.now + n;
         while self.now < end {
@@ -398,9 +401,8 @@ impl Cluster {
     }
 
     /// Advance one stretch of at most `limit` cycles that no analyzer
-    /// observes, on the cheapest engine that can take it: a provably
-    /// quiescent window in closed form (the fast-forward engine), else a
-    /// dense window of a mounted program (the dense kernel).
+    /// observes, as one window of the dense kernel (which jumps the
+    /// stretch's quiet cycles when `fast_forward` is on).
     /// Returns the cycles advanced, bit-identically to that many
     /// [`Cluster::step`] calls with the probe words discarded; 0 means
     /// the next cycle must be stepped by the scalar stepper. Never runs
@@ -411,15 +413,11 @@ impl Cluster {
     /// stretch this returns: an armed analyzer whose trigger is dormant
     /// at that count can let the stretch pass unseen.
     pub fn advance_unobserved(&mut self, limit: u64) -> u64 {
-        let plan = self.skippable(limit);
-        if plan.k > 0 {
-            self.advance_bulk(plan);
-            return plan.k;
-        }
         if self.dense_eligible() {
-            return self.step_dense(limit);
+            self.step_dense(limit)
+        } else {
+            0
         }
-        0
     }
 
     /// Run `n` cycles, collecting the probe words.
@@ -465,7 +463,7 @@ impl Cluster {
         self.step_cycle(true)
     }
 
-    /// Tell the fast-forward and dense engines the earliest future cycle
+    /// Tell the dense kernel the earliest future cycle
     /// an armed analyzer must observe. [`Cluster::advance_unobserved`]
     /// will stop short of it so the monitor steps that cycle itself; pass
     /// `None` to lift the cap.
@@ -474,7 +472,7 @@ impl Cluster {
     }
 
     /// Cycles retired per stepping engine. Scalar cycles are the remainder
-    /// once the dense and fast-forward engines account for theirs, so the
+    /// once the dense kernel accounts for its stepped and jumped ones, so the
     /// split always partitions `cycles_total`. This is bookkeeping about
     /// *how* the machine was advanced, not machine state — it is excluded
     /// from [`Cluster::state_digest`] on purpose.
@@ -551,7 +549,7 @@ impl Cluster {
     /// Number of CEs currently concurrency-active: the population count the
     /// next probe word's `active_mask` would report. Armed monitors use
     /// this to decide whether their trigger is dormant (and the machine can
-    /// fast-forward) without stepping a cycle.
+    /// advance unobserved) without stepping a cycle.
     pub fn active_count(&self) -> u32 {
         self.ces.iter().filter(|ce| ce.is_ccb_active()).count() as u32
     }
@@ -992,6 +990,74 @@ mod tests {
         assert_eq!((e.skipped, e.total), (0, 1_000));
     }
 
+    /// A remount leaves a detached CE's in-flight miss alone: the CE wakes
+    /// to fill its line or finish its op, not to issue the request again.
+    #[test]
+    fn a_remount_keeps_a_detached_miss_in_flight() {
+        let mut c = cluster();
+        c.mount_detached(5, serial_code(9), 9);
+        while c.resume_actions[5].is_none() {
+            assert!(c.now() < 10_000, "the detached CE never missed");
+            c.step();
+        }
+        let in_flight = (c.resume_actions[5], c.vm_checked, c.op_fetched);
+        c.mount_serial(serial_code(1), 1, None);
+        assert_eq!((c.resume_actions[5], c.vm_checked, c.op_fetched), in_flight);
+    }
+
+    /// The dense kernel carries a drain whose successor awaits the join,
+    /// accruing its active cycles, and leaves the join to the scalar
+    /// stepper on the cycle after the last iteration completes.
+    #[cfg(not(feature = "audit"))]
+    #[test]
+    fn a_parked_join_runs_dense_and_resolves_on_the_scalar_cycle() {
+        /// A loop whose last iteration is its shortest, so the serial
+        /// successor finishes first and parks in `AwaitJoin` while the other
+        /// workers drain.
+        struct ShortTail(u64);
+
+        impl LoopBody for ShortTail {
+            fn code(&self) -> CodeRegion {
+                CodeRegion {
+                    base: VAddr::new(1, 0x1000),
+                    footprint_bytes: 256,
+                    bytes_per_instr: 4,
+                }
+            }
+            fn gen_iteration(&mut self, iter: u64, _ce: CeId, out: &mut Vec<Op>) {
+                out.push(Op::Load(VAddr::new(1, 0x20_0000 + 64 * iter)));
+                out.push(Op::Compute(if iter + 1 < self.0 { 600 } else { 20 }));
+            }
+        }
+
+        let drive = |engines: bool| {
+            let mut cfg = MachineConfig::fx8();
+            cfg.dense_stepping = engines;
+            cfg.fast_forward = engines;
+            let mut c = Cluster::new(cfg, 42);
+            c.set_ip_intensity(0.12);
+            c.mount_loop(Box::new(ShortTail(40)), 0, 40, serial_code(1), 1);
+            let mut joined_dense = 0;
+            while c.load_kind() == LoadKind::Loop {
+                let joined = c.ces.iter().any(|ce| ce.state == CeState::AwaitJoin);
+                match c.advance_unobserved(500) {
+                    0 => _ = c.step_cycle(false),
+                    k if joined => joined_dense += k,
+                    _ => {}
+                }
+                assert!(c.now() < 200_000, "the loop never drained");
+            }
+            c.run(2_000);
+            let words = c.capture(200);
+            (c.state_digest(), words, joined_dense)
+        };
+        let (d_on, w_on, joined_dense) = drive(true);
+        let (d_off, w_off, _) = drive(false);
+        assert!(joined_dense > 0, "no window ran beside the parked join");
+        assert_eq!(d_on, d_off, "the drain diverged the machine state");
+        assert_eq!(w_on, w_off, "the drain diverged the probe stream");
+    }
+
     #[cfg(feature = "audit")]
     #[test]
     fn audit_builds_never_skip() {
@@ -1099,68 +1165,5 @@ mod tests {
         assert!(m.cycles.consistent());
         assert_eq!(m.events_recorded, 0);
         assert_eq!(m.ccb_grant_latency.count, 0);
-    }
-}
-
-#[cfg(test)]
-mod ff_profile {
-    use super::*;
-    use crate::config::MachineConfig;
-
-    #[test]
-    #[ignore]
-    fn classify_serial_stepped_cycles() {
-        let mut c = Cluster::new(MachineConfig::fx8(), 2);
-        c.set_ip_intensity(0.015);
-        // Approximates the bench's scalar-serial kernel: ~5 compute per
-        // memory ref over a 64 KB hot set and a 48 KB code footprint.
-        c.mount_serial(
-            Box::new(crate::stream::StridedSerial::new(
-                crate::stream::CodeRegion {
-                    base: crate::addr::VAddr::new(1, 0),
-                    footprint_bytes: 48 * 1024,
-                    bytes_per_instr: 4,
-                },
-                crate::addr::VAddr::new(1, 0x10_0000),
-                96,
-                64 * 1024,
-                5,
-            )),
-            1,
-            None,
-        );
-        c.run(5_000);
-        let mut stepped = 0u64;
-        let mut skipped = 0u64;
-        let mut windows = std::collections::BTreeMap::new();
-        let mut classes = std::collections::BTreeMap::new();
-        let end = c.now + 500_000;
-        while c.now < end {
-            let plan = c.skippable(end - c.now);
-            if plan.k > 0 {
-                let k = plan.k;
-                skipped += k;
-                *windows.entry(k.min(16)).or_insert(0u64) += 1;
-                c.advance_bulk(plan);
-            } else {
-                stepped += 1;
-                let ce = &c.ces[0];
-                let class = match ce.state {
-                    CeState::Stalled { until, .. } if until <= c.now => "resume",
-                    CeState::Stalled { .. } => "stall-other",
-                    CeState::Ready if ce.pending_ifetch.is_some() => "ifetch-retry",
-                    CeState::Ready if ce.compute_left > 0 => "burst-boundary",
-                    CeState::Ready if ce.cur_op.is_some() => "cur-op",
-                    CeState::Ready if !ce.ops.is_empty() => "dispatch",
-                    CeState::Ready => "refill",
-                    _ => "other",
-                };
-                *classes.entry(class).or_insert(0u64) += 1;
-                c.step_cycle(false);
-            }
-        }
-        eprintln!("stepped={stepped} skipped={skipped}");
-        eprintln!("window sizes (capped 16): {windows:?}");
-        eprintln!("stepped classes: {classes:?}");
     }
 }

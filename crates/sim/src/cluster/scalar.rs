@@ -1,5 +1,5 @@
-//! The scalar stepper: one bus cycle at a time, the oracle the other two
-//! engines must match bit for bit. It owns what happens *around* the lanes
+//! The scalar stepper: one bus cycle at a time, the oracle the dense
+//! kernel must match bit for bit. It owns what happens *around* the lanes
 //! — CCB iteration dispatch and join, the crossbar's request vectors, the
 //! probe word and the per-cycle audit hook — and leaves each lane's own
 //! behaviour to [`Cluster::lane_step`] and its siblings.
@@ -59,9 +59,9 @@ impl Cluster {
                         };
                         self.reset_op_flags(id);
                         // Grants only ever land in the scalar stepper (the
-                        // dense kernel bails on grant cycles and bulk
-                        // windows never contain one), so this is the single
-                        // dispatch-to-grant measurement point.
+                        // dense kernel ends its window before a grant
+                        // cycle), so this is the single dispatch-to-grant
+                        // measurement point.
                         if let Some(tr) = self.tracer.as_deref_mut() {
                             let waited = now.saturating_sub(tr.iter_wait_since[id]);
                             if tr.metrics_on {
@@ -179,7 +179,7 @@ impl Cluster {
             }
         }
         // Concurrency-transition edges. Activity is role-derived, so it is
-        // constant inside dense and bulk-skipped windows — every change is
+        // constant inside dense windows, jumps included — every change is
         // observable from a scalar cycle (or a mount, handled there).
         if let Some(tr) = self.tracer.as_deref_mut() {
             if tr.events_on {

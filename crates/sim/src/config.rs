@@ -10,6 +10,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Widest crossbar: cache banks a machine may have. The dense kernel's
+/// per-bank requester masks are this wide, and [`MachineConfig::scaled`]
+/// saturates at it.
+pub const MAX_BANKS: usize = 16;
+
 /// A configuration validation failure.
 ///
 /// Every `validate()` in the config chain (`CacheGeometry`,
@@ -184,7 +189,8 @@ impl CacheGeometry {
         ((line / self.banks as u64) % self.sets_per_bank() as u64) as usize
     }
 
-    /// Check internal consistency (all powers of two, nonzero).
+    /// Check internal consistency (all powers of two, nonzero, at most
+    /// [`MAX_BANKS`] banks).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.line_bytes.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo {
@@ -197,6 +203,13 @@ impl CacheGeometry {
                 field: "cache.banks",
                 value: self.banks as u64,
             });
+        }
+        if self.banks > MAX_BANKS {
+            return Err(ConfigError::out_of_range(
+                "cache.banks",
+                self.banks,
+                format!("expected at most {MAX_BANKS}"),
+            ));
         }
         if self.assoc == 0 {
             return Err(ConfigError::Zero {
@@ -239,8 +252,8 @@ pub struct TraceConfig {
     /// window granularity.
     pub metrics: bool,
     /// Record the structured event trace (concurrency transitions, CCB
-    /// edges, probe triggers, fast-forward and dense windows) into a
-    /// bounded ring buffer, exportable as Chrome `trace_event` JSON.
+    /// edges, probe triggers, dense windows) into a bounded ring buffer,
+    /// exportable as Chrome `trace_event` JSON.
     pub events: bool,
     /// Capacity of the event ring buffer; on overflow the oldest records
     /// are dropped and counted. Pre-allocated once, so steady-state
@@ -341,22 +354,26 @@ pub struct MachineConfig {
     pub phys_mem_bytes: u64,
     /// Nanoseconds per bus cycle, used to convert wall time to cycles.
     pub ns_per_cycle: u64,
-    /// Quiescence-aware fast-forward: when every component is in a
-    /// deterministic multi-cycle wait, the stepper may advance to the next
-    /// event horizon in one bulk pass instead of cycle by cycle. The skip
-    /// is bit-identical to per-cycle stepping (a pure optimization), so
-    /// this stays on by default; the knob exists so differential tests can
-    /// compare both paths and ablations can measure the win. Builds with
-    /// the `audit` feature ignore it and always step every cycle, keeping
-    /// the auditor an independent per-cycle oracle.
+    /// The dense kernel's jump switch: a stretch in which no lane can act
+    /// before its event horizon (the earliest stall, fault or burst end,
+    /// bank release or CCB grant-channel release) is jumped in one pass
+    /// instead of stepped cycle by cycle. Bit-identical to per-cycle
+    /// stepping (a pure optimization), so this stays on by default; the
+    /// knob exists so differential tests can compare both paths and
+    /// ablations can measure the win. It does nothing while
+    /// [`Self::dense_stepping`] is off, and builds with the `audit` feature
+    /// ignore it.
     pub fast_forward: bool,
-    /// Dense-window batch stepping: when the horizon scan finds a mostly
-    /// active loop window that fast-forward cannot skip, `Cluster::run`
-    /// hands it to a fused structure-of-arrays kernel that steps the same
-    /// cycles over lane-packed CE state. Bit-identical to per-cycle
+    /// Dense-window batch stepping: every stretch no analyzer observes —
+    /// idle, serial, a loop or its drain, detached processes beside them —
+    /// runs in a fused structure-of-arrays kernel that steps lane-packed
+    /// CE state, leaving only the CCB-resolution cycles (grants,
+    /// exhaustion, join) to the scalar stepper. Bit-identical to per-cycle
     /// stepping (a pure optimization), so it stays on by default; the knob
-    /// exists so differential tests can compare both paths. Builds with
-    /// the `audit` feature ignore it, exactly like [`Self::fast_forward`].
+    /// exists so differential tests can compare both paths. Off, every
+    /// cycle is scalar. Builds with the `audit` feature ignore it and
+    /// always step every cycle, keeping the auditor an independent
+    /// per-cycle oracle.
     pub dense_stepping: bool,
     /// `fx8-trace` observability: metrics registry and structured event
     /// trace, both off by default and free when off.
@@ -426,7 +443,7 @@ impl MachineConfig {
     /// width in `1..=64` validates.
     pub fn scaled(n_ces: usize) -> Self {
         let p = n_ces.next_power_of_two().max(2);
-        let banks = (p / 2).clamp(2, 16);
+        let banks = (p / 2).clamp(2, MAX_BANKS);
         MachineConfig {
             n_ces,
             cache: CacheGeometry {

@@ -234,8 +234,8 @@ impl Crossbar {
     }
 
     /// The cycle at which `bank` can next grant a request; a value at or
-    /// before the current cycle means the bank is free now. The
-    /// fast-forward horizon leans on this: a request denied because its
+    /// before the current cycle means the bank is free now. The dense
+    /// kernel's jump horizon leans on this: a request denied because its
     /// bank is busy cannot be granted — and a denial mutates nothing but
     /// the denial counters — before this cycle.
     pub fn bank_free_at(&self, bank: usize) -> Cycle {

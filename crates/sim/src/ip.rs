@@ -71,8 +71,8 @@ impl IpSubsystem {
         self.issue(now, caches, bus);
     }
 
-    /// Replay `k` cycles of background traffic in one call — the
-    /// fast-forward engine's per-cycle IP loop, kept tight because every
+    /// Replay `k` cycles of background traffic in one call — the dense
+    /// kernel's per-cycle IP loop over a jump, kept tight because every
     /// skipped cycle still consumes exactly one RNG draw (the stream
     /// position is architecturally observable).
     pub fn replay(

@@ -9,14 +9,14 @@
 //!
 //! * a **metrics registry** — monotonic counters sampled on demand into a
 //!   [`MetricsSnapshot`]: cycles retired per engine (scalar / dense /
-//!   fast-forward), crossbar grants per bank and retries, membus busy
+//!   jumped), crossbar grants per bank and retries, membus busy
 //!   cycles, the CCB dispatch-to-grant [`LatencyHistogram`], and VM fault
 //!   counts. Most counters already exist in the subsystems; the registry
 //!   reads them at window granularity so the dense stepper's flush path
 //!   stays branch-light.
 //! * a **structured event trace** — a bounded drop-oldest ring of typed
 //!   [`TraceEvent`] records (concurrency transitions, CCB edges, probe
-//!   triggers, fast-forward and dense windows), exportable as Chrome
+//!   triggers, dense windows), exportable as Chrome
 //!   `trace_event` JSON via [`ChromeTraceBuilder`] and loadable in
 //!   Perfetto.
 //!
@@ -133,13 +133,6 @@ pub enum TraceEvent {
         /// Which trigger condition fired.
         trigger: TriggerKind,
     },
-    /// The quiescence-aware engine bulk-advanced a window.
-    FastForward {
-        /// First cycle of the window.
-        from: Cycle,
-        /// Window length.
-        cycles: u64,
-    },
     /// The dense SoA stepper retired a window.
     DenseWindow {
         /// First cycle of the window.
@@ -162,7 +155,7 @@ impl TraceEvent {
             | TraceEvent::CcbGrant { at, .. }
             | TraceEvent::CeDrained { at, .. }
             | TraceEvent::ProbeTrigger { at, .. } => at,
-            TraceEvent::FastForward { from, .. } | TraceEvent::DenseWindow { from, .. } => from,
+            TraceEvent::DenseWindow { from, .. } => from,
         }
     }
 }
@@ -226,16 +219,17 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Cycles retired by each stepping engine. The three engines partition
-/// the timeline, so `scalar + dense + skipped == total` always holds
+/// Cycles retired by each stepping engine: stepped by the scalar
+/// stepper, stepped by the dense kernel, or jumped by it. The three
+/// partition the timeline, so `scalar + dense + skipped == total` always holds
 /// (asserted by [`EngineCycles::consistent`] and the metrics proptest).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct EngineCycles {
     /// Cycles stepped one at a time by `step_cycle`.
     pub scalar: u64,
-    /// Cycles retired by the dense SoA batch stepper.
+    /// Cycles stepped by the dense SoA batch stepper.
     pub dense: u64,
-    /// Cycles bulk-advanced by quiescence-aware fast-forward.
+    /// Cycles the dense kernel jumped in quiet stretches of two or more.
     pub skipped: u64,
     /// All cycles the cluster has retired.
     pub total: u64,
@@ -372,7 +366,7 @@ impl Tracer {
 mod tid {
     /// Machine-level lane: concurrency counter, mounts, loop edges.
     pub const MACHINE: u32 = 0;
-    /// Stepping-engine lane: fast-forward and dense window spans.
+    /// Stepping-engine lane: dense window spans.
     pub const ENGINE: u32 = 1;
     /// CCB lane: iteration grants and drains.
     pub const CCB: u32 = 2;
@@ -467,16 +461,6 @@ impl ChromeTraceBuilder {
                 TraceEvent::ProbeTrigger { at, trigger } => {
                     let name = format!("probe:{}", trigger.name());
                     self.instant(pid, tid::MONITOR, &name, us(at), "");
-                }
-                TraceEvent::FastForward { from, cycles } => {
-                    self.raw(&format!(
-                        "{{\"name\":\"fast-forward\",\"ph\":\"X\",\"ts\":{},\
-                         \"dur\":{},\"pid\":{pid},\"tid\":{},\
-                         \"args\":{{\"cycles\":{cycles}}}}}",
-                        us(from),
-                        cycles as f64 * ns_per_cycle as f64 / 1000.0,
-                        tid::ENGINE,
-                    ));
                 }
                 TraceEvent::DenseWindow {
                     from,
@@ -590,10 +574,6 @@ mod tests {
             TraceEvent::ProbeTrigger {
                 at: 120,
                 trigger: TriggerKind::AllCesActive,
-            },
-            TraceEvent::FastForward {
-                from: 130,
-                cycles: 50,
             },
         ];
         let mut b = ChromeTraceBuilder::new();

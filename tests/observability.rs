@@ -113,7 +113,7 @@ fn chrome_trace_round_trips_and_spans_nest() {
         );
     }
     // Spans on a lane are emitted in machine-time order and describe
-    // disjoint windows (fast-forward skips, dense batches): each one ends
+    // disjoint windows (dense batches): each one ends
     // before the next begins.
     for ((pid, tid), lane) in &spans {
         for w in lane.windows(2) {
@@ -192,10 +192,9 @@ proptest! {
 }
 
 /// A traced quick study's engine track accounts for every cycle the
-/// engines report, in one event per engine window: per session, the
-/// `fast-forward` slices plus the quiet stretches the dense windows
-/// jumped sum to the skipped cycles, and the dense windows' stepped
-/// cycles to the dense cycles.
+/// engines report, in one event per dense window: per session, the
+/// quiet stretches the dense windows jumped sum to the skipped cycles,
+/// and the dense windows' stepped cycles to the dense cycles.
 #[test]
 fn engine_track_agrees_with_engine_cycles() {
     use fx8_study::sim::trace::TraceEvent;
@@ -215,18 +214,15 @@ fn engine_track_agrees_with_engine_cycles() {
         assert_eq!(s.events_dropped, 0, "{}: the ring dropped events", s.label);
         let (mut jumped, mut dense) = (0u64, 0u64);
         for ev in &s.events {
-            match *ev {
-                TraceEvent::FastForward { cycles, .. } => jumped += cycles,
-                TraceEvent::DenseWindow {
-                    cycles,
-                    skipped: quiet,
-                    ..
-                } => {
-                    assert!(quiet <= cycles, "{}: window jumped past its end", s.label);
-                    jumped += quiet;
-                    dense += cycles - quiet;
-                }
-                _ => {}
+            if let TraceEvent::DenseWindow {
+                cycles,
+                skipped: quiet,
+                ..
+            } = *ev
+            {
+                assert!(quiet <= cycles, "{}: window jumped past its end", s.label);
+                jumped += quiet;
+                dense += cycles - quiet;
             }
         }
         let e = s.metrics.cycles;
