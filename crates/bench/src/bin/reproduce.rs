@@ -91,7 +91,7 @@ use fx8_core::analysis::Analysis;
 use fx8_core::api::{self, codes, ApiError, JobRequest, JobResult};
 use fx8_core::cache::{CacheStats, SessionCache};
 use fx8_core::observability::StudyObservability;
-use fx8_core::report;
+use fx8_core::report::{self, CompRow};
 use fx8_core::scale::ScaleConfig;
 use fx8_core::study::{Study, StudyConfig};
 use fx8_serve::{ServeConfig, Server};
@@ -545,7 +545,8 @@ fn study_cfg(quick: bool, trace: TraceConfig) -> Result<StudyConfig, ConfigError
 }
 
 /// Run the study against an optional result cache, narrating scale and
-/// timing on stderr. The CLI is just another API client: the config
+/// timing on stderr, and return it with its paper comparison rows and its
+/// observability. The CLI is just another API client: the config
 /// becomes a [`JobRequest`] executed through the same entry point the
 /// HTTP server uses, so both transports validate, cache, and fail
 /// identically.
@@ -553,7 +554,7 @@ fn run_study(
     cfg: StudyConfig,
     quick: bool,
     cache: Option<&SessionCache>,
-) -> Result<(Study, StudyObservability), ApiError> {
+) -> Result<(Study, Vec<CompRow>, StudyObservability), ApiError> {
     eprintln!(
         "running study: {} random sessions, {} triggered, {} transition ({} mode)...",
         cfg.n_random,
@@ -562,7 +563,7 @@ fn run_study(
         if quick { "quick" } else { "paper" }
     );
     let outcome = api::execute(&JobRequest::study(cfg), cache)?;
-    let JobResult::Study { study, .. } = outcome.result else {
+    let JobResult::Study { study, comparison } = outcome.result else {
         unreachable!("a study request returns a study result");
     };
     let obs = outcome.study_obs.expect("study jobs carry observability");
@@ -572,7 +573,7 @@ fn run_study(
         study.all_samples().len(),
         study.pooled_counts().records
     );
-    Ok((study, obs))
+    Ok((study, comparison, obs))
 }
 
 /// Print the audit report; false if violations were recorded.
@@ -627,7 +628,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         Err(e) => return config_error(e),
     };
     let cache = build_cache(args);
-    let (study, obs) = match run_study(cfg, quick, cache.as_ref()) {
+    let (study, comparison, obs) = match run_study(cfg, quick, cache.as_ref()) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -651,7 +652,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             emit(id, &text);
         }
     }
-    let comparison = report::render_comparison(&report::comparison(&study));
+    let comparison = report::render_comparison(&comparison);
     emit("comparison", &comparison);
     emit("observability", &obs.render());
 
@@ -683,7 +684,7 @@ fn cmd_audit(args: &Args) -> ExitCode {
     if let Some(w) = width {
         eprintln!("auditing a scaled {w}-CE cluster");
     }
-    let (study, _) = match run_study(cfg, quick, None) {
+    let (study, _, _) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -744,7 +745,7 @@ fn cmd_metrics(args: &Args) -> ExitCode {
         Ok(c) => c,
         Err(e) => return config_error(e),
     };
-    let (_study, obs) = match run_study(cfg, quick, None) {
+    let (_, _, obs) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };
@@ -771,7 +772,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
         Err(e) => return config_error(e),
     };
     let ns_per_cycle = cfg.machine.ns_per_cycle;
-    let (_study, obs) = match run_study(cfg, quick, None) {
+    let (_, _, obs) = match run_study(cfg, quick, None) {
         Ok(r) => r,
         Err(e) => return api_error(e),
     };

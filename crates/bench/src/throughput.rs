@@ -4,10 +4,10 @@
 //! [`measure_adaptive`]: a CoV-adaptive window loop that re-runs until the
 //! windows agree. Simulation throughput (cycles simulated per wall second
 //! for the machine states the workload alternates between, plus a
-//! skip-heavy join-wait loop that showcases event-horizon fast-forward),
-//! DAS acquisition and reduction, a loop drain, and the analysis and JSON
-//! layers over the quick study all go through it; study walls are timed
-//! once.
+//! skip-heavy join-wait loop whose quiet stretches the dense kernel
+//! jumps), DAS acquisition and reduction, a loop drain, and the analysis
+//! and JSON layers over the quick study all go through it; study walls
+//! are read once from each run's own observability.
 //!
 //! Each number is a [`Row`] `{name, layer, unit, value, cov, windows}` —
 //! a per-subsystem claim carrying its own noise bound. `reproduce bench`
@@ -382,10 +382,10 @@ pub const DEFAULT_MAX_WINDOWS: u32 = 12;
 
 /// Mixed-regime detection band. A kernel whose warmup slice skipped a
 /// fraction of cycles strictly inside `(SKIP_MIX_LO, SKIP_MIX_HI)`
-/// alternates between fast-forwarded quiescent stretches and stepped
+/// alternates between quiet stretches the dense kernel jumps and stepped
 /// bursts. Its blended cycles-per-second then swings with whatever
 /// skip/step blend each timing window happens to sample — stepping is
-/// ~30-60x slower per cycle than fast-forwarding, so a few percent of
+/// ~30-60x slower per cycle than jumping, so a few percent of
 /// blend drift moves the window rate by double digits (the committed
 /// serial CoV sat at ~15% for two revisions without ever reflecting host
 /// noise). Mixed-regime kernels are therefore timed on their **stepped**
@@ -621,12 +621,10 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> Vec<Row> {
     });
     rows.push(Row::ms_per_op(Layer::Monitor, "reduce_512_ms", reduce));
 
-    let t0 = Instant::now();
     let hooks = RunHooks::default();
-    let (study, _) = Study::run(study_cfg.clone(), None, &hooks).expect("uncancellable");
-    let quick_wall = t0.elapsed().as_secs_f64();
+    let (study, cold_obs) = Study::run(study_cfg.clone(), None, &hooks).expect("uncancellable");
     assert!(study.pooled_counts().records > 0, "study produced no data");
-    rows.push(Row::new(Layer::Study, "quick_wall_s", "s", quick_wall).noise(None, 1));
+    rows.push(Row::new(Layer::Study, "quick_wall_s", "s", cold_obs.study_wall_s).noise(None, 1));
 
     // Cold vs warm against the session result cache: populate a fresh
     // in-memory cache (untimed), then time the all-hits rerun. Both runs
@@ -637,15 +635,14 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> Vec<Row> {
     let (populated, _) =
         Study::run(study_cfg.clone(), Some(&cache), &hooks).expect("uncancellable");
     assert_eq!(populated, study, "cache-populating run diverged");
-    let t1 = Instant::now();
     let (warm_study, warm_obs) =
         Study::run(study_cfg.clone(), Some(&cache), &hooks).expect("uncancellable");
-    let warm_wall = t1.elapsed().as_secs_f64();
     assert_eq!(warm_study, study, "warm-cache run diverged");
     assert_eq!(
         warm_obs.cache.misses, 0,
         "an identical study must hit on every session"
     );
+    let warm_wall = warm_obs.study_wall_s;
     rows.push(Row::new(Layer::Study, "quick_warm_wall_s", "s", warm_wall).noise(None, 1));
 
     // Incremental sweep against the same warm cache: the base width's
@@ -661,9 +658,9 @@ pub fn measure(min_wall_s: f64, study_cfg: StudyConfig) -> Vec<Row> {
         base: study_cfg,
         widths,
     };
-    let t2 = Instant::now();
-    ScaleStudy::run(&sweep_cfg, Some(&cache), &hooks).expect("sweep of a validated study");
-    let sweep_wall = t2.elapsed().as_secs_f64();
+    let (_, sweep_obs) =
+        ScaleStudy::run(&sweep_cfg, Some(&cache), &hooks).expect("sweep of a validated study");
+    let sweep_wall = sweep_obs.study_wall_s;
     rows.push(Row::new(Layer::Study, "scale_sweep_wall_s", "s", sweep_wall).noise(None, 1));
 
     let full = ops_per_s(window_s, || {

@@ -244,10 +244,10 @@ impl SessionCache {
     ) -> Fingerprint {
         let mut canon = cfg.clone();
         // Trace knobs never steer the simulation (asserted by the
-        // pure-observer suite), and the fast-forward and dense engines
-        // are bit-identical to the scalar stepper (asserted by the
-        // differential suites), so all three are canonicalized out of
-        // the key.
+        // pure-observer suite), and the dense kernel, with or without its
+        // jumps, is bit-identical to the scalar stepper (asserted by the
+        // differential suites), so all three knobs are canonicalized out
+        // of the key.
         let defaults = MachineConfig::default();
         canon.machine.trace = TraceConfig::off();
         canon.machine.fast_forward = defaults.fast_forward;

@@ -10,7 +10,6 @@
 //!   concurrent loops).
 
 use crate::cache::{CachedSession, SessionKind};
-use crate::observability::SessionObservability;
 use crate::sample::Sample;
 use fx8_monitor::{DasConfig, DasMonitor, EventCounts, KernelStats, Trigger};
 use fx8_sim::audit::AuditReport;
@@ -246,13 +245,10 @@ fn in_time_order(mut at: impl Iterator<Item = Cycle>) -> bool {
 }
 
 /// Run one random-sampling session (§ 3.5, first measurement type),
-/// also returning the session's observability slice (trace metrics,
-/// events, wall clock). Observation never steers the simulated trajectory.
-pub fn run_random_session(
-    cfg: &SessionConfig,
-    session_idx: usize,
-) -> (SessionResult, SessionObservability) {
-    let started = std::time::Instant::now();
+/// also returning the machine it ran, whose metrics, trace and audit
+/// report describe the session. Observation never steers the simulated
+/// trajectory.
+pub fn run_random_session(cfg: &SessionConfig, session_idx: usize) -> (SessionResult, Cluster) {
     let mut driver = cfg.make_driver();
     let das = DasMonitor::new(DasConfig {
         buffer_depth: cfg.buffer_depth,
@@ -297,32 +293,24 @@ pub fn run_random_session(
         });
     }
 
-    let obs = SessionObservability::capture(
-        SessionKind::Random.label(session_idx),
-        started,
-        driver.cluster(),
-    );
-    (
-        SessionResult {
-            session: session_idx,
-            samples,
-            jobs_completed: driver.completed_jobs(),
-            audit: driver.cluster().audit_report(),
-        },
-        obs,
-    )
+    let result = SessionResult {
+        session: session_idx,
+        samples,
+        jobs_completed: driver.completed_jobs(),
+        audit: driver.cluster().audit_report(),
+    };
+    (result, driver.into_cluster())
 }
 
 /// Run one all-active-triggered session (§ 3.5, second measurement type).
 /// Returns the reduced counts of each captured buffer, tagged with the
-/// session index and trigger cycle, plus the session's audit report and
-/// observability slice.
+/// session index and trigger cycle, plus the machine it ran (its
+/// [`Cluster::audit_report`] is the session's audit report).
 pub fn run_triggered_session(
     cfg: &SessionConfig,
     session_idx: usize,
     captures: usize,
-) -> (Vec<Capture>, AuditReport, SessionObservability) {
-    let started = std::time::Instant::now();
+) -> (Vec<Capture>, Cluster) {
     let mut driver = cfg.make_driver();
     let das = DasMonitor::new(DasConfig {
         buffer_depth: cfg.buffer_depth,
@@ -355,24 +343,16 @@ pub fn run_triggered_session(
         driver.cluster_mut().run(cfg.warmup_cycles);
         out.extend(Capture::acquire(&das, driver.cluster_mut(), session_idx));
     }
-    let audit = driver.cluster().audit_report();
-    let obs = SessionObservability::capture(
-        SessionKind::Triggered.label(session_idx),
-        started,
-        driver.cluster(),
-    );
-    (out, audit, obs)
+    (out, driver.into_cluster())
 }
 
 /// Run one transition-triggered session (§ 3.5, the 8-to-fewer trigger).
-/// Returns the captures plus the session's audit report and observability
-/// slice.
+/// Returns the captures plus the machine it ran.
 pub fn run_transition_session(
     cfg: &SessionConfig,
     session_idx: usize,
     captures: usize,
-) -> (Vec<Capture>, AuditReport, SessionObservability) {
-    let started = std::time::Instant::now();
+) -> (Vec<Capture>, Cluster) {
     let mut driver = cfg.make_driver();
     // A tight trigger timeout: if the drain slipped past during warm-up the
     // fastest recovery is rearming at the next loop end, not waiting here.
@@ -403,13 +383,7 @@ pub fn run_transition_session(
             None => break,
         }
     }
-    let audit = driver.cluster().audit_report();
-    let obs = SessionObservability::capture(
-        SessionKind::Transition.label(session_idx),
-        started,
-        driver.cluster(),
-    );
-    (out, audit, obs)
+    (out, driver.into_cluster())
 }
 
 #[cfg(test)]
@@ -453,7 +427,7 @@ mod tests {
     fn triggered_session_captures_full_concurrency() {
         let mut cfg = tiny_cfg(2);
         cfg.mix = WorkloadMix::all_concurrent();
-        let (buffers, _, _) = run_triggered_session(&cfg, 7, 3);
+        let (buffers, _) = run_triggered_session(&cfg, 7, 3);
         assert!(!buffers.is_empty(), "concurrent mix must trigger");
         let mut last_trigger = 0;
         for b in &buffers {
@@ -473,7 +447,7 @@ mod tests {
     fn transition_session_captures_drains() {
         let mut cfg = tiny_cfg(3);
         cfg.mix = WorkloadMix::all_concurrent();
-        let (buffers, _, _) = run_transition_session(&cfg, 4, 3);
+        let (buffers, _) = run_transition_session(&cfg, 4, 3);
         assert!(!buffers.is_empty(), "loops must drain");
         assert!(
             buffers.iter().all(|b| b.session == 4),
@@ -506,7 +480,7 @@ mod tests {
     fn serial_mix_never_triggers_all_active() {
         let mut cfg = tiny_cfg(4);
         cfg.mix = WorkloadMix::all_serial();
-        let (buffers, _, _) = run_triggered_session(&cfg, 0, 2);
+        let (buffers, _) = run_triggered_session(&cfg, 0, 2);
         assert!(
             buffers.is_empty(),
             "serial-only workload cannot reach 8-active"

@@ -3,9 +3,12 @@
 //! The simulator's trace layer ([`fx8_sim::trace`]) collects per-cluster
 //! metrics and events; this module pools them across the sessions of a
 //! [`crate::study::Study`] and adds the third pillar the machine cannot
-//! see: wall-clock self-profiling of `Study::run`. The session runners in
-//! [`crate::experiment`] capture one [`SessionObservability`] per session;
-//! [`crate::study::Study::run`] assembles them into a
+//! see: wall-clock self-profiling of a run. The session runners in
+//! [`crate::experiment`] hand back the cluster each session ran; the
+//! study's one session loop (`study::run_sessions`, behind
+//! [`crate::study::Study::run`] and [`crate::scale::ScaleStudy::run`])
+//! names and times every session, records one [`SessionObservability`]
+//! from that cluster (or from a cache hit), and assembles the run's
 //! [`StudyObservability`], which renders as the `observability` section of
 //! `reproduce run`, serializes to the `reproduce metrics` JSON, and
 //! exports the `reproduce trace` Chrome `trace_event` file.
@@ -15,7 +18,6 @@ use fx8_sim::trace::{ChromeTraceBuilder, EngineCycles, MetricsSnapshot, TraceEve
 use fx8_sim::Cluster;
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Everything one session's cluster observed about itself, plus the wall
 /// clock the session consumed. Deliberately *not* part of
@@ -25,7 +27,8 @@ use std::time::Instant;
 pub struct SessionObservability {
     /// Which session ("random 3", "triggered 0", "transition 1", ...).
     pub label: String,
-    /// Wall-clock seconds the session took to simulate.
+    /// Wall-clock seconds the executor spent on the session: the cache
+    /// lookup, plus the simulation and the store on a miss.
     pub wall_s: f64,
     /// The cluster's metrics registry at session end.
     pub metrics: MetricsSnapshot,
@@ -39,29 +42,18 @@ pub struct SessionObservability {
 }
 
 impl SessionObservability {
-    /// Snapshot a finished session's cluster.
-    pub fn capture(label: String, started: Instant, cluster: &Cluster) -> Self {
+    /// The slice of a session that took `wall_s` seconds: a snapshot of
+    /// the `cluster` it ran, or, for `None`, a session answered from the
+    /// result cache, where no cluster existed and the metrics registry is
+    /// empty.
+    pub fn new(label: String, wall_s: f64, cluster: Option<&Cluster>) -> Self {
         SessionObservability {
             label,
-            wall_s: started.elapsed().as_secs_f64(),
-            metrics: cluster.metrics(),
-            events: cluster.trace_events(),
-            events_dropped: cluster.trace_dropped_events(),
-            cache_hit: false,
-        }
-    }
-
-    /// The observability slice of a session answered from the result
-    /// cache: no cluster ever existed, so the metrics registry is empty
-    /// and only the (tiny) lookup wall clock is real.
-    pub fn cached(label: String, started: Instant) -> Self {
-        SessionObservability {
-            label,
-            wall_s: started.elapsed().as_secs_f64(),
-            metrics: MetricsSnapshot::default(),
-            events: Vec::new(),
-            events_dropped: 0,
-            cache_hit: true,
+            wall_s,
+            metrics: cluster.map(Cluster::metrics).unwrap_or_default(),
+            events: cluster.map(Cluster::trace_events).unwrap_or_default(),
+            events_dropped: cluster.map_or(0, Cluster::trace_dropped_events),
+            cache_hit: cluster.is_none(),
         }
     }
 }
@@ -168,7 +160,7 @@ impl StudyObservability {
         };
         let _ = writeln!(
             out,
-            "engine residency: {} cycles total — scalar {} ({:.1}%), dense {} ({:.1}%), fast-forward {} ({:.1}%)",
+            "engine residency: {} cycles total — scalar {} ({:.1}%), dense {} ({:.1}%), dense jumps {} ({:.1}%)",
             eng.total,
             eng.scalar,
             pct(eng.scalar),

@@ -138,21 +138,19 @@ impl ScaleStudy {
         hooks: &RunHooks<'_>,
     ) -> Result<(ScaleStudy, StudyObservability), ApiError> {
         cfg.validate()?;
-        let started = std::time::Instant::now();
         let studies: Vec<StudyConfig> =
             cfg.widths.iter().map(|&w| cfg.study_for_width(w)).collect();
         let tasks: Vec<_> = studies
             .iter()
             .flat_map(StudyConfig::session_tasks)
             .collect();
-        let (outputs, cache_stats) = run_sessions(
+        let (data, observability) = run_sessions(
             &tasks,
             |t| format!("w{} {}", t.cfg.machine.n_ces, t.label()),
             cfg.base.parallel,
             cache,
             hooks,
         )?;
-        let (data, sessions): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
         // Outputs come back in task order, which enumerates widths in
         // order with the same session plan at every width.
         let per_width = tasks.len() / studies.len();
@@ -164,11 +162,6 @@ impl ScaleStudy {
                 ScalePoint::from_study(study.config.machine.n_ces, &study)
             })
             .collect();
-        let observability = StudyObservability {
-            sessions,
-            study_wall_s: started.elapsed().as_secs_f64(),
-            cache: cache_stats,
-        };
         Ok((ScaleStudy { points }, observability))
     }
 

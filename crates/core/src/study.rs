@@ -19,10 +19,11 @@ use crate::sample::Sample;
 use fx8_monitor::EventCounts;
 use fx8_sim::audit::{AuditReport, Violation};
 use fx8_sim::fingerprint::Fingerprint;
-use fx8_sim::{ConfigError, MachineConfig};
+use fx8_sim::{Cluster, ConfigError, MachineConfig};
 use fx8_stats::measures::ConcurrencyMeasures;
 use fx8_workload::WorkloadMix;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Session length used when [`StudyConfig::session_hours`] is empty: the
 /// paper's typical session ("each session lasted between four and eight
@@ -202,36 +203,35 @@ impl SessionTask {
 
     /// Run the session, consulting the cache under `key` first when one
     /// is given. A hit returns the memoized payload as stored,
-    /// bit-identical to a fresh run, under an observability slice flagged
-    /// `cache_hit` (empty metrics: no cycles were stepped). A miss
-    /// computes, stores, and returns.
+    /// bit-identical to a fresh run, and no cluster: no cycles were
+    /// stepped. A miss computes, stores, and returns the payload with the
+    /// cluster that ran it.
     fn run(
         &self,
         cache: Option<(&SessionCache, &Fingerprint)>,
-    ) -> (CachedSession, SessionObservability) {
-        let Some((cache, key)) = cache else {
-            return self.compute();
-        };
-        let started = std::time::Instant::now();
-        if let Some(hit) = cache.lookup(key, |p| self.fits(p)) {
-            return (hit, SessionObservability::cached(self.label(), started));
+    ) -> (CachedSession, Option<Cluster>) {
+        if let Some(hit) = cache.and_then(|(cache, key)| cache.lookup(key, |p| self.fits(p))) {
+            return (hit, None);
         }
-        let (data, obs) = self.compute();
-        cache.store(key, &data);
-        (data, obs)
+        let (data, cluster) = self.compute();
+        if let Some((cache, key)) = cache {
+            cache.store(key, &data);
+        }
+        (data, Some(cluster))
     }
 
-    fn compute(&self) -> (CachedSession, SessionObservability) {
+    fn compute(&self) -> (CachedSession, Cluster) {
         let (cfg, idx) = (&self.cfg, self.idx);
-        let (captures, audit, obs) = match self.kind {
+        let (captures, cluster) = match self.kind {
             SessionKind::Random => {
-                let (result, obs) = run_random_session(cfg, idx);
-                return (CachedSession::Random { result }, obs);
+                let (result, cluster) = run_random_session(cfg, idx);
+                return (CachedSession::Random { result }, cluster);
             }
             SessionKind::Triggered => run_triggered_session(cfg, idx, self.captures),
             SessionKind::Transition => run_transition_session(cfg, idx, self.captures),
         };
-        (CachedSession::Captures { captures, audit }, obs)
+        let audit = cluster.audit_report();
+        (CachedSession::Captures { captures, audit }, cluster)
     }
 }
 
@@ -253,12 +253,16 @@ pub struct Study {
     pub transition_audits: Vec<AuditReport>,
 }
 
-/// Run session tasks, each consulting `cache` first when one is given.
-/// Cancellation is checked before each session starts (running sessions
-/// are never torn). Each finished session's observability slice is
-/// labeled `label(task)`, and `hooks` hears about it under that same
-/// label. Returns the payloads and slices in task order plus this run's
-/// cache-counter delta.
+/// Run session tasks, each consulting `cache` first when one is given,
+/// and record the run: the one place a session is named, timed and
+/// observed. Cancellation is checked before each session starts (running
+/// sessions are never torn). Each finished session's observability slice
+/// is labeled `label(task)`, timed over the executor's work on it (the
+/// lookup, plus the simulation and the store on a miss) and taken from
+/// the cluster it ran, or left empty for a cache hit; `hooks` hears about
+/// it under that same label. Returns the payloads in task order and the
+/// run's [`StudyObservability`]: the slices in task order, the run's wall
+/// clock and its cache-counter delta.
 ///
 /// Sessions whose payload is in the cache's in-process map resolve first,
 /// inline on the calling thread: a warm study starts no thread at all.
@@ -271,9 +275,15 @@ pub(crate) fn run_sessions(
     parallel: bool,
     cache: Option<&SessionCache>,
     hooks: &RunHooks<'_>,
-) -> Result<(Vec<(CachedSession, SessionObservability)>, CacheStats), ApiError> {
+) -> Result<(Vec<CachedSession>, StudyObservability), ApiError> {
+    let started = Instant::now();
     let done = std::sync::atomic::AtomicUsize::new(0);
     let before = cache.map(SessionCache::stats);
+    let record = |t: &SessionTask, began: Instant, cluster: Option<&Cluster>| {
+        let obs = SessionObservability::new(label(t), began.elapsed().as_secs_f64(), cluster);
+        hooks.session_done(&done, tasks.len(), &obs.label, obs.cache_hit);
+        obs
+    };
     let mut outputs: Vec<Option<(CachedSession, SessionObservability)>> =
         tasks.iter().map(|_| None).collect();
     let mut pending: Vec<(usize, Option<Fingerprint>)> = Vec::new();
@@ -285,14 +295,10 @@ pub(crate) fn run_sessions(
         if hooks.is_cancelled() {
             return Err(ApiError::cancelled());
         }
-        let started = std::time::Instant::now();
+        let began = Instant::now();
         let key = t.key(cache);
         match cache.lookup_memory(&key, |p| t.fits(p)) {
-            Some(hit) => {
-                let obs = SessionObservability::cached(label(t), started);
-                hooks.session_done(&done, tasks.len(), &obs.label, true);
-                outputs[i] = Some((hit, obs));
-            }
+            Some(hit) => outputs[i] = Some((hit, record(t, began, None))),
             None => pending.push((i, Some(key))),
         }
     }
@@ -308,25 +314,31 @@ pub(crate) fn run_sessions(
                 return None;
             }
             let t = &tasks[*i];
-            let (data, mut obs) = t.run(cache.zip(key.as_ref()));
-            obs.label = label(t);
-            hooks.session_done(&done, tasks.len(), &obs.label, obs.cache_hit);
-            Some((data, obs))
+            let began = Instant::now();
+            let (data, cluster) = t.run(cache.zip(key.as_ref()));
+            Some((data, record(t, began, cluster.as_ref())))
         },
         parallel,
     );
     for (&(i, _), out) in pending.iter().zip(ran) {
         outputs[i] = out;
     }
-    let outputs = outputs
+    let (data, sessions) = outputs
         .into_iter()
         .collect::<Option<Vec<_>>>()
-        .ok_or_else(ApiError::cancelled)?;
-    let stats = match (cache, before) {
+        .ok_or_else(ApiError::cancelled)?
+        .into_iter()
+        .unzip();
+    let cache = match (cache, before) {
         (Some(c), Some(b)) => c.stats().since(&b),
         _ => CacheStats::default(),
     };
-    Ok((outputs, stats))
+    let observability = StudyObservability {
+        sessions,
+        study_wall_s: started.elapsed().as_secs_f64(),
+        cache,
+    };
+    Ok((data, observability))
 }
 
 impl Study {
@@ -350,17 +362,10 @@ impl Study {
         cache: Option<&SessionCache>,
         hooks: &RunHooks<'_>,
     ) -> Result<(Study, StudyObservability), ApiError> {
-        let started = std::time::Instant::now();
         let tasks = config.session_tasks();
-        let (outputs, cache_stats) =
+        let (data, observability) =
             run_sessions(&tasks, SessionTask::label, config.parallel, cache, hooks)?;
-        let (data, sessions): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
         let study = Study::assemble(config, tasks.iter().zip(data));
-        let observability = StudyObservability {
-            sessions,
-            study_wall_s: started.elapsed().as_secs_f64(),
-            cache: cache_stats,
-        };
         Ok((study, observability))
     }
 

@@ -11,7 +11,9 @@ use fx8_core::api::{codes, CancelToken, RunHooks, SessionDone};
 use fx8_core::cache::{CachedSession, SessionCache, SessionKind};
 use fx8_core::experiment::SessionConfig;
 use fx8_core::observability::StudyObservability;
+use fx8_core::scale::{ScaleConfig, ScaleStudy};
 use fx8_core::study::{Study, StudyConfig};
+use fx8_sim::trace::MetricsSnapshot;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -233,6 +235,67 @@ fn half_warm_run_takes_one_hit_per_session() {
     assert_eq!(obs.cache.misses, 0);
     assert_eq!(obs.cache.invalid_entries, 0);
     assert!(obs.sessions.iter().all(|s| s.cache_hit));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every path that builds a session slice goes through the one record:
+/// a cold run into a disk store (simulated in the pool), a re-run on the
+/// same cache (in-process hits, resolved on the calling thread) and a run
+/// on a fresh cache over that store (disk hits, resolved in the pool)
+/// name the same sessions in the same order, flag hits, leave hit metrics
+/// empty and time each session within its run's wall clock. A width
+/// sweep's slices carry their width.
+#[test]
+fn every_session_path_records_one_labeled_timed_slice() {
+    let dir = scratch_dir("record");
+    let cache = SessionCache::at_dir(&dir);
+    let runs = [
+        run_against(&cache).1,
+        run_against(&cache).1,
+        run_against(&SessionCache::at_dir(&dir)).1,
+    ];
+    let within_wall = |obs: &StudyObservability| {
+        obs.sessions
+            .iter()
+            .all(|s| s.wall_s.is_finite() && s.wall_s >= 0.0 && s.wall_s <= obs.study_wall_s)
+    };
+    for (obs, hit) in runs.iter().zip([false, true, true]) {
+        let labels: Vec<&str> = obs.sessions.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["random 0", "random 1", "triggered 0", "transition 0"]
+        );
+        for s in &obs.sessions {
+            assert_eq!(s.cache_hit, hit, "{}", s.label);
+            if hit {
+                assert_eq!(s.metrics, MetricsSnapshot::default(), "{}", s.label);
+                assert!(s.events.is_empty() && s.events_dropped == 0, "{}", s.label);
+            }
+        }
+        assert!(within_wall(obs), "{:?}", obs.sessions);
+    }
+
+    let sweep = ScaleConfig {
+        base: mini_study(),
+        widths: vec![2, 4],
+    };
+    let (_, obs) = ScaleStudy::run(&sweep, None, &RunHooks::default()).expect("uncancelled");
+    let labels: Vec<&str> = obs.sessions.iter().map(|s| s.label.as_str()).collect();
+    assert_eq!(
+        labels,
+        [
+            "w2 random 0",
+            "w2 random 1",
+            "w2 triggered 0",
+            "w2 transition 0",
+            "w4 random 0",
+            "w4 random 1",
+            "w4 triggered 0",
+            "w4 transition 0",
+        ]
+    );
+    assert!(within_wall(&obs), "{:?}", obs.sessions);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -555,9 +555,10 @@ impl Cluster {
     }
 
     /// Render every architecturally observable piece of machine state into
-    /// a deterministic string, so differential tests can assert that
-    /// fast-forward on/off trajectories are bit-identical. Excludes the
-    /// skip counters (they differ by design); the IP issue count stands in
+    /// a deterministic string, so differential tests can assert that the
+    /// scalar stepper and the dense kernel, with or without its jumps,
+    /// give bit-identical trajectories. Excludes the engine counters
+    /// (they differ by design); the IP issue count stands in
     /// for the RNG stream position (equal draws => equal position).
     pub fn state_digest(&self) -> String {
         use std::fmt::Write;

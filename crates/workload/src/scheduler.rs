@@ -75,6 +75,11 @@ impl SessionDriver {
         &self.cluster
     }
 
+    /// End the session and hand back the machine it drove.
+    pub fn into_cluster(self) -> Cluster {
+        self.cluster
+    }
+
     /// Current macro time.
     pub fn now(&self) -> Cycle {
         self.mac_now
@@ -101,7 +106,7 @@ impl SessionDriver {
 
     fn advance_events(&mut self, t: Cycle) {
         self.mac_now = self.mac_now.max(self.cluster.now());
-        while self.mac_now < t {
+        loop {
             // Promote arrivals up to now.
             while self
                 .pending
@@ -111,12 +116,16 @@ impl SessionDriver {
                 let j = self.pending.pop_front().expect("checked non-empty");
                 self.ready.push_back(j);
             }
-            // Dispatch if the cluster is free.
+            // Dispatch if the cluster is free; at `t` this is the final
+            // dispatch.
             if self.running.is_none() {
                 if let Some(j) = self.ready.pop_front() {
                     self.start_job(j.program);
                     continue;
                 }
+            }
+            if self.mac_now >= t {
+                return;
             }
             // Next event: job end, next arrival, or the target.
             let run_end = self
@@ -139,20 +148,6 @@ impl SessionDriver {
             if run_end == Some(self.mac_now) {
                 self.running = None;
                 self.completed += 1;
-            }
-        }
-        // Final promotion/dispatch exactly at `t`.
-        while self
-            .pending
-            .front()
-            .is_some_and(|j| j.arrival <= self.mac_now)
-        {
-            let j = self.pending.pop_front().expect("checked non-empty");
-            self.ready.push_back(j);
-        }
-        if self.running.is_none() {
-            if let Some(j) = self.ready.pop_front() {
-                self.start_job(j.program);
             }
         }
     }

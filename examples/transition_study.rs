@@ -57,7 +57,7 @@ fn main() {
     let mut fair_cfg = SessionConfig::paper(4242);
     fair_cfg.hours = 1.0;
     fair_cfg.machine.ccb_arbitration = Arbitration::RoundRobin;
-    let (buffers, _, _) = run_transition_session(&fair_cfg, 0, 30);
+    let (buffers, _) = run_transition_session(&fair_cfg, 0, 30);
     let mut fair = EventCounts::empty(8);
     for b in &buffers {
         fair.merge(&b.counts);

@@ -64,11 +64,13 @@ fn session_runners_report_clean_audits() {
     assert!(r.audit.checked_cycles > 0);
     assert!(r.audit.is_clean(), "random: {}", render(&r.audit));
 
-    let (caps, audit, _) = run_triggered_session(&cfg, 0, 2);
+    let (caps, cluster) = run_triggered_session(&cfg, 0, 2);
+    let audit = cluster.audit_report();
     assert!(!caps.is_empty(), "concurrent mix must trigger");
     assert!(audit.is_clean(), "triggered: {}", render(&audit));
 
-    let (caps, audit, _) = run_transition_session(&cfg, 0, 2);
+    let (caps, cluster) = run_transition_session(&cfg, 0, 2);
+    let audit = cluster.audit_report();
     assert!(!caps.is_empty(), "loops must drain");
     assert!(audit.is_clean(), "transition: {}", render(&audit));
 }

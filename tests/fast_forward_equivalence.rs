@@ -1,7 +1,8 @@
-//! Differential proof that event-horizon fast-forwarding is invisible:
-//! every protocol in the stack — raw cluster runs over arbitrary kernels,
-//! and all three of the study's session types — must produce bit-identical
-//! results with the engine on (the default) and off.
+//! Differential proof that the `fast_forward` knob is invisible. The knob
+//! switches the dense kernel's jumps over quiet stretches; every protocol
+//! in the stack — raw cluster runs over arbitrary kernels, and all three
+//! of the study's session types — must produce bit-identical results with
+//! the jumps on (the default) and off.
 //!
 //! Compiled away under `--features audit`: audit builds disable skipping
 //! internally so the per-cycle auditor stays an independent oracle, which
@@ -11,7 +12,6 @@
 use fx8_study::core::experiment::{
     run_random_session, run_transition_session, run_triggered_session, Capture, SessionConfig,
 };
-use fx8_study::core::observability::SessionObservability;
 use fx8_study::sim::audit::AuditReport;
 use fx8_study::sim::{Cluster, MachineConfig};
 use fx8_study::workload::kernels::{self, LoopKernel};
@@ -23,9 +23,9 @@ fn with_ff(mut cfg: SessionConfig, on: bool) -> SessionConfig {
     cfg
 }
 
-/// A capture session's deterministic output (wall clock dropped).
-fn captured(run: (Vec<Capture>, AuditReport, SessionObservability)) -> (Vec<Capture>, AuditReport) {
-    (run.0, run.1)
+/// A capture session's deterministic output: its captures and audit.
+fn captured((captures, cluster): (Vec<Capture>, Cluster)) -> (Vec<Capture>, AuditReport) {
+    (captures, cluster.audit_report())
 }
 
 fn small_cfg(seed: u64) -> SessionConfig {

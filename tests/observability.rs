@@ -162,8 +162,8 @@ proptest! {
         cfg.machine.trace = TraceConfig::metrics_only();
         cfg.validate().unwrap();
 
-        let (result, obs) = run_random_session(&cfg, 0);
-        let m = &obs.metrics;
+        let (result, cluster) = run_random_session(&cfg, 0);
+        let m = &cluster.metrics();
         prop_assert!(m.cycles.consistent(), "engine split must partition total");
         prop_assert!(m.cycles.total > 0, "the session stepped cycles");
         prop_assert_eq!(
@@ -181,7 +181,7 @@ proptest! {
             "every crossbar grant is one CE cache access"
         );
         prop_assert_eq!(m.events_recorded, 0, "metrics-only mode records no events");
-        prop_assert!(obs.events.is_empty());
+        prop_assert!(cluster.trace_events().is_empty());
 
         // Tracing never steers: a plain untraced run is bit-identical.
         let mut plain_cfg = cfg.clone();
