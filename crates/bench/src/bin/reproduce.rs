@@ -830,6 +830,9 @@ fn cmd_hammer(args: &Args) -> ExitCode {
         requests: args.number("--requests").unwrap_or(defaults.requests),
         concurrency: args.number("--concurrency").unwrap_or(defaults.concurrency),
     };
+    if let Err(e) = opts.validate() {
+        return config_error(e);
+    }
     let report = match hammer::run(&opts) {
         Ok(r) => r,
         Err(e) => {

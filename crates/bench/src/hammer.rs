@@ -14,6 +14,7 @@ use crate::throughput::{self, Layer, Row};
 use fx8_core::api::{JobState, JobStatus};
 use fx8_core::cache::SessionCache;
 use fx8_serve::{client, ServeConfig, Server};
+use fx8_sim::ConfigError;
 use serde::Value;
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -26,6 +27,42 @@ pub struct HammerOptions {
     pub requests: usize,
     /// Concurrent client threads.
     pub concurrency: usize,
+}
+
+/// The most client threads one hammer run starts.
+pub const MAX_CONCURRENCY: usize = 64;
+
+impl HammerOptions {
+    /// Check the knobs before any server starts: at least one warm request
+    /// from each of one to [`MAX_CONCURRENCY`] clients, and a warm request
+    /// total that fits a `usize`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.requests == 0 {
+            return Err(ConfigError::Zero {
+                field: "hammer.requests",
+            });
+        }
+        if self.concurrency == 0 {
+            return Err(ConfigError::Zero {
+                field: "hammer.concurrency",
+            });
+        }
+        if self.concurrency > MAX_CONCURRENCY {
+            return Err(ConfigError::out_of_range(
+                "hammer.concurrency",
+                self.concurrency,
+                format!("at most {MAX_CONCURRENCY} client threads"),
+            ));
+        }
+        if self.requests.checked_mul(self.concurrency).is_none() {
+            return Err(ConfigError::out_of_range(
+                "hammer.requests",
+                self.requests,
+                "requests × concurrency must fit a usize",
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for HammerOptions {
@@ -154,8 +191,10 @@ fn submit_and_wait(addr: SocketAddr, body: &str) -> Result<JobStatus, String> {
     }
 }
 
-/// Run the hammer against a fresh in-process server.
+/// Run the hammer against a fresh in-process server. Options that fail
+/// [`HammerOptions::validate`] are refused before the server starts.
 pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
+    opts.validate().map_err(|e| e.to_string())?;
     let body = r#"{"api":1,"job":{"study":"quick"}}"#;
     let server = Server::bind(
         ServeConfig {
@@ -195,14 +234,13 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
     let (hits_cold, misses_cold) = cache_counters()?;
 
     // Warm pass: concurrent clients, each timing its own round-trips.
-    let total = opts.requests * opts.concurrency.max(1);
+    let total = opts.requests * opts.concurrency;
     eprintln!(
-        "hammer: {} warm requests across {} clients...",
-        total,
-        opts.concurrency.max(1)
+        "hammer: {total} warm requests across {} clients...",
+        opts.concurrency
     );
     let t0 = Instant::now();
-    let threads: Vec<_> = (0..opts.concurrency.max(1))
+    let threads: Vec<_> = (0..opts.concurrency)
         .map(|_| {
             let requests = opts.requests;
             std::thread::spawn(move || -> Result<Vec<f64>, String> {
@@ -252,7 +290,7 @@ pub fn run(opts: &HammerOptions) -> Result<HammerReport, String> {
         warm_hit_rate,
         responses_5xx,
         warm_requests: total,
-        concurrency: opts.concurrency.max(1),
+        concurrency: opts.concurrency,
         connection_threads,
     })
 }
@@ -297,6 +335,23 @@ mod tests {
         assert!(failures[0].contains("90%"));
         assert!(failures[1].contains("5xx"));
         assert!(failures[2].contains("17 connection threads"));
+    }
+
+    /// Bad knobs are refused by value, before any server or client thread
+    /// would start.
+    #[test]
+    fn options_are_validated_before_anything_starts() {
+        let opts = |requests, concurrency| HammerOptions {
+            requests,
+            concurrency,
+        };
+        assert_eq!(opts(1, MAX_CONCURRENCY).validate(), Ok(()));
+        let field = |o: HammerOptions| o.validate().unwrap_err().field();
+        assert_eq!(field(opts(0, 4)), "hammer.requests");
+        assert_eq!(field(opts(1, 0)), "hammer.concurrency");
+        assert_eq!(field(opts(1, MAX_CONCURRENCY + 1)), "hammer.concurrency");
+        assert_eq!(field(opts(usize::MAX / 2, 4)), "hammer.requests");
+        assert!(run(&opts(0, 1)).unwrap_err().contains("hammer.requests"));
     }
 
     #[test]

@@ -44,6 +44,20 @@ fn invalid_scale_width_exits_2_with_a_stable_code() {
 }
 
 #[test]
+fn a_hammer_of_zero_requests_exits_2_before_the_server_starts() {
+    let (code, stderr) = reproduce(&["hammer", "--requests", "0", "--no-record"]);
+    assert_eq!(code, Some(2), "documented exit code for invalid config");
+    assert!(
+        stderr.contains("reproduce: error[config/zero-hammer-requests]:"),
+        "stderr carries the envelope code: {stderr}"
+    );
+    assert!(
+        !stderr.contains("cold quick study"),
+        "rejected before the server starts: {stderr}"
+    );
+}
+
+#[test]
 fn unknown_flags_still_print_usage_not_an_envelope() {
     // Argument-parse errors are not API errors: they exit 1 with usage,
     // keeping the config/* code space for validated-config failures only.

@@ -641,6 +641,34 @@ fn a_chunked_post_is_refused_and_its_body_never_answered() {
         .expect("server drains");
 }
 
+/// A request with two `Content-Length` headers, or one that is not only
+/// ASCII digits (`+N`), is refused as malformed and the connection
+/// closes: the request framed in the bytes after its head is never
+/// answered.
+#[test]
+fn a_duplicate_or_signed_content_length_is_refused() {
+    let inner = "GET /v1/healthz HTTP/1.1\r\nhost: localhost\r\n\r\n";
+    for lengths in [
+        format!("content-length: 0\r\ncontent-length: {}\r\n", inner.len()),
+        format!("content-length: +{}\r\n", inner.len()),
+    ] {
+        let (addr, handle, serving) = patient_server();
+        let request =
+            format!("GET /v1/healthz HTTP/1.1\r\nhost: localhost\r\n{lengths}\r\n{inner}");
+        let got = responses_until_close(addr, request.as_bytes());
+        assert_eq!(got.len(), 1, "{lengths:?}: {got:?}");
+        assert_eq!(got[0].0, 400, "{lengths:?}: {got:?}");
+        let e = ApiError::from_envelope_json(&got[0].1).expect("typed envelope");
+        assert_eq!(e.code, codes::BAD_JSON);
+        assert!(e.message.contains("content-length"), "{}", e.message);
+        handle.shutdown();
+        serving
+            .join()
+            .expect("server thread")
+            .expect("server drains");
+    }
+}
+
 /// A client that keeps dribbling bytes after its malformed request drew
 /// a 400 cannot hold the connection: the server stops discarding its
 /// input within a bounded time and closes. The client writes one byte

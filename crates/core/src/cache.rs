@@ -16,12 +16,15 @@
 //!   write-then-rename so a crashed or concurrent writer can never leave a
 //!   half-entry where a reader expects a whole one.
 //!
-//! Every disk entry carries a versioned header (format version, engine
-//! version, its own key echoed back), and every lookup checks the payload
-//! against the shape its session produces before it counts a hit.
-//! Anything unexpected — truncated file, failed parse, header mismatch,
-//! foreign key, a payload that fails its check — is treated as a *miss*
-//! and recomputed; the cache can degrade but never corrupt a study. See
+//! The disk is the cache's one trust boundary. Every disk entry carries a
+//! versioned header (format version, engine version, its own key echoed
+//! back), and a disk read checks the payload against the shape its
+//! session produces before it counts a hit. Anything unexpected —
+//! truncated file, failed parse, header mismatch, foreign key, a payload
+//! that fails its check — is treated as a *miss* and recomputed; the
+//! cache can degrade but never corrupt a study. The in-process map is
+//! not checked again: its only writers are a store of what this process
+//! just computed and the promotion of a disk entry that passed. See
 //! DESIGN.md §13 for the full correctness argument.
 
 use crate::experiment::{Capture, SessionConfig, SessionResult};
@@ -265,50 +268,60 @@ impl SessionCache {
         h.finish()
     }
 
-    /// Look a key up in the in-process map alone. A stored payload that
-    /// `fits` accepts counts as a hit; anything else counts nothing, so a
-    /// caller that then takes [`SessionCache::lookup`] still counts
-    /// exactly one hit or miss.
-    pub fn lookup_memory(
-        &self,
-        key: &Fingerprint,
-        fits: impl Fn(&CachedSession) -> bool,
-    ) -> Option<CachedSession> {
+    /// Look a key up in the in-process map. A hit is trusted as held: the
+    /// map's only writers are [`SessionCache::store`], with what this
+    /// process computed under the key, and [`SessionCache::lookup_disk`],
+    /// with an entry that passed its check. A hit counts; an absent key
+    /// counts nothing, so a caller that then takes `lookup_disk` still
+    /// counts exactly one hit or miss.
+    pub fn lookup_memory(&self, key: &Fingerprint) -> Option<CachedSession> {
         let hit = self
             .mem
             .lock()
             .expect("cache map poisoned")
             .get(key)
-            .filter(|s| fits(s))
             .cloned()?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(hit)
     }
 
-    /// Look a key up in both layers, trusting only a payload that `fits`
-    /// accepts: the caller's check of the shape its session produces runs
-    /// before a hit is counted. A disk hit is promoted into the in-process
-    /// map; a disk entry that is unreadable or fails `fits` counts as
-    /// invalid and as a miss, and the caller's recomputed store overwrites
-    /// it.
-    pub fn lookup(
+    /// Read a key's entry from the disk layer, the cache's one trust
+    /// boundary: the entry's header must match this cache and key, and
+    /// `fits`, the caller's check of the shape its session produces, must
+    /// accept the payload. An entry that passes is promoted into the
+    /// in-process map and counts as a hit. Anything else counts as a miss:
+    /// no directory, an absent file, and an entry that is unreadable or
+    /// fails either check, which also counts as invalid and is overwritten
+    /// by the caller's recomputed store.
+    pub fn lookup_disk(
         &self,
         key: &Fingerprint,
         fits: impl Fn(&CachedSession) -> bool,
     ) -> Option<CachedSession> {
-        if let Some(hit) = self.lookup_memory(key, &fits) {
-            return Some(hit);
-        }
-        if let Some(entry) = self.disk_lookup(key, &fits) {
-            self.mem
-                .lock()
-                .expect("cache map poisoned")
-                .insert(*key, entry.clone());
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(entry);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let entry = self.dir.as_ref().and_then(|dir| {
+            // An absent file is a plain miss, not corruption.
+            let bytes = std::fs::read_to_string(self.entry_path(dir, key)).ok()?;
+            let valid = serde_json::from_str::<DiskEntry>(&bytes).ok().filter(|e| {
+                e.format == CACHE_FORMAT
+                    && e.engine == self.engine_salt
+                    && e.key == key.to_hex()
+                    && fits(&e.session)
+            });
+            if valid.is_none() {
+                self.invalid.fetch_add(1, Ordering::Relaxed);
+            }
+            valid
+        });
+        let Some(DiskEntry { session, .. }) = entry else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.mem
+            .lock()
+            .expect("cache map poisoned")
+            .insert(*key, session.clone());
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(session)
     }
 
     /// Store a computed session under its key in both layers. Disk I/O
@@ -352,35 +365,6 @@ impl SessionCache {
     fn entry_path(&self, dir: &Path, key: &Fingerprint) -> PathBuf {
         dir.join(format!("{}.json", key.to_hex()))
     }
-
-    fn disk_lookup(
-        &self,
-        key: &Fingerprint,
-        fits: impl Fn(&CachedSession) -> bool,
-    ) -> Option<CachedSession> {
-        let dir = self.dir.as_ref()?;
-        let path = self.entry_path(dir, key);
-        let bytes = match std::fs::read_to_string(&path) {
-            Ok(b) => b,
-            Err(_) => return None, // absent: a plain miss, not corruption
-        };
-        let entry: DiskEntry = match serde_json::from_str(&bytes) {
-            Ok(e) => e,
-            Err(_) => {
-                self.invalid.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        if entry.format != CACHE_FORMAT
-            || entry.engine != self.engine_salt
-            || entry.key != key.to_hex()
-            || !fits(&entry.session)
-        {
-            self.invalid.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(entry.session)
-    }
 }
 
 #[cfg(test)]
@@ -405,9 +389,9 @@ mod tests {
     fn in_memory_round_trip_counts_hits_and_misses() {
         let c = SessionCache::in_memory();
         let k = c.key(SessionKind::Random, &cfg(), 0, 0);
-        assert!(c.lookup(&k, |_| true).is_none());
+        assert!(c.lookup_disk(&k, |_| true).is_none());
         c.store(&k, &sample_entry());
-        assert_eq!(c.lookup(&k, |_| true), Some(sample_entry()));
+        assert_eq!(c.lookup_memory(&k), Some(sample_entry()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -500,10 +484,10 @@ mod tests {
     fn stats_delta_isolates_one_study() {
         let c = SessionCache::in_memory();
         let k = c.key(SessionKind::Random, &cfg(), 0, 0);
-        assert!(c.lookup(&k, |_| true).is_none());
+        assert!(c.lookup_disk(&k, |_| true).is_none());
         c.store(&k, &sample_entry());
         let before = c.stats();
-        assert!(c.lookup(&k, |_| true).is_some());
+        assert!(c.lookup_memory(&k).is_some());
         let d = c.stats().since(&before);
         assert_eq!((d.hits, d.misses, d.stores), (1, 0, 0));
     }
@@ -512,16 +496,28 @@ mod tests {
     fn a_memory_lookup_counts_hits_but_never_misses() {
         let c = SessionCache::in_memory();
         let k = c.key(SessionKind::Random, &cfg(), 0, 0);
-        assert!(c.lookup_memory(&k, |_| true).is_none());
+        assert!(c.lookup_memory(&k).is_none());
         assert_eq!(
             c.stats(),
             CacheStats::default(),
             "an absent key counts nothing"
         );
         c.store(&k, &sample_entry());
-        assert_eq!(c.lookup_memory(&k, |_| true), Some(sample_entry()));
+        assert_eq!(c.lookup_memory(&k), Some(sample_entry()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 0, 1));
+    }
+
+    /// The disk lookup reads the disk alone: on a cache with no directory
+    /// it misses even a key the map holds.
+    #[test]
+    fn a_disk_lookup_never_reads_the_map() {
+        let c = SessionCache::in_memory();
+        let k = c.key(SessionKind::Random, &cfg(), 0, 0);
+        c.store(&k, &sample_entry());
+        assert!(c.lookup_disk(&k, |_| true).is_none());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.invalid_entries), (0, 1, 0));
     }
 
     #[test]
@@ -531,15 +527,12 @@ mod tests {
         let c = SessionCache::at_dir(&dir);
         let k = c.key(SessionKind::Triggered, &cfg(), 0, 0);
         c.store(&k, &sample_entry());
-        // The in-process map: no hit and no miss counted.
-        assert!(c.lookup_memory(&k, |_| false).is_none());
-        assert_eq!(c.stats().hits, 0);
         // A fresh process reads the disk entry: invalid, and a miss.
         let fresh = SessionCache::at_dir(&dir);
-        assert!(fresh.lookup(&k, |_| false).is_none());
+        assert!(fresh.lookup_disk(&k, |_| false).is_none());
         let s = fresh.stats();
         assert_eq!((s.hits, s.misses, s.invalid_entries), (0, 1, 1));
-        assert_eq!(fresh.lookup(&k, |_| true), Some(sample_entry()));
+        assert_eq!(fresh.lookup_disk(&k, |_| true), Some(sample_entry()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

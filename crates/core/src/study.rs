@@ -193,24 +193,21 @@ impl SessionTask {
         cache.key(self.kind, &self.cfg, self.idx, self.captures)
     }
 
-    /// Whether a looked-up payload has the shape this session's runner
-    /// gives (`experiment::payload_fits`). A cache checks it before it
-    /// counts a hit, so a payload that fails is a miss and the session
-    /// recomputes.
-    fn fits(&self, payload: &CachedSession) -> bool {
-        crate::experiment::payload_fits(self.kind, &self.cfg, self.captures, payload)
-    }
-
-    /// Run the session, consulting the cache under `key` first when one
-    /// is given. A hit returns the memoized payload as stored,
-    /// bit-identical to a fresh run, and no cluster: no cycles were
-    /// stepped. A miss computes, stores, and returns the payload with the
-    /// cluster that ran it.
+    /// Run the session, reading it from the cache's disk layer under `key`
+    /// first when one is given (`run_sessions` has already missed it in
+    /// the in-process map). A disk entry is used only if its payload has
+    /// the shape this session's runner gives (`experiment::payload_fits`);
+    /// a hit returns it as read, bit-identical to a fresh run, and no
+    /// cluster: no cycles were stepped. A miss computes, stores, and
+    /// returns the payload with the cluster that ran it.
     fn run(
         &self,
         cache: Option<(&SessionCache, &Fingerprint)>,
     ) -> (CachedSession, Option<Cluster>) {
-        if let Some(hit) = cache.and_then(|(cache, key)| cache.lookup(key, |p| self.fits(p))) {
+        let fits = |p: &CachedSession| {
+            crate::experiment::payload_fits(self.kind, &self.cfg, self.captures, p)
+        };
+        if let Some(hit) = cache.and_then(|(cache, key)| cache.lookup_disk(key, fits)) {
             return (hit, None);
         }
         let (data, cluster) = self.compute();
@@ -266,9 +263,9 @@ pub struct Study {
 ///
 /// Sessions whose payload is in the cache's in-process map resolve first,
 /// inline on the calling thread: a warm study starts no thread at all.
-/// Only the rest (disk reads and simulations) go to the longest-first
-/// pool. Each session computes its key once and counts one hit or miss
-/// either way.
+/// Only the rest go to the longest-first pool, which reads each from disk
+/// or simulates it. Each session computes its key once, reads each cache
+/// layer at most once, and counts one hit or miss either way.
 pub(crate) fn run_sessions(
     tasks: &[SessionTask],
     label: impl Fn(&SessionTask) -> String + Sync,
@@ -297,7 +294,7 @@ pub(crate) fn run_sessions(
         }
         let began = Instant::now();
         let key = t.key(cache);
-        match cache.lookup_memory(&key, |p| t.fits(p)) {
+        match cache.lookup_memory(&key) {
             Some(hit) => outputs[i] = Some((hit, record(t, began, None))),
             None => pending.push((i, Some(key))),
         }

@@ -133,6 +133,40 @@ fn corrupt_entries_recompute_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The disk is the cache's one trust boundary: a corrupt entry is counted
+/// invalid once, when it is read, and recomputed. A second run on the same
+/// cache answers every session from the in-process map, with the store
+/// gone from disk, and checks nothing again.
+#[test]
+fn a_corrupt_entry_is_checked_once_then_served_from_memory() {
+    let dir = scratch_dir("boundary");
+    let (cold, _) = run_against(&SessionCache::at_dir(&dir));
+    let entry = std::fs::read_dir(&dir)
+        .expect("cache dir lists")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|e| e == "json"))
+        .expect("a stored entry");
+    std::fs::write(&entry, "{not json").unwrap();
+
+    let cache = SessionCache::at_dir(&dir);
+    let (first, obs) = run_against(&cache);
+    assert_eq!(first, cold);
+    let c = obs.cache;
+    assert_eq!(
+        (c.hits, c.misses, c.stores, c.invalid_entries),
+        (MINI_SESSIONS - 1, 1, 1, 1)
+    );
+
+    std::fs::remove_dir_all(&dir).expect("cache dir removes");
+    let (second, obs) = run_against(&cache);
+    assert_eq!(second, first);
+    let c = obs.cache;
+    assert_eq!(
+        (c.hits, c.misses, c.stores, c.invalid_entries),
+        (MINI_SESSIONS, 0, 0, 0)
+    );
+}
+
 /// A bumped engine-version salt must invalidate everything: new keys see
 /// an empty store, and even a file renamed onto the new key's path is
 /// rejected by its header echo.
@@ -153,13 +187,13 @@ fn engine_salt_bump_invalidates_stored_entries() {
             audit: Default::default(),
         },
     );
-    assert!(v1.lookup(&k1, |_| true).is_some());
+    assert!(v1.lookup_disk(&k1, |_| true).is_some());
 
     // The salt reaches the key, so the v2 cache looks elsewhere entirely.
     let v2 = SessionCache::at_dir(&dir).with_engine_salt(u64::MAX);
     let k2 = v2.key(SessionKind::Triggered, &cfg, 0, 2);
     assert_ne!(k1, k2, "engine salt must reach the fingerprint");
-    assert!(v2.lookup(&k2, |_| true).is_none());
+    assert!(v2.lookup_disk(&k2, |_| true).is_none());
 
     // Adversarial rename: masquerade the v1 entry as the v2 key. The
     // header (engine version + echoed key) must reject it as invalid.
@@ -169,7 +203,7 @@ fn engine_salt_bump_invalidates_stored_entries() {
     )
     .expect("rename stored entry");
     assert!(
-        v2.lookup(&k2, |_| true).is_none(),
+        v2.lookup_disk(&k2, |_| true).is_none(),
         "stale-engine entry must not load"
     );
     assert_eq!(v2.stats().invalid_entries, 1);

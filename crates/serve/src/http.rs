@@ -176,11 +176,23 @@ pub fn read_request(
             "transfer-encoding is not supported".into(),
         ));
     }
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => 0,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| RecvError::Malformed(format!("bad content-length: {v:?}")))?,
+    // One Content-Length of ASCII digits only: with two, or with a sign
+    // that `usize::from_str` would take, the body this server frames is
+    // not the one the peer meant, and the rest would be parsed as the
+    // next request.
+    let mut lengths = headers
+        .iter()
+        .filter(|(n, _)| n == "content-length")
+        .map(|(_, v)| v);
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some(_), Some(_)) => return Err(RecvError::Malformed("duplicate content-length".into())),
+        (Some(v), None) => v
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| v.parse::<usize>().ok())
+            .flatten()
+            .ok_or_else(|| RecvError::Malformed(format!("bad content-length: {v:?}")))?,
     };
     if content_length > limits.max_body_bytes {
         return Err(RecvError::TooLarge {
